@@ -752,6 +752,9 @@ Machine::Machine(Program program, InterpOptions options)
               native_engine_options(options_, pool_.get()));
       if (engine.is_ok()) {
         native_ = std::move(engine).value();
+        for (const jit::AbiSlot& slot : native_->slots()) {
+          native_globals_.push_back(globals_.at(slot.grid).get());
+        }
         native_report_.available = true;
         native_report_.cache_hit = native_->cache_hit();
         native_report_.object_path = native_->object_path();
@@ -875,20 +878,17 @@ StatusOr<double> Machine::call(const std::string& function,
           return std::holds_alternative<double>(a);
         });
     if (abi != nullptr && abi->supported && literal_args) {
-      std::vector<double> scalars;
-      scalars.reserve(args.size());
-      for (const CallArg& a : args) scalars.push_back(std::get<double>(a));
-      std::vector<jit::GlobalBinding> bindings;
-      bindings.reserve(native_->slots().size());
-      for (const jit::AbiSlot& slot : native_->slots()) {
-        Instance* inst = globals_.at(slot.grid).get();
-        bindings.push_back(jit::GlobalBinding{
-            inst->data.data(),
-            static_cast<std::int64_t>(inst->data.size())});
+      for (std::size_t i = 0; i < args.size(); ++i) {
+        native_->bind_scalar(i, std::get<double>(args[i]));
+      }
+      for (std::size_t i = 0; i < native_globals_.size(); ++i) {
+        std::vector<double>& data = native_globals_[i]->data;
+        native_->bind_global(i, data.data(),
+                             static_cast<std::int64_t>(data.size()));
       }
       const std::uint64_t regions_before = native_->parallel_regions();
       const std::uint64_t gated_before = native_->gated_regions();
-      StatusOr<double> result = native_->call(*abi, scalars, bindings);
+      StatusOr<double> result = native_->call(*abi);
       if (!result.is_ok()) return result.status();
       const std::uint64_t regions =
           native_->parallel_regions() - regions_before;

@@ -283,6 +283,9 @@ class Machine {
   /// Native-engine state (kNative): the loaded kernel, or null when the
   /// machine fell back to plans (see native_report_.fallback_reason).
   std::unique_ptr<jit::NativeEngine> native_;
+  /// The kernel's slots as global instances (slots() order), rebound
+  /// into the engine's argument block on every native call.
+  std::vector<Instance*> native_globals_;
   NativeReport native_report_;
 
   InterpStats stats_;

@@ -78,7 +78,7 @@ std::string wrapper_text(const Program& p, const std::vector<AbiSlot>& slots,
                          const std::vector<AbiFunction>& functions,
                          bool parallel,
                          const std::vector<ParallelRegion>& regions,
-                         NumericModel model) {
+                         NumericModel model, const EffectsMap& effects) {
   std::vector<std::string> out;
   out.push_back("");
   out.push_back("/* ---- native-engine ABI wrapper ---- */");
@@ -142,22 +142,20 @@ std::string wrapper_text(const Program& p, const std::vector<AbiSlot>& slots,
   // tier converts element-wise into the slot's native width here — this
   // boundary is the only place the two storage models meet.
   //
-  // The opt tier additionally threads a per-entry slot mask through both
-  // copies: entry wrappers only move the globals their function
-  // (transitively) touches — copy-in for any access, copy-out for
-  // writes. Written grids always appear in the copy-in mask too, so a
-  // partial write exports the host's own values for untouched elements.
-  // Small entry points over large programs would otherwise be dominated
-  // by boundary traffic rather than kernel work.
-  const bool masked = model == NumericModel::kOpt;
-  const char* mask_param =
-      masked ? ", const unsigned char* restrict glaf_nat_m" : "";
-  auto guard = [&](std::size_t i, const std::string& line) {
-    return masked ? cat("  if (glaf_nat_m[", i, "]) {", line.substr(1), " }")
-                  : line;
+  // Both copies take a per-entry slot mask: an entry wrapper only moves
+  // the globals its function (transitively) touches — copy-in for any
+  // access, copy-out for writes. Written grids always appear in the
+  // copy-in mask too, so a partial write exports the host's own values
+  // for untouched elements. Slots outside the mask keep whatever the
+  // unit's storage last held, which the entry never observes. Small
+  // entry points over large programs would otherwise be dominated by
+  // boundary traffic rather than kernel work.
+  auto guard = [](std::size_t i, const std::string& line) {
+    return cat("  if (glaf_nat_m[", i, "]) {", line.substr(1), " }");
   };
+  const std::string mask_param = "const unsigned char* restrict glaf_nat_m";
   out.push_back(cat("static long glaf_nat_copy_in(const glaf_nat_args* "
-                    "glaf_nat_a", mask_param, ") {"));
+                    "glaf_nat_a, ", mask_param, ") {"));
   for (std::size_t i = 0; i < slots.size(); ++i) {
     out.push_back(cat("  if (glaf_nat_a->extents[", i, "] != ", slots[i].elements,
                       ") return ", i + 1, ";"));
@@ -187,7 +185,7 @@ std::string wrapper_text(const Program& p, const std::vector<AbiSlot>& slots,
   out.push_back("}");
   out.push_back("");
   out.push_back(cat("static void glaf_nat_copy_out(const glaf_nat_args* "
-                    "glaf_nat_a", mask_param, ") {"));
+                    "glaf_nat_a, ", mask_param, ") {"));
   for (std::size_t i = 0; i < slots.size(); ++i) {
     const Grid& g = p.grid(slots[i].grid);
     const std::string name = storage_name(g);
@@ -211,38 +209,23 @@ std::string wrapper_text(const Program& p, const std::vector<AbiSlot>& slots,
     }
   }
   out.push_back("}");
-  const EffectsMap effects = masked ? compute_effects(p) : EffectsMap{};
+  const auto bytes = [](const std::vector<bool>& mask) {
+    std::vector<std::string> flags;
+    for (const bool bit : mask) flags.push_back(bit ? "1" : "0");
+    return join(flags, ",");
+  };
   for (const AbiFunction& fn : functions) {
     if (!fn.supported) continue;
     out.push_back("");
-    std::string touch_arg;
-    std::string write_arg;
-    if (masked) {
-      // Transitive side-effect summary of this entry; a missing summary
-      // degrades to copying everything, never to skipping a live slot.
-      const Function* f = p.find_function(fn.name);
-      const auto it = f != nullptr ? effects.find(f->id) : effects.end();
-      std::vector<std::string> touch(slots.size(), "1");
-      std::vector<std::string> write(slots.size(), "1");
-      if (it != effects.end()) {
-        for (std::size_t i = 0; i < slots.size(); ++i) {
-          const bool reads = it->second.global_reads.count(slots[i].grid) > 0;
-          const bool writes =
-              it->second.global_writes.count(slots[i].grid) > 0;
-          touch[i] = reads || writes ? "1" : "0";
-          write[i] = writes ? "1" : "0";
-        }
-      }
-      out.push_back(cat("static const unsigned char glaf_nat_touch_",
-                        fn.symbol, "[] = {", join(touch, ","), "};"));
-      out.push_back(cat("static const unsigned char glaf_nat_write_",
-                        fn.symbol, "[] = {", join(write, ","), "};"));
-      touch_arg = cat(", glaf_nat_touch_", fn.symbol);
-      write_arg = cat(", glaf_nat_write_", fn.symbol);
-    }
+    // The analysis's transitive effect summaries pick each entry's slots.
+    const CopyMasks masks = copy_masks(p, slots, effects, fn.name);
+    out.push_back(cat("static const unsigned char glaf_nat_touch_",
+                      fn.symbol, "[] = {", bytes(masks.touch), "};"));
+    out.push_back(cat("static const unsigned char glaf_nat_write_",
+                      fn.symbol, "[] = {", bytes(masks.write), "};"));
     out.push_back(cat("long ", fn.symbol, "(glaf_nat_args* glaf_nat_a) {"));
-    out.push_back(cat("  long status = glaf_nat_copy_in(glaf_nat_a",
-                      touch_arg, ");"));
+    out.push_back(cat("  long status = glaf_nat_copy_in(glaf_nat_a, "
+                      "glaf_nat_touch_", fn.symbol, ");"));
     out.push_back("  if (status) return status;");
     std::vector<std::string> args;
     for (int i = 0; i < fn.num_scalar_params; ++i) {
@@ -255,7 +238,8 @@ std::string wrapper_text(const Program& p, const std::vector<AbiSlot>& slots,
       out.push_back(cat("  ", call, ";"));
       out.push_back("  glaf_nat_a->result = 0.0;");
     }
-    out.push_back(cat("  glaf_nat_copy_out(glaf_nat_a", write_arg, ");"));
+    out.push_back(cat("  glaf_nat_copy_out(glaf_nat_a, glaf_nat_write_",
+                      fn.symbol, ");"));
     out.push_back("  return 0;");
     out.push_back("}");
   }
@@ -264,6 +248,21 @@ std::string wrapper_text(const Program& p, const std::vector<AbiSlot>& slots,
 }
 
 }  // namespace
+
+CopyMasks copy_masks(const Program& program, const std::vector<AbiSlot>& slots,
+                     const EffectsMap& effects, const std::string& function) {
+  CopyMasks masks{std::vector<bool>(slots.size(), true),
+                  std::vector<bool>(slots.size(), true)};
+  const Function* f = program.find_function(function);
+  const auto it = f != nullptr ? effects.find(f->id) : effects.end();
+  if (it == effects.end()) return masks;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    masks.write[i] = it->second.global_writes.count(slots[i].grid) > 0;
+    masks.touch[i] =
+        masks.write[i] || it->second.global_reads.count(slots[i].grid) > 0;
+  }
+  return masks;
+}
 
 StatusOr<KernelUnit> emit_kernel_unit(const Program& program,
                                       const ProgramAnalysis& analysis,
@@ -349,7 +348,7 @@ StatusOr<KernelUnit> emit_kernel_unit(const Program& program,
   unit.source = cat(prelude_text(*prog, unit.slots, options.model),
                     code.source,
                     wrapper_text(*prog, unit.slots, unit.functions, parallel,
-                                 unit.regions, options.model));
+                                 unit.regions, options.model, anal->effects));
   return unit;
 }
 

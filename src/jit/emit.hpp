@@ -5,11 +5,12 @@
 // kInterp tier or the typed, ulp-bounded kOpt tier), plus an
 // extern-"C" ABI wrapper per function. The wrapper takes a flat argument
 // block — grid base pointers in global_grids order, their element
-// counts, and the entry call's scalar arguments — copies the host's
-// global state into the unit's own storage, runs the function, and
-// copies it back out. Keeping storage inside the unit lets one emission
-// strategy cover every global kind (owned statics, module externs,
-// COMMON members, TYPE elements) with the copy as the only ABI surface.
+// counts, and the entry call's scalar arguments — copies the globals the
+// function touches into the unit's own storage, runs the function, and
+// copies the ones it writes back out. Keeping storage inside the unit
+// lets one emission strategy cover every global kind (owned statics,
+// module externs, COMMON members, TYPE elements) with the copy as the
+// only ABI surface.
 
 #include <cstdint>
 #include <string>
@@ -84,9 +85,22 @@ struct EmitOptions {
   NumericModel model = NumericModel::kInterp;
 };
 
-/// Lower `program` to a native kernel unit. Fails (whole-engine
-/// fallback) when a global grid is a struct or has a non-foldable
-/// extent — the flat argument block cannot describe those.
+/// Per-entry copy masks, one flag per slot in global_grids order: the
+/// wrapper copies a slot in when `touch` is set (the function reads or
+/// writes it, transitively) and back out when `write` is set. A
+/// function without a summary in `effects` gets all-ones masks — copy
+/// everything, never skip a live slot.
+struct CopyMasks {
+  std::vector<bool> touch;
+  std::vector<bool> write;
+};
+CopyMasks copy_masks(const Program& program, const std::vector<AbiSlot>& slots,
+                     const EffectsMap& effects, const std::string& function);
+
+/// Lower `program` to a native kernel unit. `analysis` must be of
+/// `program`: its effect summaries decide each entry's copy masks. Fails
+/// (whole-engine fallback) when a global grid is a struct or has a
+/// non-foldable extent — the flat argument block cannot describe those.
 StatusOr<KernelUnit> emit_kernel_unit(const Program& program,
                                       const ProgramAnalysis& analysis,
                                       const EmitOptions& options = {});

@@ -3,6 +3,7 @@
 #include <dlfcn.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -66,9 +67,14 @@ void pfor_trampoline(void* hctx, RangeFn fn, void* ctx, long n) {
 
 /// Copy the published object to a private temp file and dlopen that
 /// (see the header: per-engine static state), unlinking immediately so
-/// the copy lives exactly as long as the handle.
+/// the copy lives exactly as long as the handle. The copy goes under
+/// $TMPDIR when set (hosts with a noexec /tmp, sandboxed callers), else
+/// /tmp.
 StatusOr<void*> open_private_copy(const std::string& object_path) {
-  std::string copy_path = cat("/tmp/glaf_nat_", getpid(), "_XXXXXX");
+  const char* tmpdir = std::getenv("TMPDIR");
+  std::string copy_path =
+      cat(tmpdir != nullptr && *tmpdir != '\0' ? tmpdir : "/tmp",
+          "/glaf_nat_", getpid(), "_XXXXXX");
   const int fd = mkstemp(copy_path.data());
   if (fd < 0) return internal_error("cannot create private kernel copy");
   {
@@ -254,16 +260,24 @@ StatusOr<std::unique_ptr<NativeEngine>> NativeEngine::load_compiled(
       return internal_error("parallel kernel lacks glaf_nat_gated");
     }
   }
+  // Argument-block staging, sized once so the dispatch path allocates
+  // nothing. Unbound slots keep extent 0, which copy-in rejects.
+  engine->grids_.assign(engine->unit_.slots.size(), nullptr);
+  engine->extents_.assign(engine->unit_.slots.size(), 0);
+  std::size_t max_scalars = 0;
   engine->entry_points_.resize(engine->unit_.functions.size(), nullptr);
   for (std::size_t i = 0; i < engine->unit_.functions.size(); ++i) {
     const AbiFunction& fn = engine->unit_.functions[i];
     if (!fn.supported) continue;
+    max_scalars = std::max(max_scalars,
+                           static_cast<std::size_t>(fn.num_scalar_params));
     void* sym = dlsym(engine->handle_, fn.symbol.c_str());
     if (sym == nullptr) {
       return internal_error(cat("missing kernel symbol ", fn.symbol));
     }
     engine->entry_points_[i] = sym;
   }
+  engine->scalars_.assign(max_scalars, 0.0);
   return engine;
 }
 
@@ -278,27 +292,20 @@ const AbiFunction* NativeEngine::find(const std::string& function) const {
   return nullptr;
 }
 
-StatusOr<double> NativeEngine::call(const AbiFunction& fn,
-                                    const std::vector<double>& scalars,
-                                    const std::vector<GlobalBinding>& bindings) {
-  if (bindings.size() != unit_.slots.size()) {
-    return invalid_argument(cat("native call bound ", bindings.size(),
-                                " globals, kernel has ",
-                                unit_.slots.size()));
-  }
+void NativeEngine::bind_global(std::size_t slot, double* data,
+                               std::int64_t elements) {
+  grids_[slot] = data;
+  extents_[slot] = static_cast<long>(elements);
+}
+
+StatusOr<double> NativeEngine::call(const AbiFunction& fn) {
   const std::ptrdiff_t index = &fn - unit_.functions.data();
   if (index < 0 ||
       index >= static_cast<std::ptrdiff_t>(entry_points_.size()) ||
       entry_points_[index] == nullptr) {
     return failed_precondition(cat("'", fn.name, "' has no native entry"));
   }
-  std::vector<double*> grids(bindings.size());
-  std::vector<long> extents(bindings.size());
-  for (std::size_t i = 0; i < bindings.size(); ++i) {
-    grids[i] = bindings[i].data;
-    extents[i] = static_cast<long>(bindings[i].elements);
-  }
-  NatArgs args{grids.data(), extents.data(), scalars.data(),
+  NatArgs args{grids_.data(), extents_.data(), scalars_.data(),
                options_.num_threads, 0.0};
   const long status =
       reinterpret_cast<WrapperFn>(entry_points_[index])(&args);

@@ -37,13 +37,6 @@ struct PforHost {
   std::atomic<std::uint64_t> regions{0};
 };
 
-/// Host-side view of one global's storage (kept free of interpreter
-/// types: glaf_interp links glaf_jit, not the other way around).
-struct GlobalBinding {
-  double* data = nullptr;
-  std::int64_t elements = 0;
-};
-
 /// A compiled-but-not-loaded kernel: the emitted unit plus the published
 /// cache object and the exact build identity it was keyed under. Produced
 /// by NativeEngine::compile_object (which never dlopens — safe on a
@@ -142,11 +135,16 @@ class NativeEngine {
   /// !supported means per-call fallback (with its reason).
   [[nodiscard]] const AbiFunction* find(const std::string& function) const;
 
-  /// Call a supported function. `bindings` must follow slots() order;
-  /// `scalars` are the entry call's literal arguments.
-  StatusOr<double> call(const AbiFunction& fn,
-                        const std::vector<double>& scalars,
-                        const std::vector<GlobalBinding>& bindings);
+  /// Stage the flat argument block for the next call(): slot `slot`
+  /// (slots() order) reads and writes `elements` doubles at `data`, and
+  /// scalar argument `i` of the entry is `value`. The staging arrays are
+  /// owned by the engine and sized at load, so binding and calling
+  /// allocate nothing; bindings persist until rebound.
+  void bind_global(std::size_t slot, double* data, std::int64_t elements);
+  void bind_scalar(std::size_t i, double value) { scalars_[i] = value; }
+
+  /// Call a supported function on the staged argument block.
+  StatusOr<double> call(const AbiFunction& fn);
 
   [[nodiscard]] const std::vector<AbiSlot>& slots() const {
     return unit_.slots;
@@ -220,6 +218,11 @@ class NativeEngine {
   /// (nullptr for unsupported entries) — the in-memory handle table
   /// that makes repeat binds symbol-lookup-free.
   std::vector<void*> entry_points_;
+  /// The flat argument block's host-side arrays (glaf_nat_args grids,
+  /// extents and scalars), reused across calls.
+  std::vector<double*> grids_;
+  std::vector<long> extents_;
+  std::vector<double> scalars_;
 };
 
 /// Resolve an Options::gate_min_units request against the execution

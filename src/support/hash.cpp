@@ -6,58 +6,19 @@ namespace {
 // FNV-1a-128 per the published parameters:
 //   offset basis = 144066263297769815596495629667062367629
 //   prime        = 2^88 + 2^8 + 0x3b = 309485009821345068724781371
-// Arithmetic is carried in four 32-bit limbs so the implementation does
-// not depend on __int128 (and is endian-independent by construction).
-struct U128 {
-  std::uint32_t w[4] = {0, 0, 0, 0};  // w[0] = least significant
-};
+// The prime's shape makes the multiply cheap in two 64-bit lanes:
+// h * prime = h * 0x13b + (h << 88) mod 2^128, and the shift only adds
+// lo << 24 to the high lane. Plain 64-bit arithmetic keeps the result
+// independent of __int128 and of byte order.
+constexpr Hash128 kOffset128 = {0x6c62272e07bb0142ull, 0x62b821756295c58dull};
+constexpr std::uint64_t kPrimeLow = 0x13b;
 
-// offset basis = 0x6c62272e07bb014262b821756295c58d
-constexpr U128 kOffset128 = {{0x6295c58du, 0x62b82175u, 0x07bb0142u,
-                              0x6c62272eu}};
-// prime = 0x0000000001000000000000000000013b
-constexpr U128 kPrime128 = {{0x0000013bu, 0x00000000u, 0x01000000u,
-                             0x00000000u}};
-
-U128 mul128(const U128& a, const U128& b) {
-  std::uint64_t acc[4] = {0, 0, 0, 0};
-  for (int i = 0; i < 4; ++i) {
-    if (a.w[i] == 0) continue;
-    for (int j = 0; j + i < 4; ++j) {
-      acc[i + j] +=
-          static_cast<std::uint64_t>(a.w[i]) * static_cast<std::uint64_t>(b.w[j]);
-      // Propagate the high half immediately so acc never overflows:
-      // each limb holds < 2^32 after carrying.
-      if (i + j + 1 < 4) acc[i + j + 1] += acc[i + j] >> 32;
-      acc[i + j] &= 0xffffffffu;
-    }
-  }
-  U128 r;
-  std::uint64_t carry = 0;
-  for (int k = 0; k < 4; ++k) {
-    const std::uint64_t v = acc[k] + carry;
-    r.w[k] = static_cast<std::uint32_t>(v & 0xffffffffu);
-    carry = v >> 32;
-  }
-  return r;
-}
-
-U128 from_hash(const Hash128& h) {
-  U128 u;
-  u.w[0] = static_cast<std::uint32_t>(h.lo & 0xffffffffu);
-  u.w[1] = static_cast<std::uint32_t>(h.lo >> 32);
-  u.w[2] = static_cast<std::uint32_t>(h.hi & 0xffffffffu);
-  u.w[3] = static_cast<std::uint32_t>(h.hi >> 32);
-  return u;
-}
-
-Hash128 to_hash(const U128& u) {
-  Hash128 h;
-  h.lo = static_cast<std::uint64_t>(u.w[0]) |
-         (static_cast<std::uint64_t>(u.w[1]) << 32);
-  h.hi = static_cast<std::uint64_t>(u.w[2]) |
-         (static_cast<std::uint64_t>(u.w[3]) << 32);
-  return h;
+Hash128 mul_prime(const Hash128& h) {
+  // High 64 bits of lo * 0x13b, from the 32-bit halves of lo.
+  const std::uint64_t carry =
+      ((h.lo >> 32) * kPrimeLow + ((h.lo & 0xffffffffu) * kPrimeLow >> 32)) >>
+      32;
+  return {h.hi * kPrimeLow + carry + (h.lo << 24), h.lo * kPrimeLow};
 }
 
 }  // namespace
@@ -70,15 +31,15 @@ std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t state) {
   return state;
 }
 
-Hash128 fnv1a128_offset() { return to_hash(kOffset128); }
+Hash128 fnv1a128_offset() { return kOffset128; }
 
 Hash128 fnv1a128(std::string_view bytes, const Hash128& state) {
-  U128 h = from_hash(state);
+  Hash128 h = state;
   for (const char c : bytes) {
-    h.w[0] ^= static_cast<unsigned char>(c);
-    h = mul128(h, kPrime128);
+    h.lo ^= static_cast<unsigned char>(c);
+    h = mul_prime(h);
   }
-  return to_hash(h);
+  return h;
 }
 
 Hash128 fnv1a128(std::string_view bytes) {

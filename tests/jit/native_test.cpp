@@ -4,7 +4,9 @@
 // example kernels (SARB Table 1, FUN3D), (b) the kernel cache's
 // cold/warm compile behaviour, corruption recovery and directory
 // override, and (c) the fallback policy when no compiler is available
-// or a program has no flat-argument-block layout.
+// or a program has no flat-argument-block layout, plus (d) the
+// cross-entry boundary wall: entry wrappers copy only the globals their
+// function touches, and stale kernel storage must never be observed.
 //
 // Every test that needs the system compiler GTEST_SKIPs without one.
 
@@ -26,8 +28,10 @@
 #include "fun3d/glaf_fun3d.hpp"
 #include "interp/machine.hpp"
 #include "jit/cache.hpp"
+#include "jit/emit.hpp"
 #include "support/strings.hpp"
 #include "support/subprocess.hpp"
+#include "testing/cross_entry.hpp"
 #include "testing/programs.hpp"
 
 namespace glaf {
@@ -285,34 +289,176 @@ TEST(NativeExamples, SarbTable1SubroutinesBitIdentical) {
 TEST(NativeExamples, Fun3dKernelsBitIdentical) {
   if (!have_cc()) GTEST_SKIP() << "no system compiler";
   const Program p = fun3d::build_fun3d_glaf_program();
-  const auto load = [](Machine& m) {
-    std::vector<double> ea(fun3d::kGlafEdges), eb(fun3d::kGlafEdges);
-    std::vector<double> w(fun3d::kGlafEdges), q(fun3d::kGlafNodes);
-    for (int e = 0; e < fun3d::kGlafEdges; ++e) {
-      ea[static_cast<std::size_t>(e)] = e % fun3d::kGlafNodes;
-      eb[static_cast<std::size_t>(e)] = (e * 7 + 3) % fun3d::kGlafNodes;
-      w[static_cast<std::size_t>(e)] = 0.25 + 0.5 * (e % 3);
-    }
-    for (int k = 0; k < fun3d::kGlafNodes; ++k) {
-      q[static_cast<std::size_t>(k)] = 1.0 + 0.01 * k;
-    }
-    ASSERT_TRUE(m.set_array("edge_a", ea).is_ok());
-    ASSERT_TRUE(m.set_array("edge_b", eb).is_ok());
-    ASSERT_TRUE(m.set_array("w", w).is_ok());
-    ASSERT_TRUE(m.set_array("q", q).is_ok());
-  };
   for (const std::string& name :
        {std::string("edge_scatter"), std::string("smooth_q")}) {
     Machine pl(p, plan_opts());
     Machine nat(p, native_opts());
     require_native(nat);
     for (Machine* m : {&pl, &nat}) {
-      load(*m);
+      testing::load_fun3d_glaf(*m);
       ASSERT_TRUE(m->call(name).is_ok()) << name;
     }
     EXPECT_GT(nat.native_report().native_calls, 0u) << name;
     compare_all_globals(pl, nat);
   }
+}
+
+// ---- cross-entry boundary ---------------------------------------------------
+
+TEST(CrossEntryWall, SarbForwardThenReverseBitIdentical) {
+  if (!have_cc()) GTEST_SKIP() << "no system compiler";
+  const Program sarb = fuliou::build_sarb_program();
+  const fuliou::AtmosphereProfile profile = fuliou::make_profile(3);
+  testing::run_cross_entry_wall(
+      sarb, native_opts(),
+      [&](Machine& m) {
+        ASSERT_TRUE(fuliou::load_profile(m, profile).is_ok());
+      },
+      testing::sarb_wall_sequence(sarb), "sarb/native");
+}
+
+TEST(CrossEntryWall, Fun3dPairBothOrdersBitIdentical) {
+  if (!have_cc()) GTEST_SKIP() << "no system compiler";
+  testing::run_cross_entry_wall(fun3d::build_fun3d_glaf_program(),
+                                native_opts(), testing::load_fun3d_glaf,
+                                testing::kFun3dWallSequence, "fun3d/native");
+}
+
+/// fill writes all of `a`; half writes only a(0..3) and reads `s`.
+Program half_write_program() {
+  ProgramBuilder pb("m");
+  auto a = pb.global("a", DataType::kDouble, {E(8)});
+  auto s = pb.global("s", DataType::kDouble);
+  {
+    auto fb = pb.function("fill");
+    auto st = fb.step("st");
+    st.foreach_("i", 0, 7);
+    st.assign(a(idx("i")), idx("i") + 100.0);
+  }
+  {
+    auto fb = pb.function("half");
+    auto st = fb.step("st");
+    st.foreach_("i", 0, 3);
+    st.assign(a(idx("i")), E(s) * idx("i"));
+  }
+  return pb.build().value();
+}
+
+TEST(CrossEntryWall, PartialWriteExportsTheHostsOwnBits) {
+  if (!have_cc()) GTEST_SKIP() << "no system compiler";
+  const Program p = half_write_program();
+  Machine pl(p, plan_opts());
+  Machine nat(p, native_opts());
+  require_native(nat);
+  // Host bits the kernel could not reproduce by arithmetic: a signed
+  // zero, a NaN payload, a subnormal.
+  const std::vector<double> host = {
+      1.0, 2.0, 3.0, 4.0, -0.0,
+      std::bit_cast<double>(std::uint64_t{0x7ff8000000000abcULL}),
+      std::numeric_limits<double>::denorm_min(), -1e300};
+  for (Machine* m : {&pl, &nat}) {
+    // fill leaves 100..107 in the kernel's own storage for `a`.
+    ASSERT_TRUE(m->call("fill").is_ok());
+    ASSERT_TRUE(m->set_array("a", host).is_ok());
+    ASSERT_TRUE(m->set_scalar("s", 0.5).is_ok());
+    ASSERT_TRUE(m->call("half").is_ok());
+  }
+  EXPECT_EQ(nat.native_report().native_calls, 2u);
+  const std::vector<double> got = nat.array("a").value();
+  for (std::size_t i = 4; i < host.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(host[i]))
+        << "a[" << i << "] lost the host's bits";
+  }
+  testing::expect_globals_bitwise(pl, nat, "half");
+}
+
+TEST(NativeEmit, InterpUnitsCarryPerEntryCopyMasks) {
+  const Program sarb = fuliou::build_sarb_program();
+  const StatusOr<jit::KernelUnit> unit =
+      jit::emit_kernel_unit(sarb, analyze_program(sarb));
+  ASSERT_TRUE(unit.is_ok()) << unit.status().message();
+  const EffectsMap effects = compute_effects(sarb);
+  const auto csv = [](const std::vector<bool>& mask) {
+    std::vector<std::string> bits;
+    for (const bool b : mask) bits.push_back(b ? "1" : "0");
+    return join(bits, ",");
+  };
+  bool skips_a_slot = false;
+  for (const jit::AbiFunction& fn : unit.value().functions) {
+    if (!fn.supported) continue;
+    const jit::CopyMasks masks =
+        jit::copy_masks(sarb, unit.value().slots, effects, fn.name);
+    const std::string& src = unit.value().source;
+    EXPECT_NE(src.find(cat("glaf_nat_touch_", fn.symbol, "[] = {",
+                           csv(masks.touch), "};")),
+              std::string::npos)
+        << fn.name;
+    EXPECT_NE(src.find(cat("glaf_nat_write_", fn.symbol, "[] = {",
+                           csv(masks.write), "};")),
+              std::string::npos)
+        << fn.name;
+    EXPECT_NE(src.find(cat("glaf_nat_copy_in(glaf_nat_a, glaf_nat_touch_",
+                           fn.symbol, ");")),
+              std::string::npos)
+        << fn.name;
+    EXPECT_NE(src.find(cat("glaf_nat_copy_out(glaf_nat_a, glaf_nat_write_",
+                           fn.symbol, ");")),
+              std::string::npos)
+        << fn.name;
+    for (std::size_t i = 0; i < masks.touch.size(); ++i) {
+      // Copy-in covers every written slot, so partial writes export the
+      // host's values for untouched elements.
+      EXPECT_TRUE(masks.touch[i] || !masks.write[i]) << fn.name << " " << i;
+      skips_a_slot = skips_a_slot || !masks.touch[i];
+    }
+  }
+  EXPECT_TRUE(skips_a_slot) << "no SARB entry skips any global";
+}
+
+TEST(NativeEmit, MissingEffectSummaryCopiesEverything) {
+  const Program sarb = fuliou::build_sarb_program();
+  const StatusOr<jit::KernelUnit> unit =
+      jit::emit_kernel_unit(sarb, analyze_program(sarb));
+  ASSERT_TRUE(unit.is_ok()) << unit.status().message();
+  const std::vector<jit::AbiSlot>& slots = unit.value().slots;
+  const std::vector<bool> ones(slots.size(), true);
+  for (const EffectsMap& effects : {EffectsMap{}, compute_effects(sarb)}) {
+    const std::string name = effects.empty() ? "adjust2" : "no_such_function";
+    const jit::CopyMasks masks = jit::copy_masks(sarb, slots, effects, name);
+    EXPECT_EQ(masks.touch, ones) << name;
+    EXPECT_EQ(masks.write, ones) << name;
+  }
+}
+
+// ---- private kernel copy ----------------------------------------------------
+
+TEST(NativeLoad, PrivateCopyGoesUnderTmpdir) {
+  if (!have_cc()) GTEST_SKIP() << "no system compiler";
+  const ScopedEnv cache("GLAF_KERNEL_CACHE", fresh_cache_dir("tmpdir"));
+  const std::string tmpdir = fresh_cache_dir("private_copy");
+  const ScopedEnv env("TMPDIR", tmpdir);
+  const Program p = testing::saxpy_program();
+  Machine nat(p, native_opts());
+  require_native(nat);
+  // The unlinked copy stays mapped for the engine's lifetime.
+  std::ifstream maps("/proc/self/maps");
+  if (maps) {
+    bool mapped_under_tmpdir = false;
+    for (std::string line; std::getline(maps, line);) {
+      if (line.find(cat(tmpdir, "/glaf_nat_")) != std::string::npos) {
+        mapped_under_tmpdir = true;
+      }
+    }
+    EXPECT_TRUE(mapped_under_tmpdir) << "kernel copy not under " << tmpdir;
+  }
+  Machine pl(p, plan_opts());
+  for (Machine* m : {&pl, &nat}) {
+    ASSERT_TRUE(m->set_scalar("a", 1.5).is_ok());
+    ASSERT_TRUE(m->call("saxpy").is_ok());
+  }
+  EXPECT_EQ(nat.native_report().native_calls, 1u);
+  testing::expect_globals_bitwise(pl, nat, "saxpy");
 }
 
 // ---- kernel cache -----------------------------------------------------------

@@ -9,7 +9,10 @@
 // v0..v3; integer sum/min/max reduction ordering; ownership-banded
 // float accumulation; float reductions staying serial; 1-thread ==
 // N-thread; dynamic scheduling; serial/parallel cache coexistence; and
-// the forced-fallback path without a compiler.
+// the forced-fallback path without a compiler; and the cross-entry
+// boundary wall (masked copies never expose stale kernel storage) at 1
+// and 4 threads, which compares bitwise against the plan VM: no -0.0
+// reaches a rank combine in these kernels.
 //
 // Equality is value equality (== with NaN==NaN), not bit_cast: the
 // rank-ordered combine adds each rank's scratch to the target, and
@@ -35,6 +38,7 @@
 #include "jit/cache.hpp"
 #include "support/strings.hpp"
 #include "support/subprocess.hpp"
+#include "testing/cross_entry.hpp"
 #include "testing/programs.hpp"
 
 namespace glaf {
@@ -206,22 +210,6 @@ TEST(ParallelNativeFun3d, SmallKernelsBitIdentical) {
   if (!have_cc()) GTEST_SKIP() << "no system compiler";
   const ScopedEnv env("GLAF_KERNEL_CACHE", fresh_cache_dir("fun3d_small"));
   const Program p = fun3d::build_fun3d_glaf_program();
-  const auto load = [](Machine& m) {
-    std::vector<double> ea(fun3d::kGlafEdges), eb(fun3d::kGlafEdges);
-    std::vector<double> w(fun3d::kGlafEdges), q(fun3d::kGlafNodes);
-    for (int e = 0; e < fun3d::kGlafEdges; ++e) {
-      ea[static_cast<std::size_t>(e)] = e % fun3d::kGlafNodes;
-      eb[static_cast<std::size_t>(e)] = (e * 7 + 3) % fun3d::kGlafNodes;
-      w[static_cast<std::size_t>(e)] = 0.25 + 0.5 * (e % 3);
-    }
-    for (int k = 0; k < fun3d::kGlafNodes; ++k) {
-      q[static_cast<std::size_t>(k)] = 1.0 + 0.01 * k;
-    }
-    ASSERT_TRUE(m.set_array("edge_a", ea).is_ok());
-    ASSERT_TRUE(m.set_array("edge_b", eb).is_ok());
-    ASSERT_TRUE(m.set_array("w", w).is_ok());
-    ASSERT_TRUE(m.set_array("q", q).is_ok());
-  };
   for (const std::string& name :
        {std::string("edge_scatter"), std::string("smooth_q")}) {
     for (const DirectivePolicy policy : kAllPolicies) {
@@ -231,11 +219,43 @@ TEST(ParallelNativeFun3d, SmallKernelsBitIdentical) {
       require_native(serial);
       require_native(par);
       for (Machine* m : {&serial, &par}) {
-        load(*m);
+        testing::load_fun3d_glaf(*m);
         ASSERT_TRUE(m->call(name).is_ok()) << tag;
       }
       compare_all_globals(serial, par, tag);
     }
+  }
+}
+
+// ---- cross-entry boundary ---------------------------------------------------
+
+// One parallel kernel Machine per thread count runs the whole sequence,
+// with every region dispatched (gate off). Bitwise against the serial
+// plan VM after each call.
+TEST(ParallelNativeCrossEntry, SarbForwardThenReverseAtOneAndFourThreads) {
+  if (!have_cc()) GTEST_SKIP() << "no system compiler";
+  const ScopedEnv env("GLAF_KERNEL_CACHE", fresh_cache_dir("wall_sarb"));
+  const Program sarb = fuliou::build_sarb_program();
+  const fuliou::AtmosphereProfile profile = fuliou::make_profile(5);
+  for (const int threads : {1, 4}) {
+    testing::run_cross_entry_wall(
+        sarb, parallel_native(DirectivePolicy::kV0, threads),
+        [&](Machine& m) {
+          ASSERT_TRUE(fuliou::load_profile(m, profile).is_ok());
+        },
+        testing::sarb_wall_sequence(sarb), cat("sarb/", threads, "t"));
+  }
+}
+
+TEST(ParallelNativeCrossEntry, Fun3dPairBothOrdersAtOneAndFourThreads) {
+  if (!have_cc()) GTEST_SKIP() << "no system compiler";
+  const ScopedEnv env("GLAF_KERNEL_CACHE", fresh_cache_dir("wall_fun3d"));
+  const Program p = fun3d::build_fun3d_glaf_program();
+  for (const int threads : {1, 4}) {
+    testing::run_cross_entry_wall(
+        p, parallel_native(DirectivePolicy::kV0, threads),
+        testing::load_fun3d_glaf, testing::kFun3dWallSequence,
+        cat("fun3d/", threads, "t"));
   }
 }
 

@@ -30,6 +30,18 @@ TEST(Fnv1a128, OffsetBasisIsPinned) {
   EXPECT_EQ(fnv1a128(""), offset);
 }
 
+TEST(Fnv1a128, MatchesPublishedVectors) {
+  EXPECT_EQ(content_digest("a"), "d228cb696f1a8caf78912b704e4a8964");
+  EXPECT_EQ(content_digest("foobar"), "343e1662793c64bf6f0d3597ba446f18");
+  // A long input carries through every lane of the multiply, all 256
+  // byte values included (digest of the four-limb reference multiply).
+  std::string bytes;
+  for (int i = 0; i < 4096; ++i) {
+    bytes.push_back(static_cast<char>((i * 131 + 7) & 0xff));
+  }
+  EXPECT_EQ(content_digest(bytes), "b6182cb53ee0d0dc6d2be0287852a58d");
+}
+
 TEST(Fnv1a128, DistinguishesFieldBoundaries) {
   // NUL separators in callers must produce distinct digests for
   // distinct splits of the same bytes.
