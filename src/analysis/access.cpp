@@ -223,8 +223,18 @@ void compute_one(const Program& p, const Function& fn, EffectsMap* map) {
   // Seed to break accidental cycles defensively (validator rejects them).
   (*map)[fn.id] = fx;
 
+  std::function<void(const Expr&)> scan_reads;
+  // Generated code re-evaluates a grid's extents wherever it sizes or
+  // indexes the grid (allocation, flattened subscripts, whole-grid
+  // reductions), so the scalars an extent reads are reads of this function.
+  const auto scan_extents = [&](const Grid& grid) {
+    for (const Dim& d : grid.dims) {
+      if (d.extent) scan_reads(*d.extent);
+    }
+  };
   const auto classify = [&](GridId g, bool write) {
     const Grid& grid = p.grid(g);
+    scan_extents(grid);
     if (grid.is_global) {
       (write ? fx.global_writes : fx.global_reads).insert(g);
       return;
@@ -238,7 +248,7 @@ void compute_one(const Program& p, const Function& fn, EffectsMap* map) {
     }
   };
 
-  const std::function<void(const Expr&)> scan_reads = [&](const Expr& e) {
+  scan_reads = [&](const Expr& e) {
     if (e.kind == Expr::Kind::kGridRead) {
       classify(e.grid, false);
     } else if (e.kind == Expr::Kind::kCall &&
@@ -256,6 +266,9 @@ void compute_one(const Program& p, const Function& fn, EffectsMap* map) {
     for (const ExprPtr& a : e.args) scan_reads(*a);
   };
 
+  // Locals are allocated, and parameters may be indexed, on every call.
+  for (const GridId g : fn.locals) scan_extents(p.grid(g));
+  for (const GridId g : fn.params) scan_extents(p.grid(g));
   for (const Step& step : fn.steps) {
     for (const LoopSpec& loop : step.loops) {
       for (const ExprPtr& b : {loop.begin, loop.end, loop.stride}) {
@@ -287,7 +300,6 @@ void compute_one(const Program& p, const Function& fn, EffectsMap* map) {
           break;
       }
     });
-    // Local grid extents may read size parameters.
   }
   (*map)[fn.id] = std::move(fx);
 }

@@ -146,10 +146,10 @@ std::string wrapper_text(const Program& p, const std::vector<AbiSlot>& slots,
   // the globals its function (transitively) touches — copy-in for any
   // access, copy-out for writes. Written grids always appear in the
   // copy-in mask too, so a partial write exports the host's own values
-  // for untouched elements. Slots outside the mask keep whatever the
-  // unit's storage last held, which the entry never observes. Small
-  // entry points over large programs would otherwise be dominated by
-  // boundary traffic rather than kernel work.
+  // for untouched elements; touches include the scalars grid extents
+  // read. Slots outside the mask keep whatever the unit's storage last
+  // held, which the entry never observes. Small entry points over large
+  // programs would otherwise be dominated by boundary traffic.
   auto guard = [](std::size_t i, const std::string& line) {
     return cat("  if (glaf_nat_m[", i, "]) {", line.substr(1), " }");
   };

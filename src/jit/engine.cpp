@@ -4,8 +4,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 
 #include <thread>
@@ -76,7 +78,11 @@ StatusOr<void*> open_private_copy(const std::string& object_path) {
       cat(tmpdir != nullptr && *tmpdir != '\0' ? tmpdir : "/tmp",
           "/glaf_nat_", getpid(), "_XXXXXX");
   const int fd = mkstemp(copy_path.data());
-  if (fd < 0) return internal_error("cannot create private kernel copy");
+  if (fd < 0) {
+    // The host's temporary directory is at fault, not the kernel object.
+    return failed_precondition(cat("cannot create private kernel copy ",
+                                   copy_path, ": ", std::strerror(errno)));
+  }
   {
     std::ifstream in(object_path, std::ios::binary);
     std::ofstream out(copy_path, std::ios::binary);
@@ -204,7 +210,8 @@ StatusOr<std::unique_ptr<NativeEngine>> NativeEngine::load_compiled(
   engine->object_path_ = std::move(compiled.object_path);
 
   StatusOr<void*> handle = open_private_copy(engine->object_path_);
-  if (!handle.is_ok()) {
+  if (!handle.is_ok() &&
+      handle.status().code() != StatusCode::kFailedPrecondition) {
     // The published entry may be stale or corrupted in a way the ELF
     // sniff missed: discard it and rebuild once.
     KernelCache cache(compiled.cache_dir);
@@ -216,8 +223,8 @@ StatusOr<std::unique_ptr<NativeEngine>> NativeEngine::load_compiled(
     engine->cache_hit_ = false;
     engine->object_path_ = std::move(object).value();
     handle = open_private_copy(engine->object_path_);
-    if (!handle.is_ok()) return handle.status();
   }
+  if (!handle.is_ok()) return handle.status();
   engine->handle_ = handle.value();
 
   // ABI sanity before any call goes through.

@@ -11,9 +11,11 @@
 // Every test that needs the system compiler GTEST_SKIPs without one.
 
 #include <bit>
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -324,6 +326,11 @@ TEST(CrossEntryWall, Fun3dPairBothOrdersBitIdentical) {
                                 testing::kFun3dWallSequence, "fun3d/native");
 }
 
+TEST(CrossEntryWall, GlobalsReadOnlyThroughExtentsReachTheKernel) {
+  if (!have_cc()) GTEST_SKIP() << "no system compiler";
+  testing::run_extent_reads_check(native_opts(), "extent/native");
+}
+
 /// fill writes all of `a`; half writes only a(0..3) and reads `s`.
 Program half_write_program() {
   ProgramBuilder pb("m");
@@ -416,6 +423,25 @@ TEST(NativeEmit, InterpUnitsCarryPerEntryCopyMasks) {
   EXPECT_TRUE(skips_a_slot) << "no SARB entry skips any global";
 }
 
+TEST(NativeEmit, ExtentReadsEnterTheCopyInMasks) {
+  // Expected masks written by hand, slot order n, m, out, buf: the
+  // analysis itself is under test here.
+  const Program p = testing::extent_reads_program();
+  const StatusOr<jit::KernelUnit> unit =
+      jit::emit_kernel_unit(p, analyze_program(p));
+  ASSERT_TRUE(unit.is_ok()) << unit.status().message();
+  const std::string& src = unit.value().source;
+  for (const char* mask : {"touch_glaf_nat_call_local_min[] = {1,0,1,0}",
+                           "write_glaf_nat_call_local_min[] = {0,0,1,0}",
+                           "touch_glaf_nat_call_scatter2[] = {0,1,0,1}",
+                           "write_glaf_nat_call_scatter2[] = {0,0,0,1}",
+                           "touch_glaf_nat_call_set_n[] = {1,1,0,0}",
+                           "write_glaf_nat_call_set_n[] = {1,1,0,0}"}) {
+    EXPECT_NE(src.find(cat("glaf_nat_", mask, ";")), std::string::npos)
+        << mask;
+  }
+}
+
 TEST(NativeEmit, MissingEffectSummaryCopiesEverything) {
   const Program sarb = fuliou::build_sarb_program();
   const StatusOr<jit::KernelUnit> unit =
@@ -459,6 +485,29 @@ TEST(NativeLoad, PrivateCopyGoesUnderTmpdir) {
   }
   EXPECT_EQ(nat.native_report().native_calls, 1u);
   testing::expect_globals_bitwise(pl, nat, "saxpy");
+}
+
+TEST(NativeLoad, UnusableTmpdirIsNamedAndKeepsTheCachedObject) {
+  if (!have_cc()) GTEST_SKIP() << "no system compiler";
+  const ScopedEnv cache("GLAF_KERNEL_CACHE", fresh_cache_dir("bad_tmpdir"));
+  const Program p = testing::saxpy_program();
+  {
+    Machine warm(p, native_opts());
+    require_native(warm);
+  }
+  const std::string missing = cat(fresh_cache_dir("missing"), "/absent");
+  {
+    const ScopedEnv env("TMPDIR", missing);
+    Machine nat(p, native_opts());
+    ASSERT_FALSE(nat.native_report().available);
+    const std::string& reason = nat.native_report().fallback_reason;
+    EXPECT_NE(reason.find(missing), std::string::npos) << reason;
+    EXPECT_NE(reason.find(std::strerror(ENOENT)), std::string::npos) << reason;
+  }
+  // The host's directory was at fault, so the cached object survives.
+  Machine again(p, native_opts());
+  require_native(again);
+  EXPECT_TRUE(again.native_report().cache_hit);
 }
 
 // ---- kernel cache -----------------------------------------------------------

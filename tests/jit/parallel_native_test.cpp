@@ -259,6 +259,16 @@ TEST(ParallelNativeCrossEntry, Fun3dPairBothOrdersAtOneAndFourThreads) {
   }
 }
 
+TEST(ParallelNativeCrossEntry, ExtentOnlyGlobalsAtOneAndFourThreads) {
+  if (!have_cc()) GTEST_SKIP() << "no system compiler";
+  const ScopedEnv env("GLAF_KERNEL_CACHE", fresh_cache_dir("wall_extent"));
+  for (const int threads : {1, 4}) {
+    testing::run_extent_reads_check(
+        parallel_native(DirectivePolicy::kV0, threads),
+        cat("extent/", threads, "t"));
+  }
+}
+
 // ---- reduction ordering -----------------------------------------------------
 
 /// total += a(i) over an INTEGER array: an exact reduction the emitter
