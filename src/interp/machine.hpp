@@ -154,8 +154,8 @@ struct InterpOptions {
   /// region dispatches (one fork/join per region instead of per step).
   bool fuse_regions = true;
   /// kNative parallel kernels: profit-gate threshold in work units
-  /// (NativeEngine::Options::gate_min_units; -1 = calibrated auto,
-  /// 0 = always dispatch).
+  /// (NativeEngine::Options::gate_min_units; -1 = the fixed
+  /// ParallelGate{} default model, 0 = always dispatch).
   std::int64_t gate_min_units = -1;
   /// kNative: numeric model of the emitted kernel. kInterp is the
   /// bit-identical all-double tier; kOpt stores grids in native widths

@@ -76,10 +76,10 @@ class NativeEngine {
     bool fuse_regions = true;
     /// Profit-gate threshold in plan_profit work units: a region
     /// dispatches to the pool only when trip_count x units reaches it.
-    /// 0 disables gating (always dispatch); -1 resolves a calibrated
-    /// default from the pool size and the hardware (always-serial on a
-    /// single-core host). Installed at load time, so it never splits the
-    /// kernel cache.
+    /// 0 disables gating (always dispatch); -1 resolves the fixed
+    /// ParallelGate{} defaults (10 us fork/join, 1 ns per unit; nothing is
+    /// measured) for the pool size, always-serial on a single-core host.
+    /// Installed at load time, so it never splits the kernel cache.
     std::int64_t gate_min_units = -1;
     /// Pool for parallel kernels (borrowed, must outlive the engine).
     /// nullptr runs parallel units serially through the same range
@@ -228,9 +228,9 @@ class NativeEngine {
 /// Resolve an Options::gate_min_units request against the execution
 /// environment: explicit values (>= 0) pass through; auto (-1) is
 /// always-serial when only one rank could run (pool_threads <= 1 or a
-/// single-core host) and the calibrated ParallelGate break-even
-/// threshold for `pool_threads` ranks otherwise. Pure — exposed for the
-/// gating tests.
+/// single-core host) and the break-even threshold of the default
+/// (uncalibrated) ParallelGate for `pool_threads` ranks otherwise.
+/// Pure — exposed for the gating tests.
 std::int64_t resolve_gate_units(std::int64_t requested, int pool_threads,
                                 unsigned hardware_threads);
 

@@ -46,9 +46,9 @@ void ThreadPool::worker_main(int rank) {
   std::int64_t seen_generation = 0;
   while (true) {
     // Spin phase: lock-free relaxed probes of the generation counter.
-    // Back-to-back dispatches (a fused-region kernel issuing its next
-    // region, the benchmark loop's next call) land here and never pay a
-    // futex wakeup.
+    // A dispatch that arrives within the spin budget skips the futex
+    // wakeup; DESIGN.md §7.2 records how rarely back-to-back dispatches
+    // manage that, since the caller's own wakeup outlasts the spin.
     for (int i = 0; i < kSpinIterations; ++i) {
       if (generation_.load(std::memory_order_acquire) != seen_generation) {
         break;

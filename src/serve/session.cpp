@@ -109,8 +109,11 @@ StatusOr<Lease> Session::acquire() {
                                           machine_options(Tier::kPlan));
       got = Tier::kPlan;
     } else {
+      // Pool misses are rare: refresh stats_json's fallback report here.
+      std::string report = native_report_json(machine->native_report());
       std::lock_guard<std::mutex> lock(mutex_);
       consecutive_native_failures_ = 0;
+      constructed_native_report_json_ = std::move(report);
     }
   }
   {
@@ -171,10 +174,6 @@ void Session::release(std::unique_ptr<Machine> machine, Tier tier) {
   std::unique_ptr<Machine> retired;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (tier != Tier::kPlan && machine->native_report().available) {
-      last_native_report_json_ =
-          native_report_json(machine->native_report());
-    }
     if (tier == this->tier() && idle_.size() < config_.max_pool) {
       idle_.emplace_back(std::move(machine), tier);
       return;
@@ -238,62 +237,51 @@ SessionStats Session::stats() const {
 
 std::string Session::stats_json() const {
   const SessionStats s = stats();
-  std::string native_report;
-  {
+  std::string native_report;  // null until a native run has been served
+  if (s.runs_native_interp + s.runs_native_opt > 0) {
+    // Idle instances are only touched under mutex_, so the newest idle
+    // native one is rendered here without racing a run.
     std::lock_guard<std::mutex> lock(mutex_);
-    native_report = last_native_report_json_;
+    const auto it =
+        std::find_if(idle_.rbegin(), idle_.rend(),
+                     [](const auto& e) { return e.second != Tier::kPlan; });
+    native_report = it == idle_.rend()
+                        ? constructed_native_report_json_
+                        : native_report_json(it->first->native_report());
   }
   JsonWriter w;
+  const auto field = [&w](const char* key, const auto& value) {
+    w.key(key);
+    w.value(value);
+  };
   w.begin_object();
-  w.key("session_id");
-  w.value(id_);
-  w.key("program_hash");
-  w.value(hash_);
-  w.key("tier");
-  w.value(to_string(s.tier));
-  w.key("target_tier");
-  w.value(to_string(config_.target_tier));
-  w.key("policy");
-  w.value(glaf::to_string(config_.policy));
-  w.key("runs_plan");
-  w.value(s.runs_plan);
-  w.key("runs_native_interp");
-  w.value(s.runs_native_interp);
-  w.key("runs_native_opt");
-  w.value(s.runs_native_opt);
-  w.key("instances_created");
-  w.value(s.instances_created);
-  w.key("instances_retired");
-  w.value(s.instances_retired);
-  w.key("pooled_idle");
-  w.value(static_cast<std::uint64_t>(s.pooled_idle));
-  w.key("compile_error");
-  w.value(s.compile_error);
-  w.key("native_load_failures");
-  w.value(s.native_load_failures);
-  w.key("breaker_trips");
-  w.value(s.breaker_trips);
-  w.key("breaker_open");
-  w.value(s.breaker_open);
-  w.key("breaker_reason");
-  w.value(s.breaker_reason);
+  field("session_id", id_);
+  field("program_hash", hash_);
+  field("tier", to_string(s.tier));
+  field("target_tier", to_string(config_.target_tier));
+  field("policy", glaf::to_string(config_.policy));
+  field("runs_plan", s.runs_plan);
+  field("runs_native_interp", s.runs_native_interp);
+  field("runs_native_opt", s.runs_native_opt);
+  field("instances_created", s.instances_created);
+  field("instances_retired", s.instances_retired);
+  field("pooled_idle", static_cast<std::uint64_t>(s.pooled_idle));
+  field("compile_error", s.compile_error);
+  field("native_load_failures", s.native_load_failures);
+  field("breaker_trips", s.breaker_trips);
+  field("breaker_open", s.breaker_open);
+  field("breaker_reason", s.breaker_reason);
   w.key("promotions");
   w.begin_array();
   for (const auto& [tier, seconds] : s.promotions) {
     w.begin_object();
-    w.key("tier");
-    w.value(to_string(tier));
-    w.key("seconds_after_load");
-    w.value(seconds);
+    field("tier", to_string(tier));
+    field("seconds_after_load", seconds);
     w.end_object();
   }
   w.end_array();
   w.key("native_report");
-  if (native_report.empty()) {
-    w.raw("null");
-  } else {
-    w.raw(native_report);
-  }
+  w.raw(native_report.empty() ? "null" : native_report);
   w.end_object();
   return std::move(w).str();
 }

@@ -155,8 +155,9 @@ class Session {
   [[nodiscard]] SessionStats stats() const;
 
   /// Stats as a JSON object: the counters above plus the promotion
-  /// timeline and — when a native instance is pooled — its NativeReport
-  /// under the same schema `glafc --json` prints.
+  /// timeline and — once a native run has been served — a NativeReport
+  /// under the same schema `glafc --json` prints, rendered at read time
+  /// from the newest idle native instance.
   [[nodiscard]] std::string stats_json() const;
 
   /// InterpOptions a Machine of this session uses at `tier`. Exposed so
@@ -166,6 +167,7 @@ class Session {
 
  private:
   friend class Lease;
+  /// Pool the instance, or retire it when outdated or the pool is full.
   void release(std::unique_ptr<Machine> machine, Tier tier);
   /// One native construction refused at a promoted tier: count it,
   /// quarantine the known cache entry, and trip the breaker at the
@@ -196,9 +198,10 @@ class Session {
   std::string promoted_object_path_;
   /// Session creation time for the promotion timeline.
   const std::chrono::steady_clock::time_point created_;
-  /// JSON of the newest native report seen on a released instance (kept
-  /// here so stats_json never has to build a Machine).
-  std::string last_native_report_json_;
+  /// NativeReport JSON of the newest native instance built on a pool
+  /// miss. stats_json renders the newest idle native instance itself and
+  /// falls back to this only when every native instance is leased.
+  std::string constructed_native_report_json_;
 };
 
 /// The daemon's session table: get-or-create keyed by session hash.

@@ -16,8 +16,11 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <cctype>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 #include <thread>
 
 #include "core/serialize.hpp"
@@ -49,6 +52,103 @@ TestDirs make_dirs(const char* tag) {
   dirs.socket_path = dirs.root + "/s.sock";
   dirs.cache_dir = dirs.root + "/cache";
   return dirs;
+}
+
+/// Strict-enough JSON well-formedness check (the repo emits JSON but has
+/// no parser): true when `text` is exactly one JSON value.
+class JsonCheck {
+ public:
+  explicit JsonCheck(std::string text) : s_(std::move(text)) {}
+  bool ok() {
+    ws();
+    if (!value()) return false;
+    ws();
+    return i_ == s_.size();
+  }
+
+ private:
+  bool value() {
+    if (i_ >= s_.size()) return false;
+    switch (s_[i_]) {
+      case '{':
+        return container('}', true);
+      case '[':
+        return container(']', false);
+      case '"':
+        return string();
+      case 't':
+        return word("true");
+      case 'f':
+        return word("false");
+      case 'n':
+        return word("null");
+      default:
+        return number();
+    }
+  }
+  bool container(char close, bool object) {
+    ++i_;
+    ws();
+    if (at(close)) return ++i_, true;
+    for (;;) {
+      if (object) {
+        if (!string()) return false;
+        ws();
+        if (!at(':')) return false;
+        ++i_;
+        ws();
+      }
+      if (!value()) return false;
+      ws();
+      if (at(close)) return ++i_, true;
+      if (!at(',')) return false;
+      ++i_;
+      ws();
+    }
+  }
+  bool string() {
+    if (!at('"')) return false;
+    for (++i_; i_ < s_.size(); ++i_) {
+      const auto c = static_cast<unsigned char>(s_[i_]);
+      if (c == '"') return ++i_, true;
+      if (c < 0x20) return false;
+      if (c == '\\') ++i_;
+    }
+    return false;
+  }
+  bool number() {
+    if (!at('-') && (i_ >= s_.size() || !std::isdigit(s_[i_]))) return false;
+    char* end = nullptr;
+    std::strtod(s_.c_str() + i_, &end);
+    i_ = static_cast<std::size_t>(end - s_.c_str());
+    return true;
+  }
+  bool word(std::string_view w) {
+    if (s_.compare(i_, w.size(), w) != 0) return false;
+    i_ += w.size();
+    return true;
+  }
+  bool at(char c) const { return i_ < s_.size() && s_[i_] == c; }
+  void ws() {
+    while (i_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[i_]))) {
+      ++i_;
+    }
+  }
+
+  std::string s_;
+  std::size_t i_ = 0;
+};
+
+/// `native_calls` of the available native report in a session stats
+/// frame; 0 when the report is missing or unavailable.
+std::uint64_t reported_native_calls(const std::string& stats) {
+  const std::size_t report =
+      stats.find("\"native_report\":{\"available\":true");
+  if (report == std::string::npos) return 0;
+  const std::string key = "\"native_calls\":";
+  const std::size_t at = stats.find(key, report);
+  if (at == std::string::npos) return 0;
+  return std::strtoull(stats.c_str() + at + key.size(), nullptr, 10);
 }
 
 Server::Options server_options(const TestDirs& dirs) {
@@ -92,6 +192,13 @@ TEST(ServeServer, PlanTierServesWithoutACompiler) {
   const auto expected = local.call("entropy_interface");
   ASSERT_TRUE(expected.is_ok());
   EXPECT_EQ(reply.value().result, expected.value());
+
+  // No native instance ever served: the report is null.
+  const auto stats = client.stats(load.value().session_id);
+  ASSERT_TRUE(stats.is_ok()) << stats.status().to_string();
+  EXPECT_NE(stats.value().find("\"native_report\":null"), std::string::npos)
+      << stats.value();
+  EXPECT_TRUE(JsonCheck(stats.value()).ok()) << stats.value();
 }
 
 TEST(ServeServer, PromotionEndToEnd) {
@@ -141,8 +248,74 @@ TEST(ServeServer, PromotionEndToEnd) {
   EXPECT_NE(stats.value().find("\"promotions\":[{"), std::string::npos)
       << stats.value();
   EXPECT_NE(stats.value().find("\"runs_plan\":"), std::string::npos);
-  EXPECT_NE(stats.value().find("\"native_report\":{"), std::string::npos)
-      << stats.value();
+  // Rendered when the stats frame is read, from the pooled instance that
+  // served the native run.
+  EXPECT_GT(reported_native_calls(stats.value()), 0u) << stats.value();
+  EXPECT_TRUE(JsonCheck(stats.value()).ok()) << stats.value();
+}
+
+TEST(ServeServer, StatsFramesDuringBatchFramesParseAndRepliesStayExact) {
+  if (!have_cc()) GTEST_SKIP() << "no system compiler";
+  const TestDirs dirs = make_dirs("statsload");
+  Server server(server_options(dirs));
+  ASSERT_TRUE(server.start().is_ok());
+
+  Client runner;
+  ASSERT_TRUE(runner.connect(dirs.socket_path).is_ok());
+  const auto load = runner.load_builtin("sarb", ExecConfig{});  // tier 1
+  ASSERT_TRUE(load.is_ok()) << load.status().to_string();
+  const std::uint64_t sid = load.value().session_id;
+  server.compile_queue().wait_idle();
+  Machine local(fuliou::build_sarb_program(), InterpOptions{});
+  const auto expected = local.call("entropy_interface");
+  ASSERT_TRUE(expected.is_ok());
+
+  // A second connection reads stats frames for as long as the batches
+  // run, so reads land while instances are leased, pooled and retired.
+  std::atomic<bool> batches_done{false};
+  std::vector<std::string> frames;
+  std::string reader_error;
+  std::thread reader([&] {
+    Client c;
+    const Status connected = c.connect(dirs.socket_path);
+    if (!connected.is_ok()) {
+      reader_error = connected.to_string();
+      return;
+    }
+    do {
+      const auto stats = c.stats(sid);
+      if (!stats.is_ok()) {
+        reader_error = stats.status().to_string();
+        return;
+      }
+      frames.push_back(stats.value());
+    } while (!batches_done.load(std::memory_order_acquire));
+  });
+
+  constexpr int kFrames = 4;
+  constexpr std::uint32_t kRuns = 512;
+  for (int f = 0; f < kFrames; ++f) {
+    const auto batch =
+        runner.run_batch(sid, "entropy_interface", kRuns, 0, {});
+    EXPECT_TRUE(batch.is_ok()) << batch.status().to_string();
+    if (!batch.is_ok()) break;
+    EXPECT_EQ(batch.value().results.size(), kRuns);
+    for (const RunReplyMsg& r : batch.value().results) {
+      EXPECT_EQ(r.tier, 1);
+      EXPECT_EQ(r.result, expected.value());
+    }
+  }
+  batches_done.store(true, std::memory_order_release);
+  reader.join();
+
+  EXPECT_TRUE(reader_error.empty()) << reader_error;
+  EXPECT_FALSE(frames.empty());
+  for (const std::string& frame : frames) {
+    EXPECT_TRUE(JsonCheck(frame).ok()) << frame;
+  }
+  const auto after = runner.stats(sid);
+  ASSERT_TRUE(after.is_ok()) << after.status().to_string();
+  EXPECT_GT(reported_native_calls(after.value()), 0u) << after.value();
 }
 
 TEST(ServeServer, CompileFailureDegradesToPlanAndIsReported) {

@@ -213,6 +213,14 @@ int run_smoke(serve::Client& client, const serve::ExecConfig& config) {
   const auto stats = client.stats(sid);
   if (!stats.is_ok()) return fail("stats: " + stats.status().message());
   std::printf("%s\n", stats.value().c_str());
+  // The report is rendered when the stats frame is read; a session that
+  // served natively must show it.
+  if (second.tier >= 1 &&
+      stats.value().find("\"native_report\":{\"available\":true") ==
+          std::string::npos) {
+    return fail("promoted session's stats frame has no available "
+                "native_report");
+  }
   std::fprintf(stderr, "smoke: OK\n");
   return 0;
 }
