@@ -14,10 +14,10 @@
 // unless GLAF_NATIVE_PORTABLE is set) — serial dispatch only, results
 // within a ulp budget of the interpreter rather than bit-identical.
 //
-// Parallel native is measured twice: *gated* (the default calibrated
-// profit gate, which keeps regions whose modeled work cannot pay for a
-// fork/join on the calling thread) and *ungated* (gate 0, every region
-// dispatched) — the gap between the two is what the cost model buys.
+// Parallel native is measured twice: *gated* (the default measured
+// profit gate, which keeps regions whose timed fork/join does not pay on
+// the calling thread) and *ungated* (gate 0, every region dispatched) —
+// the gap between the two is what the gate buys.
 // Fused-region counts come from the kernel's ABI-v3 metadata.
 //
 // Usage: interp_engine [--threads N] [--levels N] [--min-seconds X]
@@ -76,7 +76,7 @@ struct KernelResult {
   /// observed across the measured calls (demoted steps re-run serially).
   std::uint64_t spec_promoted = 0;
   std::uint64_t spec_misspeculations = 0;
-  /// Parallel native under the calibrated profit gate (the default).
+  /// Parallel native under the measured profit gate (the default).
   double parallel_native_s = 0.0;
   /// Parallel native with the gate off (every region dispatched).
   double parallel_native_ungated_s = 0.0;
@@ -331,7 +331,7 @@ int main(int argc, char** argv) {
     // Parallel-native speedup over *serial native*: what threading the
     // kernel itself buys on this host (bounded by its core count).
     // Gated is the default configuration; ungated (gate 0) shows what
-    // the profit gate saved by keeping sub-threshold regions serial.
+    // the profit gate saved by keeping regions that do not pay serial.
     const double pn_speed = r.parallel_native_s > 0.0
                                 ? r.serial_native_s / r.parallel_native_s
                                 : 0.0;

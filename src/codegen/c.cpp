@@ -5,7 +5,6 @@
 #include <set>
 
 #include "analysis/fuse.hpp"
-#include "analysis/plan_profit.hpp"
 #include "codegen/directive_policy.hpp"
 #include "codegen/emitter.hpp"
 #include "core/libfuncs.hpp"
@@ -51,6 +50,40 @@ const char* c_binop(BinOp op) {
   }
   return "?";
 }
+
+/// The host-parallel unit's dispatch runtime: the pfor hook and the
+/// profit-gate callbacks the embedding engine installs (jit/engine.cpp,
+/// jit/gate.hpp mirrors glaf_site).
+constexpr const char* kHostParallelRuntime =
+    R"(/* Host-driven parallel runtime: the embedding engine installs
+   its thread pool here; without it every range runs inline. */
+typedef void (*glaf_range_fn)(void* ctx, long lo, long hi, long rank);
+typedef void (*glaf_pfor_fn)(void* hctx, glaf_range_fn fn, void* ctx, long n);
+/* Profit gate slot of one region call site. While `left` counts down, a
+   run of n trips dispatches iff n >= nmin; when it runs out the site asks
+   the host, which arms the slot or opens a timed run that the site
+   closes after the branch. Serial runs bump glaf_gated. */
+typedef struct {
+  long left;
+  long nmin;
+  long timing;
+  void* state;
+} glaf_site;
+typedef long (*glaf_open_fn)(void* hctx, glaf_site* s, long n);
+typedef void (*glaf_close_fn)(void* hctx, glaf_site* s);
+static glaf_pfor_fn glaf_pfor = 0;
+static glaf_open_fn glaf_gate_open = 0;
+static glaf_close_fn glaf_gate_close = 0;
+static void* glaf_pfor_ctx = 0;
+static long glaf_nranks = 1;
+static long glaf_gated = 0;
+long glaf_nat_gated(void) { return glaf_gated; }
+void glaf_set_pfor(glaf_pfor_fn pf, glaf_open_fn open, glaf_close_fn close,
+                   void* hctx, long nranks) {
+  glaf_pfor = pf; glaf_gate_open = open; glaf_gate_close = close;
+  glaf_pfor_ctx = hctx;
+  glaf_nranks = nranks > 0 ? nranks : 1;
+})";
 
 class CGen {
  public:
@@ -153,28 +186,9 @@ class CGen {
     w_.raw("static long glaf_nint(double a) { return (long)nearbyint(a); }");
     w_.blank();
     if (opt_.host_parallel) {
-      w_.raw("/* Host-driven parallel runtime: the embedding engine installs");
-      w_.raw("   its thread pool here; without it every range runs inline. */");
-      w_.raw("typedef void (*glaf_range_fn)(void* ctx, long lo, long hi, "
-             "long rank);");
-      w_.raw("typedef void (*glaf_pfor_fn)(void* hctx, glaf_range_fn fn, "
-             "void* ctx, long n);");
-      w_.raw("static glaf_pfor_fn glaf_pfor = 0;");
-      w_.raw("static void* glaf_pfor_ctx = 0;");
-      w_.raw("static long glaf_nranks = 1;");
-      w_.raw("/* Profit gate: a region dispatches only when its estimated");
-      w_.raw("   work (trip count x baked units) reaches the host-set");
-      w_.raw("   threshold; sub-threshold regions run on the calling thread");
-      w_.raw("   and bump the gated counter. gate 0 = always dispatch. */");
-      w_.raw("static long glaf_gate = 0;");
-      w_.raw("static long glaf_gated = 0;");
-      w_.raw("long glaf_nat_gated(void) { return glaf_gated; }");
-      w_.raw("void glaf_set_pfor(glaf_pfor_fn pf, void* hctx, long nranks, "
-             "long gate) {");
-      w_.raw("  glaf_pfor = pf; glaf_pfor_ctx = hctx;");
-      w_.raw("  glaf_nranks = nranks > 0 ? nranks : 1;");
-      w_.raw("  glaf_gate = gate > 0 ? gate : 0;");
-      w_.raw("}");
+      for (const std::string& text : split_lines(kHostParallelRuntime)) {
+        w_.raw(text);
+      }
       w_.blank();
     }
   }
@@ -639,13 +653,11 @@ class CGen {
   }
 
   /// One dispatch region in a function's plan: a span of steps, whether
-  /// it dispatches through the range ABI, its entry-point name, and the
-  /// baked per-iteration work estimate for the profit gate.
+  /// it dispatches through the range ABI, and its entry-point name.
   struct RegionInfo {
     FusedRegion span;
     bool ranged = false;
     std::size_t ordinal = 0;  ///< region index within the function
-    std::int64_t units = 1;
   };
 
   std::string region_stem(const Function& fn, const RegionInfo& info) const {
@@ -684,16 +696,8 @@ class CGen {
         info.ordinal = r;
         info.ranged = ranged[info.span.first_step];
         if (info.ranged) {
-          std::int64_t units = 0;
-          for (std::size_t s = info.span.first_step;
-               s < info.span.first_step + info.span.step_count; ++s) {
-            units += step_units_per_iter(p_, fn.steps[s], verdicts[s]);
-          }
-          info.units = std::min(std::max<std::int64_t>(units, 1),
-                                kMaxUnitsPerIter);
           regions_.push_back(ParallelRegion{fn.name, info.span.first_step,
-                                            info.span.step_count,
-                                            info.units});
+                                            info.span.step_count});
         }
         infos.push_back(info);
       }
@@ -914,6 +918,7 @@ class CGen {
     w_.line("{");
     w_.indent();
     w_.line(cat("struct ", stem, "_ctx glaf_c;"));
+    w_.line("static glaf_site glaf_s;");
     w_.line("long glaf_n, glaf_rk, glaf_e;");
     w_.line("(void)glaf_rk; (void)glaf_e;");
     const auto emit_bands = [&](std::size_t s) {
@@ -958,13 +963,14 @@ class CGen {
         }
       }
     }
-    // Profit gate: estimated work = trip count x baked units (both
-    // bounded so the product cannot overflow a long). Gate 0 always
-    // dispatches; a sub-threshold region runs the *plain serial loops*
-    // in the else branch — no ctx fill, no reduction scratch, no
-    // combine — so gating a region costs one compare over serial code.
-    w_.line(cat("if (glaf_pfor && glaf_n > 0 && glaf_n * ", info.units,
-                " >= glaf_gate) {"));
+    // Profit gate: while the site's countdown runs, a decrement and a
+    // compare decide; otherwise the host decides (a fixed mode, or this
+    // site's timings). A serial run takes the *plain serial loops* in the
+    // else branch — no ctx fill, no reduction scratch, no combine — so a
+    // gated region costs a few compares over serial code.
+    w_.line("if (glaf_pfor && glaf_n > 0 && (--glaf_s.left >= 0 ? "
+            "glaf_n >= glaf_s.nmin : glaf_gate_open(glaf_pfor_ctx, "
+            "&glaf_s, glaf_n))) {");
     w_.indent();
     for (std::size_t s = lo + 1; s < hi; ++s) emit_bands(s);
     std::set<GridId> carried_union;
@@ -1038,14 +1044,16 @@ class CGen {
     w_.dedent();
     w_.line("} else {");
     w_.indent();
-    // Gated (or no pool installed): the region is not worth a
-    // fork/join, so run the member steps as ordinary serial loops.
+    // Gated (or no pool installed): run the member steps as ordinary
+    // serial loops. Timed serial runs count here too; the host, which
+    // knows them, takes them out of NativeEngine::gated_regions.
     w_.line("if (glaf_pfor && glaf_n > 0) ++glaf_gated;");
     for (std::size_t s = lo; s < hi; ++s) {
       emit_step(fn, fn.steps[s], verdicts[s]);
     }
     w_.dedent();
     w_.line("}");
+    w_.line("if (glaf_s.timing) glaf_gate_close(glaf_pfor_ctx, &glaf_s);");
     w_.dedent();
     w_.line("}");
   }

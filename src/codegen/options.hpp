@@ -116,9 +116,6 @@ struct ParallelRegion {
   std::string function;
   std::size_t first_step = 0;
   std::size_t step_count = 1;
-  /// Static work estimate baked into the region's dispatch guard
-  /// (analysis/plan_profit.hpp units per partitioned iteration).
-  std::int64_t units_per_iter = 1;
 };
 
 /// Result of generating a whole program.

@@ -287,8 +287,8 @@ StatusOr<Snapshot> run_native(const Program& program, const std::string& entry,
     nopts.fuse_regions = fuse;
     nopts.native_model = model;
     // The oracle exists to exercise the dispatch paths, so the profit
-    // gate must not divert regions to serial (on a small host the
-    // calibrated gate would serialize every fuzz-sized kernel).
+    // gate must not divert regions to serial (the measured gate would
+    // keep most fuzz-sized regions serial, and a single-core host all).
     nopts.gate_min_units = 0;
     nopts.native_cc = opts.cc;
     nopts.native_cache_dir = opts.native_cache_dir.empty()

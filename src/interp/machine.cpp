@@ -761,7 +761,7 @@ Machine::Machine(Program program, InterpOptions options)
         native_report_.num_threads = pool_ != nullptr ? pool_->size() : 1;
         native_report_.regions_total = native_->regions_total();
         native_report_.regions_fused = native_->fused_regions();
-        native_report_.gate_min_units = native_->gate_min_units();
+        native_report_.gate_mode = native_->gate_mode();
         native_report_.model = native_->model();
         native_report_.compiler = native_->compiler();
         native_report_.compiler_version = native_->compiler_version();
@@ -888,6 +888,7 @@ StatusOr<double> Machine::call(const std::string& function,
       }
       const std::uint64_t regions_before = native_->parallel_regions();
       const std::uint64_t gated_before = native_->gated_regions();
+      const std::uint64_t probes_before = native_->gate_probes();
       StatusOr<double> result = native_->call(*abi);
       if (!result.is_ok()) return result.status();
       const std::uint64_t regions =
@@ -895,6 +896,7 @@ StatusOr<double> Machine::call(const std::string& function,
       native_report_.parallel_regions += regions;
       native_report_.gated_serial_regions +=
           native_->gated_regions() - gated_before;
+      native_report_.gate_probes += native_->gate_probes() - probes_before;
       if (regions > 0) ++native_report_.parallel_calls;
       ++native_report_.native_calls;
       ++stats_.function_calls;

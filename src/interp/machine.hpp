@@ -83,16 +83,20 @@ struct NativeReport {
   std::uint64_t parallel_calls = 0;
   /// Total parallel regions dispatched through the host pfor trampoline.
   std::uint64_t parallel_regions = 0;
-  /// Region dispatches the profit gate kept on the calling thread
-  /// (estimated work below gate_min_units).
+  /// Region executions the profit gate chose to keep on the calling
+  /// thread (learned, or every one under the "serial" mode; the measured
+  /// gate's timed runs count in gate_probes instead).
   std::uint64_t gated_serial_regions = 0;
+  /// Region executions the measured gate spent timing a branch: its
+  /// probe window and its revisits, dispatched or serial.
+  std::uint64_t gate_probes = 0;
   /// Static dispatch regions in the kernel, and how many of them fused
   /// two or more adjacent steps into a single fork/join.
   std::uint64_t regions_total = 0;
   std::uint64_t regions_fused = 0;
-  /// The profit-gate threshold installed into the kernel (work units;
-  /// 0 = gating off).
-  std::int64_t gate_min_units = 0;
+  /// How the kernel's profit gate decides: "measured", "dispatch"
+  /// (always), "serial" (never: one rank), or "none" for a serial kernel.
+  std::string gate_mode = "none";
   /// Profile-guided speculation (policy v4; analysis/speculate.hpp).
   /// Unlike the fields above, these are filled under *any* engine when a
   /// dependence profile is attached: steps the planner promoted, steps
@@ -153,9 +157,14 @@ struct InterpOptions {
   /// kNative parallel kernels: fuse adjacent fusable steps into single
   /// region dispatches (one fork/join per region instead of per step).
   bool fuse_regions = true;
-  /// kNative parallel kernels: profit-gate threshold in work units
-  /// (NativeEngine::Options::gate_min_units; -1 = the fixed
-  /// ParallelGate{} default model, 0 = always dispatch).
+  /// kNative parallel kernels: the profit gate
+  /// (NativeEngine::Options::gate_min_units). -1, the default (any value
+  /// but 0), measures: each region call site times both branches over a
+  /// probe window of 2 x kGateProbeRuns runs, then dispatches only where
+  /// its fitted fork/join pays, re-timing the other branch after
+  /// kGateRevisitFirst decided runs and then every doubling period up to
+  /// kGateRevisitMax. Both branches compute the same bits, so the choice
+  /// never changes a result. 0 always dispatches.
   std::int64_t gate_min_units = -1;
   /// kNative: numeric model of the emitted kernel. kInterp is the
   /// bit-identical all-double tier; kOpt stores grids in native widths

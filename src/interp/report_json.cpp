@@ -23,12 +23,14 @@ std::string native_report_json(const NativeReport& report) {
   w.value(report.parallel_regions);
   w.key("gated_serial_regions");
   w.value(report.gated_serial_regions);
+  w.key("gate_probes");
+  w.value(report.gate_probes);
   w.key("regions_total");
   w.value(report.regions_total);
   w.key("regions_fused");
   w.value(report.regions_fused);
-  w.key("gate_min_units");
-  w.value(report.gate_min_units);
+  w.key("gate");
+  w.value(report.gate_mode);
   w.key("num_threads");
   w.value(report.num_threads);
   w.key("spec_promoted_steps");

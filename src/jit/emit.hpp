@@ -32,7 +32,10 @@ namespace glaf::jit {
 /// v4: numeric-model tiers — opt units store grids in native widths and
 ///     convert element-wise at the copy-in/copy-out boundary (the host
 ///     block stays double*); glaf_nat_model() reports the tier.
-inline constexpr long kAbiVersion = 4;
+/// v5: the measured profit gate — glaf_set_pfor takes the host's gate
+///     callbacks instead of a threshold, and every region call site
+///     keeps a glaf_site slot (jit/gate.hpp).
+inline constexpr long kAbiVersion = 5;
 
 /// One comparable/copyable global: position in the flat argument block
 /// is its position in program.global_grids.

@@ -5,15 +5,16 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 
 #include <thread>
 
 #include "jit/cache.hpp"
-#include "perfmodel/machine_model.hpp"
 #include "support/fault.hpp"
 #include "support/strings.hpp"
 #include "support/subprocess.hpp"
@@ -37,7 +38,10 @@ using MetaFn = long (*)(void);
 // C-side pfor callback types (must match the emitted typedefs).
 using RangeFn = void (*)(void* ctx, long lo, long hi, long rank);
 using PforFn = void (*)(void* hctx, RangeFn fn, void* ctx, long n);
-using SetPforFn = void (*)(PforFn pf, void* hctx, long nranks, long gate);
+using GateOpenFn = long (*)(void* hctx, GateSlot* slot, long n);
+using GateCloseFn = void (*)(void* hctx, GateSlot* slot);
+using SetPforFn = void (*)(PforFn pf, GateOpenFn open, GateCloseFn close,
+                           void* hctx, long nranks);
 
 /// The trampoline the kernel calls for every ranged step: partitions
 /// [0, n) across the host pool. Static chunks match OMP's default
@@ -66,6 +70,44 @@ void pfor_trampoline(void* hctx, RangeFn fn, void* ctx, long n) {
                            });
 }
 
+std::int64_t now_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// A region call site's countdown ran out (GateSlot::left). A fixed mode
+/// arms the slot for good; the measured gate opens a timed run of the
+/// branch its GateSite picks, which gate_close records after the branch.
+long gate_open(void* hctx, GateSlot* slot, long n) {
+  auto* host = static_cast<PforHost*>(hctx);
+  if (host->gate != GateMode::kMeasured) {
+    slot->nmin = host->gate == GateMode::kDispatch ? 0 : kNeverDispatch;
+    slot->left = std::numeric_limits<long>::max();
+    return n >= slot->nmin ? 1 : 0;
+  }
+  auto* site = static_cast<GateSite*>(slot->state);
+  if (site == nullptr) {
+    site = host->sites.emplace_back(std::make_unique<GateSite>(host->nranks))
+               .get();
+    slot->state = site;
+  }
+  slot->timing = 1;
+  return site->open(n, now_ns()) ? 1 : 0;
+}
+
+void gate_close(void* hctx, GateSlot* slot) {
+  auto* site = static_cast<GateSite*>(slot->state);
+  site->close(now_ns());
+  slot->timing = 0;
+  slot->nmin = site->nmin();
+  slot->left = site->left();
+  auto* host = static_cast<PforHost*>(hctx);
+  host->probes.fetch_add(1, std::memory_order_relaxed);
+  if (!site->dispatching()) {
+    host->serial_probes.fetch_add(1, std::memory_order_relaxed);
+  }
+}
 
 /// Copy the published object to a private temp file and dlopen that
 /// (see the header: per-engine static state), unlinking immediately so
@@ -160,9 +202,9 @@ StatusOr<CompiledKernel> NativeEngine::compile_object(
   // fingerprint, so a cache directory shared across hosts can never
   // serve an incompatible object (the compiler identity is already part
   // of every key via KernelCache::key).
-  // The gate threshold is installed at run time through glaf_set_pfor
-  // and deliberately NOT part of the key: retuning the gate must never
-  // recompile or split the cache.
+  // The profit gate lives on the host, behind the callbacks installed
+  // through glaf_set_pfor, and is deliberately NOT part of the key:
+  // changing the gate must never recompile or split the cache.
   const std::string host_key =
       opt_tier && !portable ? host_arch_fingerprint() : std::string();
   const std::string config =
@@ -257,10 +299,11 @@ StatusOr<std::unique_ptr<NativeEngine>> NativeEngine::load_compiled(
     engine->pfor_host_->dynamic_schedule = options.dynamic_schedule;
     engine->pfor_host_->schedule_chunk = options.schedule_chunk;
     const int ranks = options.pool != nullptr ? options.pool->size() : 1;
-    engine->gate_units_ = resolve_gate_units(
+    engine->pfor_host_->nranks = ranks;
+    engine->pfor_host_->gate = resolve_gate(
         options.gate_min_units, ranks, std::thread::hardware_concurrency());
-    set_pfor(pfor_trampoline, engine->pfor_host_.get(), ranks,
-             engine->gate_units_);
+    set_pfor(pfor_trampoline, gate_open, gate_close, engine->pfor_host_.get(),
+             ranks);
     engine->gated_fn_ = reinterpret_cast<long (*)()>(
         dlsym(engine->handle_, "glaf_nat_gated"));
     if (engine->gated_fn_ == nullptr) {
@@ -323,13 +366,8 @@ StatusOr<double> NativeEngine::call(const AbiFunction& fn) {
   return args.result;
 }
 
-std::int64_t resolve_gate_units(std::int64_t requested, int pool_threads,
-                                unsigned hardware_threads) {
-  if (requested >= 0) return requested;
-  if (pool_threads <= 1 || hardware_threads <= 1) {
-    return ParallelGate::kAlwaysSerialUnits;
-  }
-  return ParallelGate{}.threshold_units(pool_threads);
+const char* NativeEngine::gate_mode() const {
+  return pfor_host_ != nullptr ? gate_mode_name(pfor_host_->gate) : "none";
 }
 
 }  // namespace glaf::jit

@@ -21,20 +21,28 @@
 #include "analysis/parallelize.hpp"
 #include "core/program.hpp"
 #include "jit/emit.hpp"
+#include "jit/gate.hpp"
 #include "runtime/thread_pool.hpp"
 #include "support/status.hpp"
 
 namespace glaf::jit {
 
 /// Host context behind the kernel's exported glaf_set_pfor hook: the
-/// thread pool and dispatch knobs the trampoline consults, plus a count
-/// of parallel regions actually dispatched. Heap-held by the engine so
-/// its address stays stable for the kernel's whole lifetime.
+/// thread pool and dispatch knobs the trampoline consults, the profit
+/// gate the kernel's call sites ask (jit/gate.hpp), and counts of
+/// parallel regions actually dispatched and of timed gate runs.
+/// Heap-held by the engine so its address stays stable for the kernel's
+/// whole lifetime.
 struct PforHost {
   ThreadPool* pool = nullptr;
   bool dynamic_schedule = false;
   std::int64_t schedule_chunk = 4;
+  int nranks = 1;
+  GateMode gate = GateMode::kDispatch;
+  std::vector<std::unique_ptr<GateSite>> sites;
   std::atomic<std::uint64_t> regions{0};
+  std::atomic<std::uint64_t> probes{0};
+  std::atomic<std::uint64_t> serial_probes{0};  ///< probes that ran serial
 };
 
 /// A compiled-but-not-loaded kernel: the emitted unit plus the published
@@ -74,12 +82,20 @@ class NativeEngine {
     /// Fuse adjacent fusable ranged steps into one region entry point
     /// (one fork/join per region instead of per step).
     bool fuse_regions = true;
-    /// Profit-gate threshold in plan_profit work units: a region
-    /// dispatches to the pool only when trip_count x units reaches it.
-    /// 0 disables gating (always dispatch); -1 resolves the fixed
-    /// ParallelGate{} defaults (10 us fork/join, 1 ns per unit; nothing is
-    /// measured) for the pool size, always-serial on a single-core host.
-    /// Installed at load time, so it never splits the kernel cache.
+    /// Profit gate. -1, the default (any value but 0), measures: each
+    /// region call site times its first 2 x kGateProbeRuns executions,
+    /// alternating the serial and the dispatched branch, fits a serial
+    /// cost per trip and a parallel overhead from the medians, and then
+    /// dispatches a run of n trips only when the fitted fork/join pays
+    /// for n. It re-times the branch it did not choose after
+    /// kGateRevisitFirst decided runs, a period that doubles up to
+    /// kGateRevisitMax while the decision holds (jit/gate.hpp). Both
+    /// branches compute the same bits (the serial branch is the original
+    /// loops, the dispatched one combines ranks in a fixed order), so the
+    /// choice changes time only. 0 always dispatches (tests and fuzz legs
+    /// of the dispatch machinery). A single-rank pool or a single-core
+    /// host never dispatches. Installed at load time, so it never splits
+    /// the kernel cache.
     std::int64_t gate_min_units = -1;
     /// Pool for parallel kernels (borrowed, must outlive the engine).
     /// nullptr runs parallel units serially through the same range
@@ -156,11 +172,20 @@ class NativeEngine {
                ? pfor_host_->regions.load(std::memory_order_relaxed)
                : 0;
   }
-  /// Region dispatches the profit gate kept on the calling thread so far
-  /// (0 for serial units).
+  /// Region executions the profit gate chose to keep on the calling
+  /// thread so far (0 for serial units; the measured gate's timed runs
+  /// are not included).
   [[nodiscard]] std::uint64_t gated_regions() const {
-    return gated_fn_ != nullptr ? static_cast<std::uint64_t>(gated_fn_())
-                                : 0;
+    if (gated_fn_ == nullptr) return 0;
+    return static_cast<std::uint64_t>(gated_fn_()) -
+           pfor_host_->serial_probes.load(std::memory_order_relaxed);
+  }
+  /// Region executions the measured gate timed so far, either branch
+  /// (0 for serial units and the fixed modes).
+  [[nodiscard]] std::uint64_t gate_probes() const {
+    return pfor_host_ != nullptr
+               ? pfor_host_->probes.load(std::memory_order_relaxed)
+               : 0;
   }
   /// Static dispatch regions in the unit, and how many fused >= 2 steps.
   [[nodiscard]] std::size_t regions_total() const {
@@ -173,8 +198,10 @@ class NativeEngine {
     }
     return fused;
   }
-  /// The gate threshold actually installed into the kernel.
-  [[nodiscard]] std::int64_t gate_min_units() const { return gate_units_; }
+  /// How the installed gate decides: "measured", "dispatch" (always),
+  /// "serial" (never dispatches; resolve_gate), or "none" for a serial
+  /// unit.
+  [[nodiscard]] const char* gate_mode() const;
   /// Compilation was skipped because a valid cached object existed.
   [[nodiscard]] bool cache_hit() const { return cache_hit_; }
   [[nodiscard]] const std::string& object_path() const {
@@ -210,10 +237,8 @@ class NativeEngine {
   /// Set when the unit was emitted parallel: the context installed via
   /// the kernel's glaf_set_pfor.
   std::unique_ptr<PforHost> pfor_host_;
-  /// Resolved kernel-side gated-region counter (glaf_nat_gated) and the
-  /// gate threshold installed at load time.
+  /// Resolved kernel-side gated-region counter (glaf_nat_gated).
   long (*gated_fn_)() = nullptr;
-  std::int64_t gate_units_ = 0;
   /// Resolved wrapper entry points, parallel to unit_.functions
   /// (nullptr for unsupported entries) — the in-memory handle table
   /// that makes repeat binds symbol-lookup-free.
@@ -225,13 +250,5 @@ class NativeEngine {
   std::vector<double> scalars_;
 };
 
-/// Resolve an Options::gate_min_units request against the execution
-/// environment: explicit values (>= 0) pass through; auto (-1) is
-/// always-serial when only one rank could run (pool_threads <= 1 or a
-/// single-core host) and the break-even threshold of the default
-/// (uncalibrated) ParallelGate for `pool_threads` ranks otherwise.
-/// Pure — exposed for the gating tests.
-std::int64_t resolve_gate_units(std::int64_t requested, int pool_threads,
-                                unsigned hardware_threads);
 
 }  // namespace glaf::jit

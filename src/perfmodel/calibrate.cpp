@@ -112,20 +112,4 @@ double measure_statement_unit_seconds() {
   return secs / kReps;
 }
 
-ParallelGate measure_parallel_gate(ThreadPool& pool) {
-  ParallelGate gate;
-  gate.unit_seconds = measure_statement_unit_seconds();
-  if (pool.size() > 1) {
-    constexpr int kReps = 500;
-    const double secs = time_best([&] {
-      for (int i = 0; i < kReps; ++i) {
-        pool.parallel_for(pool.size(),
-                          [](int, std::int64_t, std::int64_t) {});
-      }
-    });
-    gate.fork_join_seconds = secs / kReps;
-  }
-  return gate;
-}
-
 }  // namespace glaf

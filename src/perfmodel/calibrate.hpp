@@ -8,7 +8,6 @@
 #include "fun3d/mesh.hpp"
 #include "perfmodel/fun3d_model.hpp"
 #include "perfmodel/machine_model.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace glaf {
 
@@ -22,11 +21,5 @@ Fun3dUnitCosts measure_fun3d_unit_costs(const fun3d::Mesh& probe_mesh);
 /// (used to report the SARB model's abstract times as wall-clock
 /// estimates).
 double measure_statement_unit_seconds();
-
-/// Calibrate the native JIT's profit gate against a live pool: time an
-/// empty dispatch through `pool` (fork_join_seconds) and a straight-line
-/// statement loop (unit_seconds). The resulting threshold_units() is the
-/// break-even work size for gated region dispatch on this host.
-ParallelGate measure_parallel_gate(ThreadPool& pool);
 
 }  // namespace glaf

@@ -10,46 +10,9 @@
 // container exposes a single core, so multi-thread wall-clock cannot be
 // measured directly. See DESIGN.md, substitution table.
 
-#include <cstdint>
 #include <string>
 
 namespace glaf {
-
-/// Cost model behind the native JIT's profit gate: a parallel region is
-/// worth dispatching only when the serial time its workers save exceeds
-/// the fork/join they cost. With work W (in abstract statement units),
-/// serial time is W*unit_seconds, parallel time is roughly
-/// fork_join_seconds + W*unit_seconds/threads, so dispatch pays off when
-///   W >= fork_join_seconds / (unit_seconds * (1 - 1/threads)).
-/// Fully inline (constants + arithmetic) so the JIT engine can consume
-/// it without linking the heavy perfmodel library; calibrate.hpp refines
-/// the two constants from live measurements.
-struct ParallelGate {
-  /// One pool dispatch + join, seconds (spin-then-park pools land around
-  /// a few microseconds; parked wakeups dominate).
-  double fork_join_seconds = 10e-6;
-  /// One abstract work unit (roughly one interpreter-exact C statement),
-  /// seconds.
-  double unit_seconds = 1e-9;
-
-  /// Gate value meaning "never dispatch" (compares above any n * units
-  /// product, which plan_profit caps below 2^50).
-  static constexpr std::int64_t kAlwaysSerialUnits = std::int64_t{1} << 62;
-
-  /// Minimum total work units for which dispatching to `threads` ranks
-  /// beats running serially. threads <= 1 can never win: the fork/join
-  /// buys nothing, so the threshold is kAlwaysSerialUnits.
-  [[nodiscard]] std::int64_t threshold_units(int threads) const {
-    if (threads <= 1) return kAlwaysSerialUnits;
-    if (unit_seconds <= 0.0 || fork_join_seconds <= 0.0) return 1;
-    const double gain = 1.0 - 1.0 / threads;
-    const double units = fork_join_seconds / (unit_seconds * gain);
-    if (units >= static_cast<double>(kAlwaysSerialUnits)) {
-      return kAlwaysSerialUnits;
-    }
-    return units < 1.0 ? 1 : static_cast<std::int64_t>(units);
-  }
-};
 
 /// Thread-scaling characteristics of one machine.
 struct MachineModel {

@@ -116,8 +116,13 @@ void ThreadPool::dispatch(std::int64_t n, ChunkFn invoke, void* ctx) {
   }
   {
     std::unique_lock<std::mutex> lock(mutex_);
+    // Acquire, not relaxed: the last worker's fetch_sub can land before
+    // it takes the mutex to notify, so the mutex alone does not order its
+    // chunk before our return. Without the acquire, the caller could
+    // reuse the job's callable (a stack lambda) while nothing orders the
+    // workers' reads of it first.
     done_cv_.wait(lock, [&] {
-      return pending_.load(std::memory_order_relaxed) == 0;
+      return pending_.load(std::memory_order_acquire) == 0;
     });
     if (first_error_) {
       std::exception_ptr e = first_error_;

@@ -308,38 +308,6 @@ TEST(FusedRegionPlan, SerialStepBreaksARun) {
   EXPECT_EQ(regions[1].step_count, 1u);
 }
 
-TEST(FusedRegionPlan, UnitsPerIterScaleWithBodyCost) {
-  // The profit model charges fused regions the sum of their member
-  // bodies, and inner (non-partitioned) loops multiply the estimate.
-  ProgramBuilder pb("m");
-  auto x = pb.global("x", DataType::kDouble, {E(64)});
-  auto w = pb.global("w", DataType::kDouble, {E(64), E(32)});
-  auto acc = pb.global("acc", DataType::kDouble, {E(64)});
-  auto fb = pb.function("f");
-  auto s1 = fb.step("cheap");
-  s1.foreach_("i", 0, 63);
-  s1.assign(x(idx("i")), 1.0);
-  const Program cheap = pb.build().value();
-
-  ProgramBuilder pb2("m");
-  auto x2 = pb2.global("x", DataType::kDouble, {E(64)});
-  auto w2 = pb2.global("w", DataType::kDouble, {E(64), E(32)});
-  auto acc2 = pb2.global("acc", DataType::kDouble, {E(64)});
-  auto fb2 = pb2.function("f");
-  auto s2 = fb2.step("nested");
-  s2.foreach_("i", 0, 63).foreach_("j", 0, 31);
-  s2.assign(acc2(idx("i")), acc2(idx("i")) + w2(idx("i"), idx("j")));
-  const Program nested = pb2.build().value();
-
-  const std::vector<ParallelRegion> rc = regions_of(cheap);
-  const std::vector<ParallelRegion> rn = regions_of(nested);
-  ASSERT_EQ(rc.size(), 1u);
-  ASSERT_EQ(rn.size(), 1u);
-  EXPECT_GE(rc[0].units_per_iter, 1);
-  // The nested step runs a 32-trip inner loop per partition iteration.
-  EXPECT_GT(rn[0].units_per_iter, 8 * rc[0].units_per_iter);
-}
-
 // ---- differential bit-identity ----------------------------------------------
 
 TEST(FusedRegionDifferential, SarbTable1BitIdenticalFusedUnfusedSerial) {

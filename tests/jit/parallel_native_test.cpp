@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -36,6 +37,7 @@
 #include "fun3d/mesh.hpp"
 #include "interp/machine.hpp"
 #include "jit/cache.hpp"
+#include "jit/gate.hpp"
 #include "support/strings.hpp"
 #include "support/subprocess.hpp"
 #include "testing/cross_entry.hpp"
@@ -90,8 +92,8 @@ InterpOptions parallel_native(DirectivePolicy policy, int threads = 4,
   o.policy = policy;
   o.dynamic_schedule = dynamic;
   // These tests exercise the dispatch machinery itself, so the profit
-  // gate must not divert small regions to the serial path (on a 1-core
-  // host the calibrated gate would serialize everything).
+  // gate must not divert small regions to the serial path (the measured
+  // default keeps most of them serial, and a single-core host all).
   o.gate_min_units = 0;
   return o;
 }
@@ -244,6 +246,45 @@ TEST(ParallelNativeCrossEntry, SarbForwardThenReverseAtOneAndFourThreads) {
           ASSERT_TRUE(fuliou::load_profile(m, profile).is_ok());
         },
         testing::sarb_wall_sequence(sarb), cat("sarb/", threads, "t"));
+  }
+}
+
+// The shipped default: the measured gate, whose call sites switch
+// between the dispatched and the serial branch while they probe and
+// revisit. Every entry runs often enough to cross its sites' probe window
+// and their first revisit, each call bitwise against the plan VM.
+TEST(ParallelNativeCrossEntry, SarbAtTheMeasuredGateAtOneAndFourThreads) {
+  if (!have_cc()) GTEST_SKIP() << "no system compiler";
+  const ScopedEnv env("GLAF_KERNEL_CACHE", fresh_cache_dir("wall_gate"));
+  const Program sarb = fuliou::build_sarb_program();
+  const fuliou::AtmosphereProfile profile = fuliou::make_profile(5);
+  // sarb_wall_sequence runs each entry twice.
+  const std::vector<std::string> round = testing::sarb_wall_sequence(sarb);
+  const long calls_per_entry =
+      2 * jit::kGateProbeRuns + jit::kGateRevisitFirst + 2;
+  std::vector<std::string> sequence;
+  for (long r = 0; r < (calls_per_entry + 1) / 2; ++r) {
+    sequence.insert(sequence.end(), round.begin(), round.end());
+  }
+  for (const int threads : {1, 4}) {
+    InterpOptions measured = parallel_native(DirectivePolicy::kV0, threads);
+    measured.gate_min_units = -1;
+    NativeReport report;
+    testing::run_cross_entry_wall(
+        sarb, measured,
+        [&](Machine& m) {
+          ASSERT_TRUE(fuliou::load_profile(m, profile).is_ok());
+        },
+        sequence, cat("sarb-gate/", threads, "t"), &report);
+    if (threads > 1 && std::thread::hardware_concurrency() > 1) {
+      EXPECT_EQ(report.gate_mode, "measured");
+      EXPECT_GE(report.gate_probes,
+                static_cast<std::uint64_t>(2 * jit::kGateProbeRuns + 2));
+    } else {
+      EXPECT_EQ(report.gate_mode, "serial");
+      EXPECT_EQ(report.gate_probes, 0u);
+      EXPECT_EQ(report.parallel_regions, 0u);
+    }
   }
 }
 

@@ -71,12 +71,14 @@ inline int overwrite_floating_globals(Machine& reference, Machine& native,
 
 /// Run `sequence` on one kernel Machine built with `native_options` and on
 /// a plan-VM reference, overwriting every floating global before each call
-/// and comparing results and every global bitwise after each call.
+/// and comparing results and every global bitwise after each call. The
+/// kernel Machine's final report goes to `report` when given.
 inline void run_cross_entry_wall(const Program& p,
                                  const InterpOptions& native_options,
                                  const std::function<void(Machine&)>& load,
                                  const std::vector<std::string>& sequence,
-                                 const std::string& tag) {
+                                 const std::string& tag,
+                                 NativeReport* report = nullptr) {
   InterpOptions plan;
   plan.engine = ExecEngine::kPlan;
   Machine reference(p, plan);
@@ -103,6 +105,7 @@ inline void run_cross_entry_wall(const Program& p,
   }
   EXPECT_EQ(native.native_report().native_calls, sequence.size()) << tag;
   EXPECT_GT(rewritten, 0) << tag << ": no floating global to rewrite";
+  if (report != nullptr) *report = native.native_report();
 }
 
 /// Globals an entry reads only through grid extents. `n` sizes the local
