@@ -1,7 +1,7 @@
-// Execution-engine comparison: tree-walk interpreter vs the compiled
-// flat-plan VM vs the native JIT engine (both emission tiers), serial
-// and parallel, over the Fu-Liou SARB kernels (Table 1) and the FUN3D
-// kernel program.
+// Execution-engine comparison: tree-walk interpreter (serial only) vs the
+// compiled flat-plan VM vs the native JIT engine (both emission tiers),
+// serial and parallel, over the Fu-Liou SARB kernels (Table 1) and the
+// FUN3D kernel program.
 //
 // Prints a table and writes BENCH_interp.json with per-kernel wall
 // times and speedups plus the serial geometric-mean speedups over the
@@ -31,19 +31,18 @@
 // per-level extents and loop bounds are symbolic over the n_levels
 // grid, so larger atmospheres give the threaded engines enough work
 // per dispatch for the parallel rows to be meaningful. The checked-in
-// BENCH_interp.json is regenerated with:
-//   bench/interp_engine --threads 8 --levels 4096 --out BENCH_interp.json
+// BENCH_interp.json is regenerated on a 4-core host with:
+//   bench/interp_engine --threads 4 --levels 4096 --min-seconds 0.05 --out BENCH_interp.json
 
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <memory>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "analysis/speculate.hpp"
 #include "fuliou/glaf_kernels.hpp"
 #include "fuliou/harness.hpp"
 #include "fuliou/profile.hpp"
@@ -66,16 +65,7 @@ struct KernelResult {
   double serial_native_s = 0.0;
   /// Serial native under the opt emission tier (typed storage, -O3).
   double serial_opt_s = 0.0;
-  double parallel_treewalk_s = 0.0;
   double parallel_plan_s = 0.0;
-  /// Parallel plan VM under policy v4: profile-guided speculation on a
-  /// dependence profile recorded just beforehand (profiling time is not
-  /// included in the measurement).
-  double parallel_plan_v4_s = 0.0;
-  /// Steps the v4 pass promoted to speculative, and misspeculations
-  /// observed across the measured calls (demoted steps re-run serially).
-  std::uint64_t spec_promoted = 0;
-  std::uint64_t spec_misspeculations = 0;
   /// Parallel native under the measured profit gate (the default).
   double parallel_native_s = 0.0;
   /// Parallel native with the gate off (every region dispatched).
@@ -124,37 +114,6 @@ double measure(const Program& program, const InterpOptions& opts,
   }
   const double best = time_best([&] { (void)m.call(entry); }, min_seconds, 3);
   if (report_out != nullptr) *report_out = m.native_report();
-  return best;
-}
-
-/// The policy-v4 leg: record a dependence profile on a serial run, then
-/// measure the parallel plan VM speculating on it. Returns 0 (and zero
-/// counters) when profiling or the measured run fails.
-double measure_v4(const Program& program, const std::string& entry,
-                  int threads, double min_seconds,
-                  const std::function<void(Machine&)>& prepare,
-                  std::uint64_t* promoted, std::uint64_t* misspecs) {
-  InterpOptions prof_opts;
-  prof_opts.profile_deps = true;
-  Machine profiler(program, prof_opts);
-  if (prepare) prepare(profiler);
-  if (!profiler.call(entry).is_ok()) return 0.0;
-  InterpOptions o = engine_opts(ExecEngine::kPlan, true, threads);
-  o.policy = DirectivePolicy::kV4;
-  o.deterministic_parallel = true;
-  o.dep_profile =
-      std::make_shared<const DepProfile>(profiler.dep_profile());
-  Machine m(program, o);
-  if (prepare) prepare(m);
-  const StatusOr<double> probe = m.call(entry);
-  if (!probe.is_ok()) {
-    std::fprintf(stderr, "interp_engine: v4 %s: %s\n", entry.c_str(),
-                 probe.status().message().c_str());
-    return 0.0;
-  }
-  const double best = time_best([&] { (void)m.call(entry); }, min_seconds, 3);
-  *promoted = m.native_report().spec_promoted_steps;
-  *misspecs = m.stats().spec_misspeculations;
   return best;
 }
 
@@ -213,15 +172,9 @@ int main(int argc, char** argv) {
                 name, min_seconds, load_sarb);
     r.serial_opt_s = measure(sarb, opt_tier_opts(threads), name, min_seconds,
                              load_sarb, &opt_report);
-    r.parallel_treewalk_s =
-        measure(sarb, engine_opts(ExecEngine::kTreeWalk, true, threads),
-                name, min_seconds, load_sarb);
     r.parallel_plan_s =
         measure(sarb, engine_opts(ExecEngine::kPlan, true, threads), name,
                 min_seconds, load_sarb);
-    r.parallel_plan_v4_s =
-        measure_v4(sarb, name, threads, min_seconds, load_sarb,
-                   &r.spec_promoted, &r.spec_misspeculations);
     NativeReport nrep;
     r.parallel_native_s =
         measure(sarb, engine_opts(ExecEngine::kNative, true, threads),
@@ -269,15 +222,9 @@ int main(int argc, char** argv) {
                 name, min_seconds, load_f3d);
     r.serial_opt_s = measure(f3d, opt_tier_opts(threads), name, min_seconds,
                              load_f3d, &opt_report);
-    r.parallel_treewalk_s =
-        measure(f3d, engine_opts(ExecEngine::kTreeWalk, true, threads),
-                name, min_seconds, load_f3d);
     r.parallel_plan_s =
         measure(f3d, engine_opts(ExecEngine::kPlan, true, threads), name,
                 min_seconds, load_f3d);
-    r.parallel_plan_v4_s =
-        measure_v4(f3d, name, threads, min_seconds, load_f3d,
-                   &r.spec_promoted, &r.spec_misspeculations);
     NativeReport nrep;
     r.parallel_native_s =
         measure(f3d, engine_opts(ExecEngine::kNative, true, threads),
@@ -294,7 +241,7 @@ int main(int argc, char** argv) {
   // --- report
   TextTable table({"kernel", "serial treewalk", "serial plan",
                    "serial native", "serial opt", "plan x", "native x",
-                   "opt x", "parallel plan", "par plan v4", "spec",
+                   "opt x", "parallel plan", "par plan x",
                    "par native gated", "gated x",
                    "par native ungated", "ungated x", "regions",
                    "fused", "gated"});
@@ -303,7 +250,7 @@ int main(int argc, char** argv) {
                        Align::kRight, Align::kRight, Align::kRight,
                        Align::kRight, Align::kRight, Align::kRight,
                        Align::kRight, Align::kRight, Align::kRight,
-                       Align::kRight, Align::kRight, Align::kRight});
+                       Align::kRight, Align::kRight});
   double log_sum = 0.0;
   double native_log_sum = 0.0;
   double opt_log_sum = 0.0;
@@ -328,6 +275,10 @@ int main(int argc, char** argv) {
     // as the typed/-O3 emission paying for its looser numeric contract.
     const double o_speed =
         r.serial_opt_s > 0.0 ? r.serial_plan_s / r.serial_opt_s : 0.0;
+    // Parallel plan VM over serial plan VM: what threading the
+    // interpreter's one parallel path buys.
+    const double p_speed =
+        r.parallel_plan_s > 0.0 ? r.serial_plan_s / r.parallel_plan_s : 0.0;
     // Parallel-native speedup over *serial native*: what threading the
     // kernel itself buys on this host (bounded by its core count).
     // Gated is the default configuration; ungated (gate 0) shows what
@@ -375,9 +326,7 @@ int main(int argc, char** argv) {
                    fmt(n_speed, "%.2f") + "x",
                    fmt(o_speed, "%.2f") + "x",
                    fmt(r.parallel_plan_s * 1e6) + " us",
-                   fmt(r.parallel_plan_v4_s * 1e6) + " us",
-                   std::to_string(r.spec_promoted) + "/" +
-                       std::to_string(r.spec_misspeculations),
+                   fmt(p_speed, "%.2f") + "x",
                    fmt(r.parallel_native_s * 1e6) + " us",
                    fmt(pn_speed, "%.2f") + "x",
                    fmt(r.parallel_native_ungated_s * 1e6) + " us",
@@ -439,16 +388,8 @@ int main(int argc, char** argv) {
                                : 0.0;
     const double o_speed =
         r.serial_opt_s > 0.0 ? r.serial_plan_s / r.serial_opt_s : 0.0;
-    const double p_speed = r.parallel_plan_s > 0.0
-                               ? r.parallel_treewalk_s / r.parallel_plan_s
-                               : 0.0;
-    // v4 vs the default-policy parallel plan run: what speculating on
-    // the profile buys (or costs, via validation) beyond the static
-    // verdicts — keep_directive treats v4 like v0, so the static
-    // regions are identical between the two columns.
-    const double v4_speed = r.parallel_plan_v4_s > 0.0
-                                ? r.parallel_plan_s / r.parallel_plan_v4_s
-                                : 0.0;
+    const double p_speed =
+        r.parallel_plan_s > 0.0 ? r.serial_plan_s / r.parallel_plan_s : 0.0;
     const double pn_speed = r.parallel_native_s > 0.0
                                 ? r.serial_native_s / r.parallel_native_s
                                 : 0.0;
@@ -464,15 +405,9 @@ int main(int argc, char** argv) {
         << ", \"serial_speedup\": " << fmt(s_speed, "%.3f")
         << ", \"serial_native_speedup\": " << fmt(n_speed, "%.3f")
         << ", \"serial_opt_speedup\": " << fmt(o_speed, "%.3f")
-        << ", \"parallel_treewalk_s\": " << fmt(r.parallel_treewalk_s, "%.6g")
         << ", \"parallel_plan_s\": " << fmt(r.parallel_plan_s, "%.6g")
-        << ", \"parallel_plan_v4_s\": "
-        << fmt(r.parallel_plan_v4_s, "%.6g")
-        << ", \"parallel_plan_v4_speedup\": " << fmt(v4_speed, "%.3f")
-        << ", \"spec_promoted_steps\": " << r.spec_promoted
-        << ", \"spec_misspeculations\": " << r.spec_misspeculations
+        << ", \"parallel_plan_speedup\": " << fmt(p_speed, "%.3f")
         << ", \"parallel_native_s\": " << fmt(r.parallel_native_s, "%.6g")
-        << ", \"parallel_speedup\": " << fmt(p_speed, "%.3f")
         << ", \"parallel_native_speedup\": " << fmt(pn_speed, "%.3f")
         << ", \"parallel_native_ungated_s\": "
         << fmt(r.parallel_native_ungated_s, "%.6g")

@@ -68,22 +68,6 @@ struct StepVerdict {
   /// program order, so the "atomic" float sums need no atomics at all.
   int exact_partition_dim = -1;
 
-  /// One (grid, field) location the runtime validator must band-check
-  /// when a speculative step executes (analysis/speculate.hpp).
-  struct SpecBand {
-    GridId grid = kInvalidGridId;
-    std::string field;
-    bool written = false;  ///< any write reaches this location in the step
-  };
-
-  /// Profile-guided speculation (policy v4): the static analysis left
-  /// the step serial, but a dependence profile observed no
-  /// cross-iteration conflict, so the engines may run it speculatively
-  /// in parallel — logging per-rank access bands over `spec_bands`,
-  /// validating after the join, and re-running serially on conflict.
-  bool speculative = false;
-  std::vector<SpecBand> spec_bands;
-
   std::vector<std::string> notes;  ///< human-readable reasoning trail
 };
 

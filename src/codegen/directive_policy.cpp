@@ -35,17 +35,12 @@ const char* to_string(DirectivePolicy policy) {
     case DirectivePolicy::kV1: return "v1";
     case DirectivePolicy::kV2: return "v2";
     case DirectivePolicy::kV3: return "v3";
-    case DirectivePolicy::kV4: return "v4";
   }
   return "?";
 }
 
 bool keep_directive(DirectivePolicy policy, const StepVerdict& verdict) {
   if (!verdict.has_loop || !verdict.parallelizable) return false;
-  // v4 keeps every statically-parallelizable directive (v0 behavior);
-  // its new ground — speculating on profile-clean serial steps — is
-  // decided from StepVerdict::speculative by the engines, not here.
-  if (policy == DirectivePolicy::kV4) policy = DirectivePolicy::kV0;
   switch (verdict.loop_class) {
     case LoopClass::kStraightLine:
       return false;

@@ -21,11 +21,7 @@ const char* to_string(Language lang);
 ///   kV2: v1 minus the remaining simple single loops;
 ///   kV3: v2 minus simple double loops (directives remain only on complex
 ///        loops — in SARB, the two large longwave_entropy_model loops).
-///   kV4: v0 plus profile-guided speculation — complex steps the static
-///        analysis left serial but a dependence profile observed clean
-///        (analysis/speculate.hpp) run speculatively in parallel with
-///        runtime band validation; misspeculation re-runs them serially.
-enum class DirectivePolicy : std::uint8_t { kV0, kV1, kV2, kV3, kV4 };
+enum class DirectivePolicy : std::uint8_t { kV0, kV1, kV2, kV3 };
 
 const char* to_string(DirectivePolicy policy);
 

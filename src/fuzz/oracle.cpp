@@ -12,11 +12,9 @@
 #include <optional>
 
 #include "analysis/parallelize.hpp"
-#include "analysis/speculate.hpp"
 #include "codegen/c.hpp"
 #include "fuzz/generator.hpp"
 #include "interp/machine.hpp"
-#include "support/fault.hpp"
 #include "support/hash.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
@@ -92,8 +90,7 @@ using Snapshot = std::vector<std::vector<double>>;
 StatusOr<Snapshot> run_interpreter(const Program& program,
                                    const std::string& entry,
                                    const std::vector<GlobalSpec>& specs,
-                                   const InterpOptions& options,
-                                   DepProfile* profile_out = nullptr) {
+                                   const InterpOptions& options) {
   try {
     Machine m(program, options);
     for (const GlobalSpec& spec : specs) {
@@ -107,7 +104,6 @@ StatusOr<Snapshot> run_interpreter(const Program& program,
     }
     const StatusOr<double> result = m.call(entry);
     if (!result.is_ok()) return result.status();
-    if (profile_out != nullptr) *profile_out = m.dep_profile();
     Snapshot snap;
     for (const GlobalSpec& spec : specs) {
       if (spec.grid->dims.empty()) {
@@ -421,35 +417,22 @@ OracleReport run_oracle(const Program& program, const std::string& entry,
     }
   }
 
-  if (opts.run_parallel) {
+  if (opts.run_parallel && opts.run_plan) {
     for (const DirectivePolicy policy : opts.policies) {
-      struct EngineLeg {
-        ExecEngine engine;
-        const char* suffix;
-        bool enabled;
-      };
-      const EngineLeg legs[] = {
-          {ExecEngine::kTreeWalk, "", opts.run_treewalk_parallel},
-          {ExecEngine::kPlan, "-plan", opts.run_plan},
-      };
-      for (const EngineLeg& leg : legs) {
-        if (!leg.enabled) continue;
-        InterpOptions popts;
-        popts.engine = leg.engine;
-        popts.parallel = true;
-        popts.num_threads = opts.num_threads;
-        popts.policy = policy;
-        const StatusOr<Snapshot> snap =
-            run_interpreter(program, entry, specs.value(), popts);
-        const std::string backend =
-            cat("parallel-", to_string(policy), leg.suffix);
-        if (!snap.is_ok()) {
-          report.errors.push_back(cat(backend, ": ", snap.status().message()));
-          continue;
-        }
-        compare_snapshots(backend, reference.value(), snap.value(),
-                          specs.value(), tol, &report);
+      InterpOptions popts;
+      popts.engine = ExecEngine::kPlan;
+      popts.parallel = true;
+      popts.num_threads = opts.num_threads;
+      popts.policy = policy;
+      const StatusOr<Snapshot> snap =
+          run_interpreter(program, entry, specs.value(), popts);
+      const std::string backend = cat("parallel-", to_string(policy), "-plan");
+      if (!snap.is_ok()) {
+        report.errors.push_back(cat(backend, ": ", snap.status().message()));
+        continue;
       }
+      compare_snapshots(backend, reference.value(), snap.value(),
+                        specs.value(), tol, &report);
     }
   }
 
@@ -457,64 +440,6 @@ OracleReport run_oracle(const Program& program, const std::string& entry,
   // native legs — serial and parallel alike — are held to exact
   // equality (NaN==NaN), not the reassociation tolerance above.
   const Comparator exact{};
-
-  if (opts.run_speculative) {
-    // Policy-v4 legs. First a serial profiling run: the observation
-    // hooks must be transparent, so it is held bitwise. Its recorded
-    // profile then feeds the speculative parallel plan leg — and the
-    // same leg with the validation fault site armed, which forces
-    // misspeculation, demotion and serial re-runs. Speculation commits
-    // disjoint write bands in rank order, so all three legs are exact.
-    InterpOptions prof_opts;
-    prof_opts.engine = ExecEngine::kPlan;
-    prof_opts.parallel = false;
-    prof_opts.profile_deps = true;
-    DepProfile recorded;
-    const StatusOr<Snapshot> prof_snap =
-        run_interpreter(program, entry, specs.value(), prof_opts, &recorded);
-    if (!prof_snap.is_ok()) {
-      report.errors.push_back(
-          cat("profile-serial: ", prof_snap.status().message()));
-    } else {
-      compare_snapshots("profile-serial", reference.value(),
-                        prof_snap.value(), specs.value(), exact, &report);
-      const auto profile = std::make_shared<DepProfile>(std::move(recorded));
-      InterpOptions sopts;
-      sopts.engine = ExecEngine::kPlan;
-      sopts.parallel = true;
-      sopts.num_threads = opts.num_threads;
-      sopts.policy = DirectivePolicy::kV4;
-      sopts.deterministic_parallel = true;
-      sopts.dep_profile = profile;
-      const StatusOr<Snapshot> spec_snap =
-          run_interpreter(program, entry, specs.value(), sopts);
-      if (!spec_snap.is_ok()) {
-        report.errors.push_back(
-            cat("parallel-v4-spec: ", spec_snap.status().message()));
-      } else {
-        compare_snapshots("parallel-v4-spec", reference.value(),
-                          spec_snap.value(), specs.value(), exact, &report);
-      }
-      const Status armed = fault::configure("interp.spec.validate:0.5",
-                                            opts.spec_fault_seed);
-      if (!armed.is_ok()) {
-        report.errors.push_back(
-            cat("parallel-v4-spec-fault: ", armed.message()));
-      } else {
-        const StatusOr<Snapshot> fault_snap =
-            run_interpreter(program, entry, specs.value(), sopts);
-        fault::clear();
-        if (!fault_snap.is_ok()) {
-          report.errors.push_back(
-              cat("parallel-v4-spec-fault: ", fault_snap.status().message()));
-        } else {
-          compare_snapshots("parallel-v4-spec-fault", reference.value(),
-                            fault_snap.value(), specs.value(), exact,
-                            &report);
-        }
-      }
-    }
-  }
 
   if (opts.run_native && cc_available(opts.cc)) {
     const StatusOr<Snapshot> snap = run_native(

@@ -5,8 +5,7 @@
 //
 //   1. the serial tree-walk interpreter (the reference),
 //   2. the serial plan engine (compiled flat plans on the VM),
-//   3. the parallel interpreter under each directive policy v0..v3,
-//      on both execution engines,
+//   3. the parallel plan engine under each directive policy v0..v3,
 //   4. the native JIT engine (src/jit) running the kernel in-process —
 //      compared *bitwise* against the reference, since interp_math
 //      emission promises bit-identical arithmetic,
@@ -44,7 +43,7 @@ struct OracleOptions {
   double rtol = 1e-9;
   double atol = 1e-9;
   int num_threads = 4;
-  bool run_parallel = true;   ///< parallel interpreter backends
+  bool run_parallel = true;   ///< parallel plan-engine backends
   bool run_compiled_c = true; ///< compile-and-execute C backend
   /// In-process native JIT leg (gated on cc availability, like the C
   /// backend, but with no subprocess round-trip). Compared bitwise.
@@ -74,21 +73,9 @@ struct OracleOptions {
   std::uint64_t opt_max_ulp = 64;  ///< per-element budget for the opt leg
   double opt_rtol = 0.0;           ///< optional relative band on top
   double opt_atol = 0.0;           ///< optional absolute band on top
-  /// Speculative legs (policy v4): a serial dependence-profiling run
-  /// ("profile-serial", held bitwise — observation must be transparent),
-  /// then the plan engine speculating on the recorded profile
-  /// ("parallel-v4-spec") and the same run with the validation fault
-  /// site armed at probability 0.5 ("parallel-v4-spec-fault") so regions
-  /// misspeculate, demote and re-run serially. All three are exact:
-  /// speculation commits disjoint write bands in rank order, so a single
-  /// changed bit is a bug. Off by default (three extra runs).
-  bool run_speculative = false;
-  std::uint64_t spec_fault_seed = 1;  ///< seed for the fault-armed leg
-  /// Plan-engine legs: serial "plan" plus "parallel-vK-plan" per policy.
+  /// Plan-engine legs: serial "plan" plus "parallel-vK-plan" per policy
+  /// (the latter also gated on run_parallel).
   bool run_plan = true;
-  /// Tree-walk parallel legs ("parallel-vK"). Off + run_plan = plan-only
-  /// parallel testing (the glaf-fuzz --engine=plan mode).
-  bool run_treewalk_parallel = true;
   std::vector<DirectivePolicy> policies = {
       DirectivePolicy::kV0, DirectivePolicy::kV1, DirectivePolicy::kV2,
       DirectivePolicy::kV3};
@@ -105,7 +92,7 @@ struct OracleOptions {
 
 /// One element-level disagreement against the serial reference.
 struct Divergence {
-  std::string backend;  ///< "plan", "parallel-v2", ..., "native", "c"
+  std::string backend;  ///< "plan", "parallel-v2-plan", ..., "native", "c"
   std::string grid;
   std::int64_t index = 0;  ///< flat element index
   double expected = 0.0;   ///< serial reference value

@@ -1,14 +1,10 @@
 #pragma once
-// Helpers shared by the two execution engines (the tree-walk Executor in
-// machine.cpp and the plan VM in vm.cpp). Both must agree exactly on
-// error unwinding and reduction algebra, so these live in one place.
+// Error unwinding shared by the two execution engines (the tree-walk
+// Executor in machine.cpp and the plan VM in vm.cpp), which must agree
+// exactly on how a runtime error reaches Machine::call.
 
-#include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <string>
-
-#include "analysis/reduction.hpp"
 
 namespace glaf::interp {
 
@@ -20,26 +16,6 @@ struct InterpError : std::runtime_error {
 
 [[noreturn]] inline void fail(const std::string& msg) {
   throw InterpError(msg);
-}
-
-inline double reduction_identity(ReduceOp op) {
-  switch (op) {
-    case ReduceOp::kSum: return 0.0;
-    case ReduceOp::kProd: return 1.0;
-    case ReduceOp::kMin: return std::numeric_limits<double>::infinity();
-    case ReduceOp::kMax: return -std::numeric_limits<double>::infinity();
-  }
-  return 0.0;
-}
-
-inline double reduction_combine(ReduceOp op, double a, double b) {
-  switch (op) {
-    case ReduceOp::kSum: return a + b;
-    case ReduceOp::kProd: return a * b;
-    case ReduceOp::kMin: return std::min(a, b);
-    case ReduceOp::kMax: return std::max(a, b);
-  }
-  return a;
 }
 
 }  // namespace glaf::interp

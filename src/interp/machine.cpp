@@ -4,10 +4,9 @@
 #include <cmath>
 #include <limits>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 
-#include "analysis/speculate.hpp"
-#include "codegen/directive_policy.hpp"
 #include "core/libfuncs.hpp"
 #include "core/typecheck.hpp"
 #include "interp/exec_common.hpp"
@@ -21,11 +20,9 @@
 namespace glaf {
 
 // Shared with the plan VM (interp/exec_common.hpp): both engines must
-// agree exactly on error unwinding and reduction algebra.
+// agree exactly on error unwinding.
 using interp::InterpError;
 using interp::fail;
-using interp::reduction_combine;
-using interp::reduction_identity;
 
 namespace {
 
@@ -92,15 +89,8 @@ struct Frame {
   std::vector<InstancePtr> slots;  ///< indexed by GridId
 };
 
-/// Step-execution context flags shared down the statement walkers.
-struct StepCtx {
-  const StepVerdict* verdict = nullptr;
-  bool parallel_active = false;
-};
-
-/// Executes one top-level call tree; merges its stats into the Machine at
-/// destruction. Parallel regions spawn per-thread recursion through the
-/// same class with separate stat counters.
+/// Executes one top-level call tree, serially: the semantic reference the
+/// plan VM and the native kernels are checked against.
 class Executor {
  public:
   Executor(Machine& m) : m_(m) {}
@@ -112,38 +102,16 @@ class Executor {
 
   InterpStats stats;
 
-  /// Per-thread replacements for global grids (private/firstprivate/
-  /// reduction copies inside a parallel region). Threaded into every
-  /// callee frame so subprograms called from the region see the thread's
-  /// copies, mirroring OpenMP's threadprivate semantics.
-  std::map<GridId, InstancePtr> global_overrides;
-
-  /// True when this executor runs inside a parallel region (set on the
-  /// per-thread workers): updates to machine-level atomic grids are then
-  /// serialized, modeling orphaned OMP ATOMIC directives in callees.
-  bool in_parallel_region = false;
-
-  /// Thread-local SAVE'd-locals cache used inside parallel regions: SAVE'd
-  /// temporaries become threadprivate there (§4.2.1 pairs the SAVE
-  /// attribute with private/thread-private declarations).
-  std::map<GridId, InstancePtr> saved_locals_local;
-
  private:
   void init_instance(Instance& inst, const Grid& g);
 
-  void exec_step_serial(Frame& frame, const Step& step, const StepCtx& ctx,
-                        bool* returned, double* ret_value);
-  void exec_step_parallel(Frame& frame, const Step& step,
-                          const StepVerdict& verdict);
   void exec_loops(Frame& frame, const Step& step, std::size_t depth,
-                  IndexEnv& env, const StepCtx& ctx, bool* returned,
-                  double* ret_value);
+                  IndexEnv& env, bool* returned, double* ret_value);
   bool exec_body(Frame& frame, const std::vector<Stmt>& body, IndexEnv& env,
-                 const StepCtx& ctx, double* ret_value);
+                 double* ret_value);
   bool exec_stmt(Frame& frame, const Stmt& stmt, IndexEnv& env,
-                 const StepCtx& ctx, double* ret_value);
-  void exec_assign(Frame& frame, const Stmt& stmt, IndexEnv& env,
-                   const StepCtx& ctx);
+                 double* ret_value);
+  void exec_assign(Frame& frame, const Stmt& stmt, IndexEnv& env);
 
   double eval(Frame& frame, const Expr& e, IndexEnv& env);
   std::int64_t eval_int(Frame& frame, const Expr& e, IndexEnv& env) {
@@ -212,10 +180,8 @@ double Executor::call_function(const Function& fn,
   frame.fn = &fn;
   frame.slots.resize(m_.program_.grids.size());
 
-  // Globals are visible everywhere; a parallel region's per-thread copies
-  // take precedence.
+  // Globals are visible everywhere.
   for (const auto& [id, inst] : m_.globals_) frame.slots[id] = inst;
-  for (const auto& [id, inst] : global_overrides) frame.slots[id] = inst;
 
   // Bind parameters by reference.
   if (args.size() != fn.params.size()) {
@@ -233,10 +199,8 @@ double Executor::call_function(const Function& fn,
     const Grid& g = m_.program_.grid(id);
     const bool save = g.save_attr || m_.options_.save_temporaries;
     if (save) {
-      // Inside a parallel region the cache is per-thread (threadprivate
-      // SAVE); otherwise it is the machine-wide FORTRAN SAVE storage.
-      auto& cache =
-          in_parallel_region ? saved_locals_local : m_.saved_locals_;
+      // The machine-wide FORTRAN SAVE storage.
+      auto& cache = m_.saved_locals_;
       auto it = cache.find(id);
       if (it == cache.end()) {
         it = cache.emplace(id, make_instance(g, frame)).first;
@@ -249,60 +213,29 @@ double Executor::call_function(const Function& fn,
     }
   }
 
-  const auto verdict_it = m_.analysis_.verdicts.find(fn.id);
   double ret_value = 0.0;
-  for (std::size_t s = 0; s < fn.steps.size(); ++s) {
-    const StepVerdict* verdict =
-        verdict_it != m_.analysis_.verdicts.end() &&
-                s < verdict_it->second.size()
-            ? &verdict_it->second[s]
-            : nullptr;
+  for (const Step& step : fn.steps) {
     ++stats.steps_executed;
     // A RETURN inside any step ends the subprogram.
     bool returned = false;
-    const Step& step = fn.steps[s];
-    // Nested regions execute serially (OpenMP's default nested-parallel
-    // behaviour; also what our single-level pool supports).
-    const bool parallel =
-        m_.options_.parallel && !in_parallel_region && verdict != nullptr &&
-        verdict->has_loop && !verdict->needs_critical &&
-        keep_directive(m_.options_.policy, *verdict) && m_.pool_ != nullptr &&
-        // Deterministic mode only threads steps whose parallel execution
-        // is bitwise identical to serial under a flat partition (the
-        // interpreter's banding); ownership-banded steps run serially.
-        (!m_.options_.deterministic_parallel ||
-         (verdict->bit_exact && verdict->exact_partition_dim < 0));
     const std::uint64_t iterations_before = stats.loop_iterations;
-    if (parallel) {
-      ++stats.parallel_regions;
-      exec_step_parallel(frame, step, *verdict);
-    } else {
-      StepCtx ctx{verdict, false};
-      exec_step_serial(frame, step, ctx, &returned, &ret_value);
-    }
+    IndexEnv env;
+    exec_loops(frame, step, 0, env, &returned, &ret_value);
     if (m_.options_.trace) {
       const std::lock_guard<std::mutex> lock(m_.trace_mutex_);
       m_.trace_.push_back(TraceEntry{
           fn.name, step.name, stats.loop_iterations - iterations_before,
-          parallel});
+          false});
     }
     if (returned) break;
   }
   return ret_value;
 }
 
-void Executor::exec_step_serial(Frame& frame, const Step& step,
-                                const StepCtx& ctx, bool* returned,
-                                double* ret_value) {
-  IndexEnv env;
-  exec_loops(frame, step, 0, env, ctx, returned, ret_value);
-}
-
 void Executor::exec_loops(Frame& frame, const Step& step, std::size_t depth,
-                          IndexEnv& env, const StepCtx& ctx, bool* returned,
-                          double* ret_value) {
+                          IndexEnv& env, bool* returned, double* ret_value) {
   if (depth == step.loops.size()) {
-    if (exec_body(frame, step.body, env, ctx, ret_value)) *returned = true;
+    if (exec_body(frame, step.body, env, ret_value)) *returned = true;
     return;
   }
   const LoopSpec& loop = step.loops[depth];
@@ -316,160 +249,33 @@ void Executor::exec_loops(Frame& frame, const Step& step, std::size_t depth,
        i += stride) {
     env.set_top(i);
     if (depth + 1 == step.loops.size()) ++stats.loop_iterations;
-    exec_loops(frame, step, depth + 1, env, ctx, returned, ret_value);
+    exec_loops(frame, step, depth + 1, env, returned, ret_value);
     if (*returned) break;
   }
   env.pop();
 }
 
-void Executor::exec_step_parallel(Frame& frame, const Step& step,
-                                  const StepVerdict& verdict) {
-  // COLLAPSE semantics: the leading `collapse` loops (whose bounds are
-  // invariant by the analysis' legality rule) form one flattened iteration
-  // space distributed across threads — for the paper's 2x60 loops that is
-  // the difference between 2-way and 120-way parallelism.
-  struct CollapsedLoop {
-    std::int64_t begin = 0;
-    std::int64_t stride = 1;
-    std::int64_t trips = 0;
-  };
-  const std::size_t depth = std::min<std::size_t>(
-      std::max(verdict.collapse, 1), step.loops.size());
-  IndexEnv no_indices;
-  std::vector<CollapsedLoop> band;
-  std::int64_t iters = 1;
-  for (std::size_t d = 0; d < depth; ++d) {
-    const LoopSpec& loop = step.loops[d];
-    CollapsedLoop cl;
-    cl.begin = eval_int(frame, *loop.begin, no_indices);
-    const std::int64_t end = eval_int(frame, *loop.end, no_indices);
-    cl.stride = loop.stride ? eval_int(frame, *loop.stride, no_indices) : 1;
-    if (cl.stride == 0) fail("zero loop stride");
-    const std::int64_t span =
-        cl.stride > 0 ? end - cl.begin : cl.begin - end;
-    cl.trips = span < 0 ? 0 : span / std::llabs(cl.stride) + 1;
-    band.push_back(cl);
-    iters *= cl.trips;
-  }
-  if (iters <= 0) return;
-
-  std::mutex merge_mutex;
-
-  // Reduction targets: remember the shared instances; threads work on
-  // identity-initialized copies that are merged on completion. The chunk
-  // body is schedule-agnostic (private copies and merges are per chunk).
-  const auto chunk_body =
-      [&](int /*rank*/, std::int64_t chunk_begin, std::int64_t chunk_end) {
-        Executor worker(m_);
-        worker.global_overrides = global_overrides;
-        worker.in_parallel_region = true;
-        Frame tframe = frame;  // shared_ptr copies: shared storage
-        const auto thread_local_copy = [&](GridId id, InstancePtr inst) {
-          tframe.slots[id] = inst;
-          if (m_.program_.grid(id).is_global) {
-            worker.global_overrides[id] = std::move(inst);
-          }
-        };
-        // Private grids: per-thread uninitialized (zeroed) copies.
-        for (const GridId id : verdict.private_grids) {
-          thread_local_copy(id, worker.make_instance(m_.program_.grid(id),
-                                                     frame));
-        }
-        // Firstprivate: per-thread copies of the current values.
-        for (const GridId id : verdict.firstprivate_grids) {
-          thread_local_copy(id, std::make_shared<Instance>(*frame.slots[id]));
-        }
-        // Reductions: identity-initialized per-thread copies. Snapshot
-        // under the merge mutex: a faster chunk may already be combining
-        // its results into the shared instance while this one is still
-        // setting up (the racing buffer is refilled with the identity
-        // below, but the copy itself must not race those writes).
-        for (const ReductionClause& r : verdict.reductions) {
-          InstancePtr copy;
-          {
-            const std::lock_guard<std::mutex> lock(merge_mutex);
-            copy = std::make_shared<Instance>(*frame.slots[r.grid]);
-          }
-          auto& buf = copy->grid->is_struct() ? copy->fields.at(r.field)
-                                              : copy->data;
-          std::fill(buf.begin(), buf.end(), reduction_identity(r.op));
-          thread_local_copy(r.grid, std::move(copy));
-        }
-
-        StepCtx ctx{&verdict, true};
-        IndexEnv env;
-        for (std::size_t d = 0; d < depth; ++d) {
-          env.push(step.loops[d].index_var, band[d].begin);
-        }
-        bool returned = false;
-        double ret_value = 0.0;
-        std::vector<std::int64_t> values(depth, 0);
-        for (std::int64_t k = chunk_begin; k < chunk_end && !returned; ++k) {
-          // Unflatten k into the collapsed band (row-major, as OMP does).
-          std::int64_t rest = k;
-          for (std::size_t d = depth; d-- > 0;) {
-            const std::int64_t trip = rest % band[d].trips;
-            rest /= band[d].trips;
-            values[d] = band[d].begin + trip * band[d].stride;
-          }
-          // Rebind all band indices for this iteration point.
-          for (std::size_t d = 0; d < depth; ++d) env.pop();
-          for (std::size_t d = 0; d < depth; ++d) {
-            env.push(step.loops[d].index_var, values[d]);
-          }
-          if (depth == step.loops.size()) ++worker.stats.loop_iterations;
-          worker.exec_loops(tframe, step, depth, env, ctx, &returned,
-                            &ret_value);
-        }
-
-        // Merge reductions into the shared instances.
-        const std::lock_guard<std::mutex> lock(merge_mutex);
-        for (const ReductionClause& r : verdict.reductions) {
-          Instance& shared = *frame.slots[r.grid];
-          Instance& local = *tframe.slots[r.grid];
-          auto& sbuf = shared.grid->is_struct() ? shared.fields.at(r.field)
-                                                : shared.data;
-          auto& lbuf = local.grid->is_struct() ? local.fields.at(r.field)
-                                               : local.data;
-          for (std::size_t i = 0; i < sbuf.size(); ++i) {
-            sbuf[i] = reduction_combine(r.op, sbuf[i], lbuf[i]);
-          }
-        }
-        stats.loop_iterations += worker.stats.loop_iterations;
-        stats.function_calls += worker.stats.function_calls;
-        stats.local_allocations += worker.stats.local_allocations;
-        stats.steps_executed += worker.stats.steps_executed;
-      };
-  if (m_.options_.dynamic_schedule) {
-    m_.pool_->parallel_for_dynamic(iters, m_.options_.schedule_chunk,
-                                   chunk_body);
-  } else {
-    m_.pool_->parallel_for(iters, chunk_body);
-  }
-}
-
 bool Executor::exec_body(Frame& frame, const std::vector<Stmt>& body,
-                         IndexEnv& env, const StepCtx& ctx,
-                         double* ret_value) {
+                         IndexEnv& env, double* ret_value) {
   for (const Stmt& s : body) {
-    if (exec_stmt(frame, s, env, ctx, ret_value)) return true;
+    if (exec_stmt(frame, s, env, ret_value)) return true;
   }
   return false;
 }
 
 bool Executor::exec_stmt(Frame& frame, const Stmt& stmt, IndexEnv& env,
-                         const StepCtx& ctx, double* ret_value) {
+                         double* ret_value) {
   switch (stmt.kind) {
     case Stmt::Kind::kAssign:
-      exec_assign(frame, stmt, env, ctx);
+      exec_assign(frame, stmt, env);
       return false;
     case Stmt::Kind::kIf: {
       for (const IfArm& arm : stmt.arms) {
         if (eval(frame, *arm.cond, env) != 0.0) {
-          return exec_body(frame, arm.body, env, ctx, ret_value);
+          return exec_body(frame, arm.body, env, ret_value);
         }
       }
-      return exec_body(frame, stmt.else_body, env, ctx, ret_value);
+      return exec_body(frame, stmt.else_body, env, ret_value);
     }
     case Stmt::Kind::kCallSub: {
       const Function* target = m_.program_.find_function(stmt.callee);
@@ -499,25 +305,7 @@ bool Executor::exec_stmt(Frame& frame, const Stmt& stmt, IndexEnv& env,
   return false;
 }
 
-void Executor::exec_assign(Frame& frame, const Stmt& stmt, IndexEnv& env,
-                           const StepCtx& ctx) {
-  const bool step_atomic =
-      ctx.parallel_active && ctx.verdict != nullptr &&
-      std::find(ctx.verdict->atomic_grids.begin(),
-                ctx.verdict->atomic_grids.end(),
-                stmt.lhs.grid) != ctx.verdict->atomic_grids.end();
-  const bool orphaned_atomic =
-      in_parallel_region && m_.atomic_grids_.count(stmt.lhs.grid) != 0;
-  if (step_atomic || orphaned_atomic) {
-    // The read-modify-write is redone under the lock: re-evaluating the
-    // rhs inside the critical section mirrors OMP ATOMIC semantics (the
-    // captured update re-reads the target).
-    const std::lock_guard<std::mutex> lock(m_.atomic_mutex_);
-    double* p = element_ptr(frame, stmt.lhs.grid, stmt.lhs.field,
-                            stmt.lhs.subscripts, env);
-    *p = eval(frame, *stmt.rhs, env);
-    return;
-  }
+void Executor::exec_assign(Frame& frame, const Stmt& stmt, IndexEnv& env) {
   const double value = eval(frame, *stmt.rhs, env);
   double* p = element_ptr(frame, stmt.lhs.grid, stmt.lhs.field,
                           stmt.lhs.subscripts, env);
@@ -674,51 +462,11 @@ jit::NativeEngine::Options native_engine_options(const InterpOptions& options,
 Machine::Machine(Program program, InterpOptions options)
     : program_(std::move(program)), options_(std::move(options)),
       analysis_(analyze_program(program_, options_.tweaks)) {
-  // Memory-profiling mode is a serial plan-VM mode: the profiler's
-  // per-element observation hooks live in the VM, and cross-iteration
-  // ordering is only meaningful when iterations run in program order.
-  if (options_.profile_deps) {
-    options_.engine = ExecEngine::kPlan;
-    options_.parallel = false;
-    profiler_ = std::make_unique<DepProfiler>();
-  }
+  // The tree-walk is the serial semantic reference: it has no parallel
+  // path, so a parallel request runs it serially.
+  if (options_.engine == ExecEngine::kTreeWalk) options_.parallel = false;
   if (options_.parallel) {
     pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  }
-  // Union of atomic-update targets across all verdicts and tweaks: these
-  // are serialized anywhere inside a parallel region (orphaned ATOMIC).
-  for (const auto& [fn_id, verdicts] : analysis_.verdicts) {
-    for (const StepVerdict& v : verdicts) {
-      atomic_grids_.insert(v.atomic_grids.begin(), v.atomic_grids.end());
-    }
-  }
-  for (const auto& [fn_name, tweaks] : options_.tweaks) {
-    atomic_grids_.insert(tweaks.force_atomic.begin(),
-                         tweaks.force_atomic.end());
-  }
-  // Policy v4: promote profile-clean blocked steps to speculative before
-  // plans compile. A profile recorded for a different program is ignored
-  // (and reported) rather than trusted.
-  if (options_.policy == DirectivePolicy::kV4 &&
-      options_.dep_profile != nullptr) {
-    const StatusOr<SpeculationSummary> applied =
-        apply_speculation(program_, &analysis_, *options_.dep_profile);
-    if (applied.is_ok()) {
-      native_report_.spec_promoted_steps =
-          static_cast<std::uint64_t>(applied.value().promoted);
-      if (options_.parallel) {
-        for (const auto& [fn_id, verdicts] : analysis_.verdicts) {
-          for (const StepVerdict& v : verdicts) {
-            if (v.speculative) {
-              spec_functions_.insert(fn_id);
-              break;
-            }
-          }
-        }
-      }
-    } else {
-      native_report_.spec_profile_rejected = true;
-    }
   }
   // Allocate global grids in declaration order: scalars that define other
   // globals' extents are created (and initialized) before their users.
@@ -738,8 +486,20 @@ Machine::Machine(Program program, InterpOptions options)
   plan_slots_proto_.assign(program_.grids.size(), nullptr);
   for (const auto& [id, inst] : globals_) plan_slots_proto_[id] = inst.get();
   if (options_.engine != ExecEngine::kTreeWalk) {
+    // Union of atomic-update targets across all verdicts and tweaks: these
+    // are serialized anywhere inside a parallel region (orphaned ATOMIC).
+    std::set<GridId> atomic_grids;
+    for (const auto& [fn_id, verdicts] : analysis_.verdicts) {
+      for (const StepVerdict& v : verdicts) {
+        atomic_grids.insert(v.atomic_grids.begin(), v.atomic_grids.end());
+      }
+    }
+    for (const auto& [fn_name, tweaks] : options_.tweaks) {
+      atomic_grids.insert(tweaks.force_atomic.begin(),
+                          tweaks.force_atomic.end());
+    }
     plans_ = std::make_unique<interp::ProgramPlan>(
-        interp::compile_plans(program_, analysis_, atomic_grids_));
+        interp::compile_plans(program_, analysis_, atomic_grids));
   }
   if (options_.engine == ExecEngine::kNative) {
     if (options_.trace) {
@@ -776,23 +536,6 @@ Machine::Machine(Program program, InterpOptions options)
 }
 
 Machine::~Machine() = default;
-
-DepProfile Machine::dep_profile() const {
-  if (profiler_ == nullptr) return DepProfile{};
-  return profiler_->profile(dep_profile_program_hash(program_));
-}
-
-bool Machine::spec_is_demoted(FunctionId fn, std::size_t step) {
-  const std::lock_guard<std::mutex> lock(spec_mutex_);
-  return spec_demoted_.count({fn, step}) != 0;
-}
-
-void Machine::spec_demote(FunctionId fn, std::size_t step) {
-  const std::lock_guard<std::mutex> lock(spec_mutex_);
-  if (spec_demoted_.insert({fn, step}).second) {
-    ++native_report_.spec_demoted_steps;
-  }
-}
 
 Instance* Machine::find_global(const std::string& name) {
   for (const auto& [id, inst] : globals_) {
@@ -867,11 +610,7 @@ StatusOr<double> Machine::call(const std::string& function,
   // literal scalars (C passes scalar parameters by value, so a global
   // passed by name — bound by reference in the interpreter — must take
   // the plan path).
-  // Policy v4 routes calls into functions with speculative steps to the
-  // plan VM, where the validation leg lives — the kernel has no
-  // misspeculation protocol.
-  const bool spec_routed = spec_functions_.count(fn->id) != 0;
-  if (native_ != nullptr && !spec_routed) {
+  if (native_ != nullptr) {
     const jit::AbiFunction* abi = native_->find(function);
     const bool literal_args =
         std::all_of(args.begin(), args.end(), [](const CallArg& a) {
@@ -906,15 +645,7 @@ StatusOr<double> Machine::call(const std::string& function,
   // Count every kNative call the kernel did not run — per-call routing
   // (unsupported ABI, grid-name arguments) and whole-engine
   // unavailability alike — so --strict-engine can refuse both.
-  // Speculation-routed calls are intentional plan dispatches, counted
-  // separately so strict mode does not mistake them for fallbacks.
-  if (options_.engine == ExecEngine::kNative) {
-    if (spec_routed && native_ != nullptr) {
-      ++native_report_.spec_plan_calls;
-    } else {
-      ++native_report_.fallback_calls;
-    }
-  }
+  if (options_.engine == ExecEngine::kNative) ++native_report_.fallback_calls;
 
   std::vector<InstancePtr> bound;
   bound.reserve(args.size());
@@ -958,9 +689,6 @@ StatusOr<double> Machine::call(const std::string& function,
     stats_.local_allocations += call_stats.local_allocations;
     stats_.parallel_regions += call_stats.parallel_regions;
     stats_.function_calls += call_stats.function_calls;
-    stats_.spec_regions += call_stats.spec_regions;
-    stats_.spec_validations += call_stats.spec_validations;
-    stats_.spec_misspeculations += call_stats.spec_misspeculations;
     return result;
   } catch (const InterpError& err) {
     return failed_precondition(err.what());

@@ -5,10 +5,11 @@
 // generators emit, serially or in parallel:
 //
 //  - serial mode mirrors the "GLAF serial" build;
-//  - parallel mode honours the auto-parallelization verdicts and a
-//    directive policy (v0..v3), running directive-kept steps on the thread
-//    pool with private copies, reduction merging and atomic updates —
-//    mirroring the OpenMP builds of §4.
+//  - parallel mode (plan and native engines) honours the
+//    auto-parallelization verdicts and a directive policy (v0..v3),
+//    running directive-kept steps on the thread pool with private copies,
+//    reduction merging and atomic updates — mirroring the OpenMP builds
+//    of §4.
 //
 // This is what enables the paper's §4.1.1 methodology: "a code-wide
 // side-by-side comparison of the results from the execution using the GLAF
@@ -19,7 +20,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <variant>
 #include <vector>
@@ -32,8 +32,6 @@
 namespace glaf {
 
 class ThreadPool;
-class DepProfiler;
-struct DepProfile;
 
 namespace interp {
 class PlanExecutor;
@@ -66,7 +64,10 @@ struct Instance {
 
 /// Which execution engine runs function calls.
 enum class ExecEngine {
-  kTreeWalk,  ///< the reference AST interpreter (Executor in machine.cpp)
+  /// The reference AST interpreter (Executor in machine.cpp): serial
+  /// only, the semantic definition the other engines are checked
+  /// against. A machine built with `parallel` set runs it serially.
+  kTreeWalk,
   kPlan,      ///< compiled flat plans (plan.cpp) on the VM (vm.cpp)
   kNative,    ///< JIT-compiled shared object (src/jit), plan fallback
 };
@@ -97,17 +98,6 @@ struct NativeReport {
   /// How the kernel's profit gate decides: "measured", "dispatch"
   /// (always), "serial" (never: one rank), or "none" for a serial kernel.
   std::string gate_mode = "none";
-  /// Profile-guided speculation (policy v4; analysis/speculate.hpp).
-  /// Unlike the fields above, these are filled under *any* engine when a
-  /// dependence profile is attached: steps the planner promoted, steps
-  /// the runtime demoted back to serial after a misspeculation, calls
-  /// the kNative dispatcher routed to the plan VM because the function
-  /// contains a speculative step (counted here, not as fallback_calls),
-  /// and whether the attached profile was rejected (hash mismatch).
-  std::uint64_t spec_promoted_steps = 0;
-  std::uint64_t spec_demoted_steps = 0;
-  std::uint64_t spec_plan_calls = 0;
-  bool spec_profile_rejected = false;
   int num_threads = 1;          ///< pool width behind parallel kernels
   bool cache_hit = false;       ///< compilation skipped (kernel cache)
   std::string object_path;      ///< published cache entry ("" if none)
@@ -127,9 +117,10 @@ struct NativeReport {
 /// Interpreter execution options.
 struct InterpOptions {
   /// Execution engine; plans are the default, the tree-walk remains as the
-  /// semantic reference (the fuzz oracle cross-checks them).
+  /// serial semantic reference (the fuzz oracle cross-checks them).
   ExecEngine engine = ExecEngine::kPlan;
-  bool parallel = false;              ///< run directive-kept steps in parallel
+  /// Run directive-kept steps in parallel (plan and native engines).
+  bool parallel = false;
   int num_threads = 4;
   DirectivePolicy policy = DirectivePolicy::kV0;
   /// Manual tweaks forwarded to the analysis (ioff_search critical etc.).
@@ -148,7 +139,7 @@ struct InterpOptions {
   /// constraint); everything else runs serially. Results are then
   /// bit-identical to a serial run at any thread count — the contract
   /// the parallel native engine provides by construction, surfaced here
-  /// so plan/tree-walk legs can be held to exact equality too.
+  /// so plan legs can be held to exact equality too.
   bool deterministic_parallel = false;
   /// kNative: compiler command ("" resolves $GLAF_CC, then "cc") and
   /// kernel-cache directory ("" resolves $GLAF_KERNEL_CACHE / XDG).
@@ -175,17 +166,6 @@ struct InterpOptions {
   /// kNative opt tier: compile a portable object (generic -O3, no
   /// -march=native). Also forced by $GLAF_NATIVE_PORTABLE.
   bool native_portable = false;
-  /// Memory-profiling mode (LAMP analog, analysis/speculate.hpp): run
-  /// serially on the plan VM and record observed cross-iteration
-  /// read/write conflicts per (function, step) into a DepProfile
-  /// (Machine::dep_profile()). Forces engine = kPlan and parallel = off.
-  bool profile_deps = false;
-  /// A dependence profile recorded by a profile_deps run. Under policy
-  /// v4, profile-clean "complex" steps are promoted to speculative
-  /// parallel execution with runtime band validation; a profile whose
-  /// program hash does not match is ignored and reported through
-  /// NativeReport::spec_profile_rejected.
-  std::shared_ptr<const DepProfile> dep_profile;
 };
 
 /// One trace record: a step that executed.
@@ -203,12 +183,6 @@ struct InterpStats {
   std::uint64_t local_allocations = 0;  ///< local-array materializations
   std::uint64_t parallel_regions = 0;
   std::uint64_t function_calls = 0;
-  /// Policy v4: speculative parallel executions dispatched, post-join
-  /// validations performed, and misspeculations (validation conflicts →
-  /// scratch discarded, step re-run serially).
-  std::uint64_t spec_regions = 0;
-  std::uint64_t spec_validations = 0;
-  std::uint64_t spec_misspeculations = 0;
 };
 
 /// A host-side call argument: a literal scalar, or the name of a Global
@@ -253,15 +227,10 @@ class Machine {
 
   /// Native-engine status: whether the kernel loaded, the fallback
   /// reason when it did not, and per-call dispatch counters. Meaningful
-  /// only under ExecEngine::kNative — except the spec_* speculation
-  /// counters, which any engine fills under policy v4.
+  /// only under ExecEngine::kNative.
   [[nodiscard]] const NativeReport& native_report() const {
     return native_report_;
   }
-
-  /// The dependence profile recorded so far (profile_deps runs only;
-  /// empty otherwise). Stamped with this program's content hash.
-  [[nodiscard]] DepProfile dep_profile() const;
 
  private:
   friend class Executor;
@@ -269,11 +238,6 @@ class Machine {
 
   Instance* find_global(const std::string& name);
   const Instance* find_global(const std::string& name) const;
-
-  /// Policy v4 demotion protocol: a step that misspeculated once runs
-  /// serially for the rest of the machine's life, without re-validation.
-  bool spec_is_demoted(FunctionId fn, std::size_t step);
-  void spec_demote(FunctionId fn, std::size_t step);
 
   const Program program_;
   InterpOptions options_;
@@ -301,20 +265,9 @@ class Machine {
   std::vector<TraceEntry> trace_;
   mutable std::mutex trace_mutex_;
 
-  /// Grids whose updates must be atomic anywhere inside a parallel region
-  /// (verdict-detected plus force_atomic tweaks): models OpenMP's
-  /// "orphaned" ATOMIC directives in callees.
-  std::set<GridId> atomic_grids_;
+  /// Serializes the plan VM's atomic updates inside parallel regions
+  /// (step ATOMIC clauses and "orphaned" ATOMIC directives in callees).
   std::mutex atomic_mutex_;
-
-  /// Memory profiler behind options_.profile_deps (null otherwise).
-  std::unique_ptr<DepProfiler> profiler_;
-  /// Policy v4: functions containing at least one promoted step (kNative
-  /// routes their calls to the plan VM, where the validation leg lives)
-  /// and the steps demoted to serial after a misspeculation.
-  std::set<FunctionId> spec_functions_;
-  std::set<std::pair<FunctionId, std::size_t>> spec_demoted_;
-  std::mutex spec_mutex_;
 };
 
 }  // namespace glaf

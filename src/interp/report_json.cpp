@@ -33,14 +33,6 @@ std::string native_report_json(const NativeReport& report) {
   w.value(report.gate_mode);
   w.key("num_threads");
   w.value(report.num_threads);
-  w.key("spec_promoted_steps");
-  w.value(report.spec_promoted_steps);
-  w.key("spec_demoted_steps");
-  w.value(report.spec_demoted_steps);
-  w.key("spec_plan_calls");
-  w.value(report.spec_plan_calls);
-  w.key("spec_profile_rejected");
-  w.value(report.spec_profile_rejected);
   w.key("cache_hit");
   w.value(report.cache_hit);
   w.key("object_path");
@@ -70,12 +62,6 @@ std::string interp_stats_json(const InterpStats& stats) {
   w.value(stats.parallel_regions);
   w.key("function_calls");
   w.value(stats.function_calls);
-  w.key("spec_regions");
-  w.value(stats.spec_regions);
-  w.key("spec_validations");
-  w.value(stats.spec_validations);
-  w.key("spec_misspeculations");
-  w.value(stats.spec_misspeculations);
   w.end_object();
   return std::move(w).str();
 }

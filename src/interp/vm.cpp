@@ -2,16 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
+#include <limits>
 #include <utility>
 
-#include "analysis/speculate.hpp"
 #include "codegen/directive_policy.hpp"
 #include "core/libfuncs.hpp"
 #include "core/typecheck.hpp"
 #include "interp/exec_common.hpp"
 #include "runtime/thread_pool.hpp"
-#include "support/fault.hpp"
 #include "support/strings.hpp"
 
 namespace glaf::interp {
@@ -19,6 +17,26 @@ namespace glaf::interp {
 namespace {
 std::int64_t to_index(double v) {
   return static_cast<std::int64_t>(std::llround(v));
+}
+
+double reduction_identity(ReduceOp op) {
+  switch (op) {
+    case ReduceOp::kSum: return 0.0;
+    case ReduceOp::kProd: return 1.0;
+    case ReduceOp::kMin: return std::numeric_limits<double>::infinity();
+    case ReduceOp::kMax: return -std::numeric_limits<double>::infinity();
+  }
+  return 0.0;
+}
+
+double reduction_combine(ReduceOp op, double a, double b) {
+  switch (op) {
+    case ReduceOp::kSum: return a + b;
+    case ReduceOp::kProd: return a * b;
+    case ReduceOp::kMin: return std::min(a, b);
+    case ReduceOp::kMax: return std::max(a, b);
+  }
+  return a;
 }
 }  // namespace
 
@@ -183,15 +201,6 @@ double* PlanExecutor::elem_addr(Ctx& C, std::uint32_t access) {
   return br.base + off;
 }
 
-void PlanExecutor::note_access(Ctx& C, std::uint32_t access, const double* p,
-                               bool write) {
-  const BoundAccess& ba = C.cs->accesses[access];
-  if (C.prof != nullptr) C.prof->record(p, write);
-  if (C.spec != nullptr) {
-    C.spec->note(ba.ref, p - C.cs->refs[ba.ref].base, write);
-  }
-}
-
 // ---- dispatch --------------------------------------------------------------
 
 void PlanExecutor::run_range(Ctx& C, std::uint32_t begin, std::uint32_t end) {
@@ -208,29 +217,15 @@ void PlanExecutor::run_range(Ctx& C, std::uint32_t begin, std::uint32_t end) {
       case POp::kLoadIdx:
         regs[in.dst] = static_cast<double>(idx[in.a]);
         break;
-      case POp::kLoadGrid: {
-        const double* p = elem_addr(C, in.c);
-        if (C.prof != nullptr || C.spec != nullptr) {
-          note_access(C, in.c, p, false);
-        }
-        regs[in.dst] = *p;
-        break;
-      }
+      case POp::kLoadGrid: regs[in.dst] = *elem_addr(C, in.c); break;
       case POp::kStoreGrid: {
         const double v = regs[in.a];
         double* p = elem_addr(C, in.c);
-        if (C.prof != nullptr || C.spec != nullptr) {
-          note_access(C, in.c, p, true);
-        }
         *p = (in.flags & kFlagTruncStore) != 0 ? std::trunc(v) : v;
         break;
       }
       case POp::kStoreAtomic: {
-        double* p = elem_addr(C, in.c);
-        if (C.prof != nullptr || C.spec != nullptr) {
-          note_access(C, in.c, p, true);
-        }
-        *p = regs[in.a];
+        *elem_addr(C, in.c) = regs[in.a];
         if (--atomic_depth_ == 0) atomic_lock_.unlock();
         break;
       }
@@ -299,10 +294,6 @@ void PlanExecutor::run_range(Ctx& C, std::uint32_t begin, std::uint32_t end) {
           fail(cat("no field '", C.plan->refs[lc.ref].field, "' in grid '",
                    br.inst->grid->name, "'"));
         }
-        if (C.prof != nullptr) C.prof->record_range(br.base, br.size, false);
-        if (C.spec != nullptr) {
-          C.spec->note_range(lc.ref, 0, br.size - 1, false);
-        }
         regs[in.dst] = lc.lib->eval(br.base, static_cast<int>(br.size));
         break;
       }
@@ -322,8 +313,8 @@ void PlanExecutor::run_range(Ctx& C, std::uint32_t begin, std::uint32_t end) {
             ((in.flags & kFlagStepAtomic) != 0 && C.parallel_active) ||
             ((in.flags & kFlagMachineAtomic) != 0 && in_parallel_region);
         if (hit) {
-          // Re-entrant on the same executor (the tree-walk would
-          // self-deadlock here); the store releases at depth zero.
+          // Re-entrant on the same executor; the store releases at
+          // depth zero.
           if (atomic_depth_++ == 0) atomic_lock_.lock();
           pc = in.c;
         }
@@ -393,7 +384,6 @@ void PlanExecutor::run_loops(Ctx& C, const StepPlan& sp, std::size_t depth) {
   for (std::int64_t i = begin; stride > 0 ? i <= end : i >= end;
        i += stride) {
     f.idx[lp.idx_slot] = i;
-    if (depth == 0 && C.prof != nullptr) C.prof->set_iteration(i);
     if (depth + 1 == sp.loops.size()) ++stats.loop_iterations;
     run_loops(C, sp, depth + 1);
     if (f.returned) break;
@@ -461,39 +451,18 @@ double PlanExecutor::call_function(const FunctionPlan& plan,
         (!m_.options_.deterministic_parallel ||
          (verdict->bit_exact && verdict->exact_partition_dim < 0));
     const std::uint64_t iterations_before = stats.loop_iterations;
-    bool ran_parallel = parallel;
     if (parallel) {
       ++stats.parallel_regions;
       run_step_parallel(cs, plan, sp, fn.steps[s], *verdict);
     } else {
-      // Policy v4: profile-promoted steps run speculatively in parallel
-      // with post-join validation; a misspeculated step is demoted for
-      // the rest of the run (see run_step_speculative).
-      SpecOutcome spec = SpecOutcome::kNotRun;
-      if (m_.options_.parallel && !in_parallel_region && verdict != nullptr &&
-          verdict->speculative &&
-          m_.options_.policy == DirectivePolicy::kV4 &&
-          m_.pool_ != nullptr && !m_.spec_is_demoted(fn.id, s)) {
-        spec = run_step_speculative(cs, plan, sp, *verdict, fn.id, s);
-      }
-      if (spec == SpecOutcome::kNotRun) {
-        Ctx C{&plan, &cs, verdict, false};
-        if (m_.profiler_ != nullptr) {
-          C.prof = m_.profiler_.get();
-          C.prof->begin_step(fn.name, s);
-          run_loops(C, sp, 0);
-          C.prof->end_step();
-        } else {
-          run_loops(C, sp, 0);
-        }
-      }
-      ran_parallel = spec == SpecOutcome::kCommitted;
+      Ctx C{&plan, &cs, verdict, false};
+      run_loops(C, sp, 0);
     }
     if (m_.options_.trace) {
       const std::lock_guard<std::mutex> lock(m_.trace_mutex_);
       m_.trace_.push_back(TraceEntry{
           fn.name, fn.steps[s].name,
-          stats.loop_iterations - iterations_before, ran_parallel});
+          stats.loop_iterations - iterations_before, parallel});
     }
     if (f.returned) break;
   }
@@ -531,8 +500,7 @@ void PlanExecutor::run_step_parallel(CallScratch& cs, const FunctionPlan& plan,
       std::max(verdict.collapse, 1), sp.loops.size());
   Ctx C{&plan, &cs, nullptr, false};
   // Band bounds are loop-invariant by the collapse legality rule; a bound
-  // that does reference an index must fail exactly like the tree-walk's
-  // empty IndexEnv lookup.
+  // that does reference an index fails with the unbound-index message.
   const auto band_eval = [&](const ExprProg& p) -> std::int64_t {
     if (p.idx_mask != 0) {
       fail(cat("index variable '", step.loops[p.first_idx].index_var,
@@ -567,8 +535,7 @@ void PlanExecutor::run_step_parallel(CallScratch& cs, const FunctionPlan& plan,
     PlanExecutor& w = worker(rank);
     w.stats = {};
     w.global_overrides = global_overrides;
-    // SAVE'd locals are per-chunk threadprivate, exactly like the
-    // tree-walk's fresh worker Executors.
+    // SAVE'd locals are per-chunk threadprivate.
     w.saved_locals_local_.clear();
     CallScratch& wcs = w.acquire_scratch();
     try {
@@ -663,247 +630,6 @@ void PlanExecutor::run_step_parallel(CallScratch& cs, const FunctionPlan& plan,
   } else {
     m_.pool_->parallel_for(iters, chunk_body);
   }
-}
-
-// ---- speculative execution (policy v4) -------------------------------------
-//
-// A profile-promoted step runs its outer loop as static chunks, every rank
-// writing to a full private snapshot of each written instance while logging
-// element-offset [min, max] access bands per plan ref. After the join the
-// bands are validated: overlapping write bands between any two ranks, or an
-// earlier rank's write band touching a later rank's read band, mean the
-// profile lied and the region is discarded — shared state was never
-// written, so a serial re-run on the untouched frame reproduces serial
-// behaviour bit for bit and the step is demoted for the rest of the run.
-// On success the disjoint write spans commit into the shared buffers in
-// rank (== iteration) order.
-
-PlanExecutor::SpecOutcome PlanExecutor::run_step_speculative(
-    CallScratch& cs, const FunctionPlan& plan, const StepPlan& sp,
-    const StepVerdict& verdict, FunctionId fn_id, std::size_t step_index) {
-  // Only the outermost loop is chunked: static chunks make rank order the
-  // iteration-band order, which both validation rules and the rank-ordered
-  // commit rely on. Bounds that read an index variable would fail the same
-  // way serially, so leave those to the serial path.
-  if (sp.loops.empty()) return SpecOutcome::kNotRun;
-  const LoopPlan& lp = sp.loops[0];
-  if (lp.begin.idx_mask != 0 || lp.end.idx_mask != 0 ||
-      (lp.has_stride && lp.stride.idx_mask != 0)) {
-    return SpecOutcome::kNotRun;
-  }
-
-  // The promotion pass (analysis/speculate.cpp) excluded callees and early
-  // returns; re-check against the compiled plan — which may encode traps
-  // the AST scan did not see — and collect the written grids while at it.
-  std::set<GridId> written;
-  const auto scan = [&](std::uint32_t begin, std::uint32_t end) -> bool {
-    for (std::uint32_t pc = begin; pc < end; ++pc) {
-      const PlanInstr& in = plan.code[pc];
-      if (in.op == POp::kCallUser || in.op == POp::kCallSub ||
-          in.op == POp::kReturnValue || in.op == POp::kReturnVoid) {
-        return false;
-      }
-      if (in.op == POp::kStoreGrid || in.op == POp::kStoreAtomic) {
-        written.insert(plan.refs[plan.accesses[in.c].ref].grid);
-      }
-    }
-    return true;
-  };
-  if (!scan(sp.body_begin, sp.body_end)) return SpecOutcome::kNotRun;
-  for (const LoopPlan& l : sp.loops) {
-    if (!scan(l.begin.begin, l.begin.end) || !scan(l.end.begin, l.end.end)) {
-      return SpecOutcome::kNotRun;
-    }
-    if (l.has_stride && !scan(l.stride.begin, l.stride.end)) {
-      return SpecOutcome::kNotRun;
-    }
-  }
-
-  // Outer bounds are pure (the scan above rejected calls), so evaluating
-  // them here does not perturb the serial fallback that may still run.
-  Ctx C{&plan, &cs, &verdict, false};
-  const std::int64_t begin = eval_prog_int(C, lp.begin);
-  const std::int64_t end = eval_prog_int(C, lp.end);
-  const std::int64_t stride = lp.has_stride ? eval_prog_int(C, lp.stride) : 1;
-  if (stride == 0) fail("zero loop stride");
-  const std::int64_t span = stride > 0 ? end - begin : begin - end;
-  const std::int64_t trips = span < 0 ? 0 : span / std::llabs(stride) + 1;
-  if (trips < 2) return SpecOutcome::kNotRun;
-
-  PlanFrame& f = cs.frame;
-  std::set<const Instance*> written_insts;
-  for (const GridId id : written) {
-    // An unbound written grid must fail with the serial message.
-    if (f.slots[id] == nullptr) return SpecOutcome::kNotRun;
-    written_insts.insert(f.slots[id]);
-  }
-  if (written_insts.empty()) return SpecOutcome::kNotRun;
-
-  // Every slot bound to a written Instance redirects to the same per-rank
-  // snapshot — a global passed as a parameter aliases two GridIds onto one
-  // instance, and a rank must see its own writes through both names.
-  std::vector<GridId> redirect;
-  for (std::size_t id = 0; id < f.slots.size(); ++id) {
-    if (f.slots[id] != nullptr && written_insts.count(f.slots[id]) != 0) {
-      redirect.push_back(static_cast<GridId>(id));
-    }
-  }
-
-  if (workers_.empty()) {
-    workers_.resize(static_cast<std::size_t>(m_.pool_->size()));
-  }
-  const std::size_t nranks = static_cast<std::size_t>(m_.pool_->size());
-  std::vector<SpecLog> logs(nranks);
-  for (SpecLog& log : logs) log.refs.assign(plan.refs.size(), SpecRefBands{});
-  // scratch[rank]: written shared instance -> this rank's snapshot. Ranks
-  // whose static chunk is empty never run and leave their map empty.
-  std::vector<std::map<const Instance*, std::shared_ptr<Instance>>> scratch(
-      nranks);
-  std::vector<InterpStats> rank_stats(nranks);
-
-  ++stats.parallel_regions;
-  ++stats.spec_regions;
-  bool failed_chunk = false;
-  try {
-    m_.pool_->parallel_for(
-        trips, [&](int rank, std::int64_t cb, std::int64_t ce) {
-          PlanExecutor& w = worker(rank);
-          w.stats = {};
-          w.global_overrides = global_overrides;
-          w.saved_locals_local_.clear();
-          CallScratch& wcs = w.acquire_scratch();
-          try {
-            PlanFrame& tf = wcs.frame;
-            tf.slots.assign(f.slots.begin(), f.slots.end());
-            auto& snap = scratch[static_cast<std::size_t>(rank)];
-            for (const GridId id : redirect) {
-              Instance* shared = f.slots[id];
-              auto it = snap.find(shared);
-              if (it == snap.end()) {
-                auto copy = w.cached_copy(id);
-                *copy = *shared;
-                it = snap.emplace(shared, std::move(copy)).first;
-              }
-              tf.slots[id] = it->second.get();
-              if (m_.program_.grid(id).is_global) {
-                w.global_overrides[id] = it->second.get();
-              }
-              wcs.keepalive.push_back(it->second);
-            }
-            tf.regs.resize(plan.num_regs);
-            tf.idx.resize(plan.num_idx);
-            tf.returned = false;
-            tf.ret_value = 0.0;
-            w.bind(wcs, plan);
-            Ctx WC{&plan, &wcs, &verdict, false};
-            WC.spec = &logs[static_cast<std::size_t>(rank)];
-            for (std::int64_t k = cb; k < ce && !tf.returned; ++k) {
-              tf.idx[lp.idx_slot] = begin + k * stride;
-              if (sp.loops.size() == 1) ++w.stats.loop_iterations;
-              w.run_loops(WC, sp, 1);
-            }
-            rank_stats[static_cast<std::size_t>(rank)] = w.stats;
-            w.release_scratch(wcs);
-          } catch (...) {
-            w.reset_after_error();
-            throw;
-          }
-        });
-  } catch (...) {
-    // A faulting chunk (e.g. a data-dependent subscript fault serial order
-    // might never reach) counts as misspeculation: shared state is still
-    // untouched, so the serial re-run below reproduces serial behaviour
-    // exactly — including the error, if serial order does hit it.
-    failed_chunk = true;
-  }
-
-  ++stats.spec_validations;
-  bool conflict = failed_chunk;
-  if (!conflict && fault::should_fail("interp.spec.validate")) conflict = true;
-  if (!conflict) {
-    // Merge per-ref bands onto (instance, field) keys so aliased grids and
-    // duplicate refs validate as one location, then check:
-    //  - write/write overlap between any two ranks — the commit below
-    //    copies whole [wmin, wmax] spans whose unwritten gaps hold stale
-    //    snapshot values, so overlapping spans cannot merge; and
-    //  - an earlier rank's write band touching a later rank's read band —
-    //    those iterations consumed pre-step values serial order would
-    //    have overwritten.
-    // A later rank writing what an earlier rank read is the serial order
-    // already: a harmless anti-dependence across bands.
-    std::map<std::pair<const Instance*, std::string>,
-             std::vector<SpecRefBands>> locs;
-    for (std::size_t i = 0; i < plan.refs.size(); ++i) {
-      const BoundRef& br = cs.refs[i];
-      if (br.inst == nullptr) continue;
-      auto& per_rank = locs[{br.inst, plan.refs[i].field}];
-      if (per_rank.empty()) per_rank.assign(nranks, SpecRefBands{});
-      for (std::size_t r = 0; r < nranks; ++r) {
-        const SpecRefBands& b = logs[r].refs[i];
-        SpecRefBands& m = per_rank[r];
-        m.rmin = std::min(m.rmin, b.rmin);
-        m.rmax = std::max(m.rmax, b.rmax);
-        m.wmin = std::min(m.wmin, b.wmin);
-        m.wmax = std::max(m.wmax, b.wmax);
-      }
-    }
-    const auto overlaps = [](std::int64_t alo, std::int64_t ahi,
-                             std::int64_t blo, std::int64_t bhi) {
-      return alo <= ahi && blo <= bhi && alo <= bhi && blo <= ahi;
-    };
-    for (const auto& [key, per_rank] : locs) {
-      (void)key;
-      for (std::size_t r = 0; r < nranks && !conflict; ++r) {
-        const SpecRefBands& a = per_rank[r];
-        for (std::size_t later = r + 1; later < nranks; ++later) {
-          const SpecRefBands& b = per_rank[later];
-          if (overlaps(a.wmin, a.wmax, b.wmin, b.wmax) ||
-              overlaps(a.wmin, a.wmax, b.rmin, b.rmax)) {
-            conflict = true;
-            break;
-          }
-        }
-      }
-      if (conflict) break;
-    }
-  }
-
-  if (!conflict) {
-    // Rank-ordered commit: copy each rank's written spans from its
-    // snapshot into the shared buffers. Write bands are pairwise disjoint
-    // (validated above), so span gaps — snapshot values equal to the
-    // shared values — are no-op copies.
-    for (std::size_t r = 0; r < nranks; ++r) {
-      const auto& snap = scratch[r];
-      for (std::size_t i = 0; i < plan.refs.size(); ++i) {
-        const SpecRefBands& b = logs[r].refs[i];
-        if (b.wmax < b.wmin) continue;
-        const BoundRef& br = cs.refs[i];
-        const auto it = snap.find(br.inst);
-        if (it == snap.end()) continue;
-        const Instance& src = *it->second;
-        const std::string& field = plan.refs[i].field;
-        const std::vector<double>& sbuf =
-            field.empty() ? src.data : src.fields.at(field);
-        std::copy(sbuf.begin() + b.wmin, sbuf.begin() + b.wmax + 1,
-                  br.base + b.wmin);
-      }
-      stats.loop_iterations += rank_stats[r].loop_iterations;
-      stats.function_calls += rank_stats[r].function_calls;
-      stats.local_allocations += rank_stats[r].local_allocations;
-      stats.steps_executed += rank_stats[r].steps_executed;
-    }
-    return SpecOutcome::kCommitted;
-  }
-
-  // Misspeculation: the snapshots are discarded (worker caches recycle the
-  // buffers), the step is demoted for the rest of the run, and the
-  // untouched shared frame re-runs serially.
-  ++stats.spec_misspeculations;
-  m_.spec_demote(fn_id, step_index);
-  Ctx S{&plan, &cs, &verdict, false};
-  run_loops(S, sp, 0);
-  return SpecOutcome::kMisspeculated;
 }
 
 // ---- cold-path instance construction --------------------------------------

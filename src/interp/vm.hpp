@@ -5,14 +5,14 @@
 // private-copy instances are recycled across chunks and steps — parallel
 // dispatch stops copying shared_ptr maps entirely.
 //
-// The VM must be observably identical to the tree-walk Executor
-// (machine.cpp): same results bit for bit, same stats, same trace
-// entries, same failure messages. Where it is deliberately cheaper (flat
-// offset guard instead of per-dimension subscript checks), the
-// GLAF_CHECKED_PLANS build option restores the full checks.
+// Run serially, the VM must be observably identical to the tree-walk
+// Executor (machine.cpp): same results bit for bit, same stats, same
+// trace entries, same failure messages. Where it is deliberately cheaper
+// (flat offset guard instead of per-dimension subscript checks), the
+// GLAF_CHECKED_PLANS build option restores the full checks. Its parallel
+// path is the interpreter's only one.
 
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -22,40 +22,6 @@
 #include "interp/plan.hpp"
 
 namespace glaf::interp {
-
-/// Element-offset [min, max] access bands of one plan ref for one rank
-/// of a speculative execution (empty band: max < min).
-struct SpecRefBands {
-  std::int64_t rmin = std::numeric_limits<std::int64_t>::max();
-  std::int64_t rmax = -1;
-  std::int64_t wmin = std::numeric_limits<std::int64_t>::max();
-  std::int64_t wmax = -1;
-};
-
-/// Per-rank access log of a speculative region (policy v4): every element
-/// load/store in the step body widens the owning ref's band; the post-join
-/// validator intersects bands across ranks (DESIGN.md §10).
-struct SpecLog {
-  std::vector<SpecRefBands> refs;
-
-  void note(std::uint32_t ref, std::int64_t off, bool write) {
-    SpecRefBands& b = refs[ref];
-    if (write) {
-      if (off < b.wmin) b.wmin = off;
-      if (off > b.wmax) b.wmax = off;
-    } else {
-      if (off < b.rmin) b.rmin = off;
-      if (off > b.rmax) b.rmax = off;
-    }
-  }
-  /// Inclusive range [lo, hi] (whole-grid library reductions).
-  void note_range(std::uint32_t ref, std::int64_t lo, std::int64_t hi,
-                  bool write) {
-    if (hi < lo) return;
-    note(ref, lo, write);
-    note(ref, hi, write);
-  }
-};
 
 /// One grid(+field) resolved to a raw buffer for the current call.
 struct BoundRef {
@@ -119,9 +85,15 @@ class PlanExecutor {
 
   InterpStats stats;
 
-  /// See Executor::global_overrides / in_parallel_region (machine.cpp):
-  /// identical semantics, raw pointers (owned by the worker's caches).
+  /// Per-rank replacements for global grids (private/firstprivate/
+  /// reduction copies inside a parallel region), threaded into every
+  /// callee frame so subprograms called from the region see the rank's
+  /// copies, mirroring OpenMP's threadprivate semantics. Raw pointers,
+  /// owned by the worker's caches.
   std::map<GridId, Instance*> global_overrides;
+  /// True on the per-rank workers of a parallel region: updates to
+  /// machine-level atomic grids are then serialized (orphaned OMP
+  /// ATOMIC directives in callees), and nested regions run serially.
   bool in_parallel_region = false;
 
  private:
@@ -130,18 +102,6 @@ class PlanExecutor {
     CallScratch* cs = nullptr;
     const StepVerdict* verdict = nullptr;
     bool parallel_active = false;
-    /// Observation hooks on the element-access choke points (both null on
-    /// the common path): the dependence profiler (profile_deps runs) and
-    /// the per-rank band logger (speculative executions).
-    DepProfiler* prof = nullptr;
-    SpecLog* spec = nullptr;
-  };
-
-  /// What a speculative dispatch did (policy v4).
-  enum class SpecOutcome {
-    kNotRun,         ///< shape not speculatable here; caller runs serial
-    kCommitted,      ///< validation passed, scratch merged in rank order
-    kMisspeculated,  ///< conflict: scratch discarded, step re-run serially
   };
 
   CallScratch& acquire_scratch();
@@ -158,14 +118,6 @@ class PlanExecutor {
   void run_step_parallel(CallScratch& cs, const FunctionPlan& plan,
                          const StepPlan& sp, const Step& step,
                          const StepVerdict& verdict);
-  /// Speculative parallel execution with post-join band validation
-  /// (policy v4; see DESIGN.md §10 for the protocol).
-  SpecOutcome run_step_speculative(CallScratch& cs, const FunctionPlan& plan,
-                                   const StepPlan& sp,
-                                   const StepVerdict& verdict,
-                                   FunctionId fn_id, std::size_t step_index);
-  /// Cold observation path behind Ctx::prof / Ctx::spec.
-  void note_access(Ctx& C, std::uint32_t access, const double* p, bool write);
 
   void run_call_site(Ctx& C, const PlanInstr& in, double* result);
 
@@ -190,6 +142,9 @@ class PlanExecutor {
 
   std::vector<std::unique_ptr<PlanExecutor>> workers_;
   std::map<GridId, std::shared_ptr<Instance>> copy_cache_;
+  /// Per-rank SAVE'd-locals cache inside parallel regions: SAVE'd
+  /// temporaries become threadprivate there (§4.2.1 pairs the SAVE
+  /// attribute with private/thread-private declarations).
   std::map<GridId, std::shared_ptr<Instance>> saved_locals_local_;
 
   std::unique_lock<std::mutex> atomic_lock_;

@@ -5,7 +5,8 @@
 // Also covers the run-mode --emit tier switch (interp|opt) and its
 // interaction with --engine/--strict-engine, and the machine-readable
 // --json run report (whose native_report object shares its schema with
-// the glaf_serve stats endpoint).
+// the glaf_serve stats endpoint), and the run-mode usage errors for
+// unknown policies and a parallel tree-walk.
 // Runs the real binary (path injected by CMake) through the shell.
 
 #include <gtest/gtest.h>
@@ -162,27 +163,42 @@ TEST(GlafcJson, WithoutTheFlagStdoutStaysEmpty) {
 
 TEST(GlafcPolicies, RejectsUnknownPolicyNames) {
   // --policies is the documented alias for --policy; both must reject
-  // names outside v0..v4 with the full range in the message.
+  // names outside v0..v3 with the full range in the message.
   for (const char* flag : {"--policies=v9", "--policy=v9"}) {
     const RunResult r = run_command(glafc() + " --builtin=sarb --run"
                                               " --engine=plan " +
                                     flag + " 2>&1");
     ASSERT_TRUE(r.started);
     EXPECT_NE(r.exit_code, 0) << flag << ": " << r.output;
-    EXPECT_NE(r.output.find("unknown policy 'v9' (v0..v4)"),
+    EXPECT_NE(r.output.find("unknown policy 'v9' (v0..v3)"),
               std::string::npos)
         << flag << ": " << r.output;
   }
 }
 
-TEST(GlafcPolicies, AcceptsV4WithoutAProfile) {
-  // v4 with no --profile degrades to the static verdicts: nothing to
-  // promote, but the run itself must succeed.
+TEST(GlafcPolicies, RejectsV4) {
+  // The directive policies are the paper's Table 2, v0..v3; there is no
+  // speculative v4.
   const RunResult r = run_command(
-      glafc() + " --builtin=sarb --run --engine=plan --policies=v4"
+      glafc() + " --builtin=sarb --run --engine=plan --policy=v4"
                 " --parallel --threads 2 2>&1");
   ASSERT_TRUE(r.started);
-  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("unknown policy 'v4' (v0..v3)"), std::string::npos)
+      << r.output;
+}
+
+TEST(GlafcEngine, TreeWalkRejectsParallel) {
+  // The tree-walk is the serial reference: asking it for a parallel run
+  // is a usage error, not a silent serial run.
+  const RunResult r = run_command(
+      glafc() + " --builtin=sarb --run --engine=treewalk --parallel 2>&1");
+  ASSERT_TRUE(r.started);
+  EXPECT_NE(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("--parallel requires --engine=plan or"
+                          " --engine=native"),
+            std::string::npos)
+      << r.output;
 }
 
 TEST(GlafcEmitTier, CodegenModeEmitStillSelectsLanguages) {

@@ -55,10 +55,6 @@ TEST_P(CorpusReplay, AgreesAcrossBackends) {
   // (unfused) and with fused region dispatch.
   opts.run_native_parallel = opts.run_compiled_c;
   opts.run_native_fused = opts.run_compiled_c;
-  // Policy-v4 legs: profile serially, then speculate on the recorded
-  // profile — plus the fault-armed variant where every validation
-  // misspeculates and re-runs serially. All bitwise; no compiler needed.
-  opts.run_speculative = true;
   auto loaded = load_repro(GetParam());
   ASSERT_TRUE(loaded.is_ok()) << GetParam();
   auto entry = find_entry(loaded.value());
@@ -72,13 +68,11 @@ TEST_P(CorpusReplay, AgreesAcrossBackends) {
                      : report.divergences[0].backend + " diverged on " +
                            report.divergences[0].grid)
               : report.errors[0]);
-  // Serial plan + 4 policies x {treewalk, plan} = 9 interpreter legs,
-  // plus the 3 speculative legs (profile-serial, parallel-v4-spec,
-  // parallel-v4-spec-fault), plus the native-JIT and compiled-C
-  // backends and 4 policies x {parallel-native, parallel-plan-det,
-  // parallel-fused-native} when a system compiler is present (those
-  // gate on the same cc probe).
-  EXPECT_GE(report.backends_compared, opts.run_compiled_c ? 26 : 12);
+  // Serial plan + 4 policies x parallel plan = 5 interpreter legs, plus
+  // the native-JIT and compiled-C backends and 4 policies x
+  // {parallel-native, parallel-plan-det, parallel-fused-native} when a
+  // system compiler is present (those gate on the same cc probe).
+  EXPECT_GE(report.backends_compared, opts.run_compiled_c ? 19 : 5);
   EXPECT_EQ(report.native_backend_ran, opts.run_compiled_c) << GetParam();
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "core/builder.hpp"
 #include "interp/machine.hpp"
 #include "testing/programs.hpp"
@@ -49,6 +52,38 @@ TEST(ParallelInterp, SerialLoopNotParallelized) {
   ASSERT_TRUE(m.call("prefix").is_ok());
   EXPECT_EQ(m.stats().parallel_regions, 0u);
   EXPECT_DOUBLE_EQ(m.array("arr").value()[7], 8.0);
+
+  // A write subscript the analysis cannot see through, a(MOD(65*i, 64)),
+  // also stays serial, on every call and in deterministic mode too, and
+  // each call leaves exactly the bits a serial machine leaves.
+  constexpr int kN = 64;
+  ProgramBuilder pb("m");
+  auto a = pb.global("a", DataType::kDouble, {kN});
+  auto w = pb.global("w", DataType::kDouble, {kN});
+  auto s = pb.function("f").step("s");
+  s.foreach_("i", 0, kN - 1);
+  s.assign(a(call("MOD", {idx("i") * (kN + 1), E(kN)})),
+           w(idx("i")) + a(idx("i")) * 0.5);
+  const Program blocked = pb.build().value();
+  std::vector<double> wv(kN);
+  for (int i = 0; i < kN; ++i) wv[i] = 1.0 / (3.0 + i);
+  InterpOptions det = parallel_opts();
+  det.deterministic_parallel = true;
+  Machine ser(blocked, {});
+  Machine par(blocked, det);
+  for (Machine* mm : {&ser, &par}) ASSERT_TRUE(mm->set_array("w", wv).is_ok());
+  for (int call_no = 0; call_no < 2; ++call_no) {
+    ASSERT_TRUE(ser.call("f").is_ok());
+    ASSERT_TRUE(par.call("f").is_ok());
+    const auto want = ser.array("a").value();
+    const auto got = par.array("a").value();
+    for (int i = 0; i < kN; ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(want[i]),
+                std::bit_cast<std::uint64_t>(got[i]))
+          << "call " << call_no << " a[" << i << "]";
+    }
+  }
+  EXPECT_EQ(par.stats().parallel_regions, 0u);
 }
 
 TEST(ParallelInterp, ReductionMatchesSerialWithinTolerance) {

@@ -264,7 +264,7 @@ TEST(PlanVsTreeWalk, StatsAndTraceIdentical) {
   }
 }
 
-TEST(PlanVsTreeWalk, ParallelCollapseBandBitIdentical) {
+Program collapse_band_program() {
   ProgramBuilder pb("m");
   auto a = pb.global("a", DataType::kDouble, {E(12), E(10)});
   auto fb = pb.function("f");
@@ -272,18 +272,20 @@ TEST(PlanVsTreeWalk, ParallelCollapseBandBitIdentical) {
   s.foreach_("i", 0, 11).foreach_("j", 0, 9);
   s.assign(a(idx("i"), idx("j")),
            idx("i") * 100.0 + idx("j") + call("SQRT", {idx("i") + 1.0}));
-  const Program p = pb.build().value();
+  return pb.build().value();
+}
 
+TEST(PlanVsTreeWalk, ParallelCollapseBandBitIdentical) {
+  // The parallel plan VM, statically and dynamically scheduled, against
+  // the serial tree-walk reference.
+  const Program p = collapse_band_program();
   for (const bool dynamic : {false, true}) {
-    InterpOptions tw_opts = with_engine(ExecEngine::kTreeWalk);
     InterpOptions pl_opts = with_engine(ExecEngine::kPlan);
-    for (InterpOptions* o : {&tw_opts, &pl_opts}) {
-      o->parallel = true;
-      o->num_threads = 3;
-      o->policy = DirectivePolicy::kV0;
-      o->dynamic_schedule = dynamic;
-    }
-    Machine tw(p, tw_opts);
+    pl_opts.parallel = true;
+    pl_opts.num_threads = 3;
+    pl_opts.policy = DirectivePolicy::kV0;
+    pl_opts.dynamic_schedule = dynamic;
+    Machine tw(p, with_engine(ExecEngine::kTreeWalk));
     Machine pl(p, pl_opts);
     ASSERT_TRUE(tw.call("f").is_ok());
     ASSERT_TRUE(pl.call("f").is_ok());
@@ -294,6 +296,26 @@ TEST(PlanVsTreeWalk, ParallelCollapseBandBitIdentical) {
     for (std::size_t i = 0; i < va.size(); ++i) {
       expect_bit_equal(va[i], vb[i], "a[" + std::to_string(i) + "]");
     }
+  }
+}
+
+TEST(PlanVsTreeWalk, TreeWalkIgnoresParallel) {
+  // The tree-walk has no parallel path: a machine built with `parallel`
+  // set runs serially, bit for bit like a serial one.
+  const Program p = collapse_band_program();
+  InterpOptions par_opts = with_engine(ExecEngine::kTreeWalk);
+  par_opts.parallel = true;
+  par_opts.num_threads = 3;
+  Machine serial(p, with_engine(ExecEngine::kTreeWalk));
+  Machine par(p, par_opts);
+  ASSERT_TRUE(serial.call("f").is_ok());
+  ASSERT_TRUE(par.call("f").is_ok());
+  EXPECT_EQ(par.stats().parallel_regions, 0u);
+  const auto va = serial.array("a").value();
+  const auto vb = par.array("a").value();
+  ASSERT_EQ(va.size(), vb.size());
+  for (std::size_t i = 0; i < va.size(); ++i) {
+    expect_bit_equal(va[i], vb[i], "a[" + std::to_string(i) + "]");
   }
 }
 

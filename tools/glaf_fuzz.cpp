@@ -1,6 +1,6 @@
 // glaf-fuzz — property-based fuzzer driving the multi-backend
 // differential oracle. Generates random valid GLAF programs, runs each
-// through the serial interpreter, the parallel interpreter under every
+// through the serial interpreters, the parallel plan engine under every
 // directive policy, and the compiled C back-end, and reports any
 // divergence. Failing cases are greedily shrunk and written as repro
 // files that replay byte-identically from the recorded seed.
@@ -15,27 +15,19 @@
 //   glaf-fuzz --dump-seed N            print the generated program and exit
 //   glaf-fuzz --no-cc                  skip the compiled-C backend
 //   glaf-fuzz --no-native              skip the in-process native JIT backend
-//   glaf-fuzz --no-parallel            skip the parallel-interpreter backends
-//   glaf-fuzz --engine=E               engines to cross-check: plan, treewalk
-//                                      or both (default both) select the
-//                                      interpreter legs; native runs only the
-//                                      in-process JIT leg (no subprocess C)
+//   glaf-fuzz --no-parallel            skip the parallel plan-engine backends
+//   glaf-fuzz --engine=E               plan (default) runs the plan legs beside
+//                                      the native and C backends; native runs
+//                                      only the in-process JIT leg (no plan
+//                                      legs, no subprocess C)
 //   glaf-fuzz --parallel               add the parallel-native + deterministic
 //                                      parallel-plan legs, held to bitwise
 //                                      equality under every selected policy
 //   glaf-fuzz --fuse                   add the fused-region parallel-native
 //                                      legs (ABI v3: adjacent fusable steps
 //                                      share one fork/join), also bitwise
-//   glaf-fuzz --speculate              add the policy-v4 legs: a bitwise
-//                                      serial profiling run, the speculative
-//                                      parallel plan engine driven by that
-//                                      profile, and the same run with the
-//                                      validation fault site armed (forced
-//                                      misspeculation + serial re-runs) —
-//                                      all three held to exact equality
 //   glaf-fuzz --policies=all|v0,v2,..  directive policies for those legs
-//                                      (default all of v0..v3; v4 implies
-//                                      --speculate)
+//                                      (default all of v0..v3)
 //   glaf-fuzz --emit=opt               add the opt-tier native leg (typed
 //                                      storage, -O3, contraction on). The
 //                                      comparator forks: every interp-tier
@@ -92,8 +84,7 @@ void usage(const char* argv0) {
                "          [--repro-dir DIR] [--replay FILE] [--dump-seed N]\n"
                "          [--threads N] [--rtol X] [--atol X] [--no-cc]\n"
                "          [--no-native] [--no-parallel] [--parallel] [--fuse]\n"
-               "          [--speculate] [--policies=all|v0,v1,...]\n"
-               "          [--engine=plan|treewalk|both|native]\n"
+               "          [--policies=all|v0,v1,...] [--engine=plan|native]\n"
                "          [--emit=interp|opt] [--max-ulp N]\n"
                "          [--opt-rtol X] [--opt-atol X]\n",
                argv0);
@@ -153,8 +144,6 @@ bool parse_args(int argc, char** argv, CliOptions* opts) {
       opts->oracle.run_native_parallel = true;
     } else if (arg == "--fuse") {
       opts->oracle.run_native_fused = true;
-    } else if (arg == "--speculate") {
-      opts->oracle.run_speculative = true;
     } else if (arg.rfind("--policies", 0) == 0) {
       std::string value;
       if (arg.size() > 10 && arg[10] == '=') {
@@ -181,10 +170,6 @@ bool parse_args(int argc, char** argv, CliOptions* opts) {
             policies.push_back(DirectivePolicy::kV2);
           } else if (name == "v3") {
             policies.push_back(DirectivePolicy::kV3);
-          } else if (name == "v4") {
-            // v4 is not a per-policy interpreter leg: it selects the
-            // speculative leg set, same as --speculate.
-            opts->oracle.run_speculative = true;
           } else {
             std::fprintf(stderr, "unknown policy: %s\n", name.c_str());
             return false;
@@ -207,18 +192,10 @@ bool parse_args(int argc, char** argv, CliOptions* opts) {
       }
       if (value == "plan") {
         opts->oracle.run_plan = true;
-        opts->oracle.run_treewalk_parallel = false;
-      } else if (value == "treewalk") {
-        opts->oracle.run_plan = false;
-        opts->oracle.run_treewalk_parallel = true;
-      } else if (value == "both") {
-        opts->oracle.run_plan = true;
-        opts->oracle.run_treewalk_parallel = true;
       } else if (value == "native") {
         // The fast in-process oracle: serial tree-walk reference vs the
         // JIT kernel, no plan legs and no subprocess C round-trip.
         opts->oracle.run_plan = false;
-        opts->oracle.run_treewalk_parallel = false;
         opts->oracle.run_parallel = false;
         opts->oracle.run_native = true;
         opts->oracle.run_compiled_c = false;
@@ -429,10 +406,7 @@ int main(int argc, char** argv) {
       ++duplicates;  // identical program already exercised this sweep
       continue;
     }
-    OracleOptions oracle = opts.oracle;
-    // Different fault-injection decisions per seed, reproducible per seed.
-    oracle.spec_fault_seed = seed + 1;
-    const OracleReport report = run_oracle(fp.program, fp.entry, oracle);
+    const OracleReport report = run_oracle(fp.program, fp.entry, opts.oracle);
     ++ran;
     if (!report.agreed()) {
       std::fprintf(stderr, "seed %llu: DIVERGED\n",

@@ -11,7 +11,7 @@
 //   glafc --builtin=sarb --dump                          # IR text format
 //   glafc program.glaf --run=ENTRY --engine=plan         # execute directly
 //
-// Options: --emit=fortran|c|opencl, --policy=v0..v4 (--policies is an
+// Options: --emit=fortran|c|opencl, --policy=v0..v3 (--policies is an
 //          alias), --serial, --soa,
 //          --save-temporaries, --no-collapse, --out=FILE,
 //          --opt=inline,fold (IR passes applied in order before analysis),
@@ -20,10 +20,11 @@
 //          (ENTRY defaults to the first zero-parameter subroutine);
 //          --engine=plan|treewalk|native selects the execution engine
 //          (plan is the default: compiled flat plans on the bytecode VM;
-//          treewalk is the reference AST interpreter; native JIT-compiles
-//          the program to a shared object and runs it in-process, falling
-//          back to plans when it cannot), --parallel enables the
-//          auto-parallelized path under --policy, --threads=N sizes it.
+//          treewalk is the serial reference AST interpreter; native
+//          JIT-compiles the program to a shared object and runs it
+//          in-process, falling back to plans when it cannot), --parallel
+//          enables the auto-parallelized path under --policy (plan and
+//          native only), --threads=N sizes it.
 //          --strict-engine turns any native-engine fallback — whole-engine
 //          unavailability or per-call plan routing — into a non-zero exit
 //          instead of a warning. --json prints a machine-readable run
@@ -36,18 +37,11 @@
 //          compiles -O3 with contraction on (serial dispatch, results
 //          within a ulp budget of the interpreter). --portable drops
 //          -march=native from the opt tier for relocatable kernel caches.
-//          --profile-out=FILE runs the entry serially under the memory
-//          profiler and writes the observed dependence profile;
-//          --profile=FILE attaches a recorded profile so --policy=v4
-//          --parallel can speculate on profile-clean serial steps
-//          (misspeculating steps are validated, re-run serially, and
-//          demoted — see DESIGN.md §10).
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
-#include "analysis/speculate.hpp"
 #include "analysis/transform.hpp"
 #include "codegen/c.hpp"
 #include "codegen/fortran.hpp"
@@ -98,8 +92,7 @@ StatusOr<DirectivePolicy> parse_policy(const std::string& policy) {
   if (policy == "v1") return DirectivePolicy::kV1;
   if (policy == "v2") return DirectivePolicy::kV2;
   if (policy == "v3") return DirectivePolicy::kV3;
-  if (policy == "v4") return DirectivePolicy::kV4;
-  return invalid_argument("unknown policy '" + policy + "' (v0..v4)");
+  return invalid_argument("unknown policy '" + policy + "' (v0..v3)");
 }
 
 /// --policy with --policies accepted as an alias (the planner-pass
@@ -126,28 +119,10 @@ int run_program(const CliArgs& args, Program program) {
   if (!policy.is_ok()) return fail(policy.status().message());
   iopts.policy = policy.value();
   iopts.parallel = args.get_bool("parallel", false);
-
-  // Dependence profiling (policy v4's input): --profile-out records a
-  // serial profiling run; --profile attaches a recorded profile for the
-  // speculation pass.
-  const std::string profile_out = args.get("profile-out", "");
-  const std::string profile_in = args.get("profile", "");
-  if (!profile_out.empty() && !profile_in.empty()) {
-    return fail("--profile and --profile-out are mutually exclusive");
-  }
-  iopts.profile_deps = !profile_out.empty();
-  std::shared_ptr<const DepProfile> dep_profile;
-  if (!profile_in.empty()) {
-    std::ifstream pin(profile_in);
-    if (!pin) return fail("cannot open profile '" + profile_in + "'");
-    std::ostringstream ptext;
-    ptext << pin.rdbuf();
-    auto parsed = parse_dep_profile(ptext.str());
-    if (!parsed.is_ok()) {
-      return fail("--profile: " + std::string(parsed.status().message()));
-    }
-    dep_profile = std::make_shared<DepProfile>(std::move(parsed).value());
-    iopts.dep_profile = dep_profile;
+  if (iopts.parallel && iopts.engine == ExecEngine::kTreeWalk) {
+    return fail(
+        "--parallel requires --engine=plan or --engine=native (treewalk is"
+        " the serial reference)");
   }
   iopts.num_threads = static_cast<int>(args.get_int("threads", 4));
   iopts.save_temporaries = args.get_bool("save-temporaries", false);
@@ -187,12 +162,6 @@ int run_program(const CliArgs& args, Program program) {
   if (strict_engine && iopts.engine != ExecEngine::kNative) {
     return fail("--strict-engine requires --engine=native");
   }
-  if (dep_profile != nullptr &&
-      dep_profile->program_hash != dep_profile_program_hash(program)) {
-    return fail(
-        "--profile: dependence profile was recorded for a different"
-        " program");
-  }
   Machine m(std::move(program), iopts);
   if (iopts.engine == ExecEngine::kNative && !m.native_report().available) {
     if (strict_engine) {
@@ -209,16 +178,6 @@ int run_program(const CliArgs& args, Program program) {
     return fail("run '" + entry + "': " + std::string(result.status().message()));
   }
   const InterpStats& st = m.stats();
-  if (!profile_out.empty()) {
-    const DepProfile recorded = m.dep_profile();
-    std::ofstream pout(profile_out);
-    if (!pout) return fail("cannot write profile '" + profile_out + "'");
-    pout << serialize_dep_profile(recorded);
-    std::fprintf(stderr,
-                 "glafc: wrote dependence profile (%zu step record(s))"
-                 " to %s\n",
-                 recorded.steps.size(), profile_out.c_str());
-  }
   if (args.get_bool("json", false)) {
     // Machine-readable run report on stdout: one object, the
     // native_report under the same schema the serve stats endpoint
@@ -249,18 +208,6 @@ int run_program(const CliArgs& args, Program program) {
                static_cast<unsigned long long>(st.steps_executed),
                static_cast<unsigned long long>(st.loop_iterations),
                static_cast<unsigned long long>(st.parallel_regions));
-  if (iopts.policy == DirectivePolicy::kV4 && dep_profile != nullptr) {
-    const NativeReport& nr = m.native_report();
-    std::fprintf(stderr,
-                 "glafc: speculation: %llu step(s) promoted, %llu region(s),"
-                 " %llu validation(s), %llu misspeculation(s),"
-                 " %llu step(s) demoted\n",
-                 static_cast<unsigned long long>(nr.spec_promoted_steps),
-                 static_cast<unsigned long long>(st.spec_regions),
-                 static_cast<unsigned long long>(st.spec_validations),
-                 static_cast<unsigned long long>(st.spec_misspeculations),
-                 static_cast<unsigned long long>(nr.spec_demoted_steps));
-  }
   if (iopts.engine == ExecEngine::kNative && m.native_report().available) {
     const NativeReport& nr = m.native_report();
     std::fprintf(stderr,
