@@ -87,12 +87,21 @@ std::vector<double> external_inputs(const Grid& g, std::int64_t elements) {
 /// Final values of every global, in global_grids order.
 using Snapshot = std::vector<std::vector<double>>;
 
-StatusOr<Snapshot> run_interpreter(const Program& program,
-                                   const std::string& entry,
-                                   const std::vector<GlobalSpec>& specs,
-                                   const InterpOptions& options) {
+/// Run `entry` on a Machine built with `options` and snapshot every global.
+/// A native machine must really run the kernel: for programs that pass
+/// global_specs the kernel must compile, load and dispatch, so a fallback
+/// is an oracle error, not a silent plan-engine result.
+StatusOr<Snapshot> run_machine(const Program& program,
+                               const std::string& entry,
+                               const std::vector<GlobalSpec>& specs,
+                               const InterpOptions& options) {
+  const bool native = options.engine == ExecEngine::kNative;
   try {
     Machine m(program, options);
+    if (native && !m.native_report().available) {
+      return internal_error(
+          cat("kernel unavailable: ", m.native_report().fallback_reason));
+    }
     for (const GlobalSpec& spec : specs) {
       if (spec.grid->external == ExternalKind::kNone) continue;
       const std::vector<double> inputs =
@@ -104,6 +113,9 @@ StatusOr<Snapshot> run_interpreter(const Program& program,
     }
     const StatusOr<double> result = m.call(entry);
     if (!result.is_ok()) return result.status();
+    if (native && m.native_report().native_calls == 0) {
+      return internal_error("entry call fell back to the plan engine");
+    }
     Snapshot snap;
     for (const GlobalSpec& spec : specs) {
       if (spec.grid->dims.empty()) {
@@ -118,7 +130,8 @@ StatusOr<Snapshot> run_interpreter(const Program& program,
     }
     return snap;
   } catch (const std::exception& e) {
-    return internal_error(cat("interpreter exception: ", e.what()));
+    return internal_error(cat(native ? "native engine" : "interpreter",
+                              " exception: ", e.what()));
   }
 }
 
@@ -262,71 +275,6 @@ StatusOr<Snapshot> run_compiled_c(const Program& program,
   return snap;
 }
 
-/// The in-process native leg: the program is JIT-compiled to a shared
-/// object (src/jit) and the entry call runs inside this process. Any
-/// fallback is an oracle error — for programs that pass global_specs the
-/// kernel must compile, load and dispatch, or the engine has a bug.
-/// `parallel` runs the host-driven parallel kernel under `policy`; its
-/// results must still be bit-identical to the serial reference.
-StatusOr<Snapshot> run_native(const Program& program, const std::string& entry,
-                              const std::vector<GlobalSpec>& specs,
-                              const OracleOptions& opts, bool parallel,
-                              DirectivePolicy policy, bool fuse = false,
-                              NumericModel model = NumericModel::kInterp) {
-  try {
-    InterpOptions nopts;
-    nopts.engine = ExecEngine::kNative;
-    nopts.parallel = parallel;
-    nopts.num_threads = opts.num_threads;
-    nopts.policy = policy;
-    nopts.deterministic_parallel = parallel;
-    nopts.fuse_regions = fuse;
-    nopts.native_model = model;
-    // The oracle exists to exercise the dispatch paths, so the profit
-    // gate must not divert regions to serial (the measured gate would
-    // keep most fuzz-sized regions serial, and a single-core host all).
-    nopts.gate_min_units = 0;
-    nopts.native_cc = opts.cc;
-    nopts.native_cache_dir = opts.native_cache_dir.empty()
-                                 ? cat(opts.work_dir, "/glaf-fuzz-kernels")
-                                 : opts.native_cache_dir;
-    Machine m(program, nopts);
-    if (!m.native_report().available) {
-      return internal_error(
-          cat("kernel unavailable: ", m.native_report().fallback_reason));
-    }
-    for (const GlobalSpec& spec : specs) {
-      if (spec.grid->external == ExternalKind::kNone) continue;
-      const std::vector<double> inputs =
-          external_inputs(*spec.grid, spec.elements);
-      Status s = spec.grid->dims.empty()
-                     ? m.set_scalar(spec.grid->name, inputs[0])
-                     : m.set_array(spec.grid->name, inputs);
-      if (!s.is_ok()) return s;
-    }
-    const StatusOr<double> result = m.call(entry);
-    if (!result.is_ok()) return result.status();
-    if (m.native_report().native_calls == 0) {
-      return internal_error("entry call fell back to the plan engine");
-    }
-    Snapshot snap;
-    for (const GlobalSpec& spec : specs) {
-      if (spec.grid->dims.empty()) {
-        const StatusOr<double> v = m.scalar(spec.grid->name);
-        if (!v.is_ok()) return v.status();
-        snap.push_back({v.value()});
-      } else {
-        StatusOr<std::vector<double>> v = m.array(spec.grid->name);
-        if (!v.is_ok()) return v.status();
-        snap.push_back(std::move(v).value());
-      }
-    }
-    return snap;
-  } catch (const std::exception& e) {
-    return internal_error(cat("native engine exception: ", e.what()));
-  }
-}
-
 /// How a backend's snapshot is held to the reference. The bitwise and
 /// tolerance modes are rtol/atol with NaN==NaN (rtol=atol=0 for exact
 /// backends); the opt tier instead forks to the ulp comparator, whose
@@ -363,6 +311,16 @@ void compare_snapshots(const std::string& backend, const Snapshot& reference,
   }
 }
 
+/// One in-process backend: a Machine configuration and how its snapshot
+/// is held to the reference. `ran` names the OracleReport flag the leg
+/// sets when it produces a snapshot (nullptr: none).
+struct Leg {
+  std::string name;
+  InterpOptions options;
+  Comparator cmp;
+  bool OracleReport::*ran = nullptr;
+};
+
 }  // namespace
 
 StatusOr<std::string> find_entry(const Program& program) {
@@ -386,159 +344,113 @@ OracleReport run_oracle(const Program& program, const std::string& entry,
     return report;
   }
 
-  // Interpreter-family and subprocess-C legs merge parallel reductions
-  // within the configured tolerance; exact backends are bitwise.
-  const Comparator tol{opts.rtol, opts.atol, false, 0};
-
   // The reference is always the serial tree-walk: it is the semantic
   // definition both the plan engine and the generated code must match.
   InterpOptions serial;
   serial.engine = ExecEngine::kTreeWalk;
   serial.parallel = false;
   const StatusOr<Snapshot> reference =
-      run_interpreter(program, entry, specs.value(), serial);
+      run_machine(program, entry, specs.value(), serial);
   if (!reference.is_ok()) {
     report.errors.push_back(
         cat("serial interpreter: ", reference.status().message()));
     return report;
   }
 
-  if (opts.run_plan) {
-    InterpOptions plan_serial;
-    plan_serial.engine = ExecEngine::kPlan;
-    plan_serial.parallel = false;
-    const StatusOr<Snapshot> snap =
-        run_interpreter(program, entry, specs.value(), plan_serial);
-    if (!snap.is_ok()) {
-      report.errors.push_back(cat("plan: ", snap.status().message()));
-    } else {
-      compare_snapshots("plan", reference.value(), snap.value(),
-                        specs.value(), tol, &report);
-    }
-  }
-
-  if (opts.run_parallel && opts.run_plan) {
-    for (const DirectivePolicy policy : opts.policies) {
-      InterpOptions popts;
-      popts.engine = ExecEngine::kPlan;
-      popts.parallel = true;
-      popts.num_threads = opts.num_threads;
-      popts.policy = policy;
-      const StatusOr<Snapshot> snap =
-          run_interpreter(program, entry, specs.value(), popts);
-      const std::string backend = cat("parallel-", to_string(policy), "-plan");
-      if (!snap.is_ok()) {
-        report.errors.push_back(cat(backend, ": ", snap.status().message()));
-        continue;
-      }
-      compare_snapshots(backend, reference.value(), snap.value(),
-                        specs.value(), tol, &report);
-    }
-  }
-
-  // interp_math emission promises bit-identical arithmetic, so the
-  // native legs — serial and parallel alike — are held to exact
-  // equality (NaN==NaN), not the reassociation tolerance above.
+  // Interpreter-family and subprocess-C legs merge parallel reductions
+  // within the configured tolerance. interp_math emission promises
+  // bit-identical arithmetic, so the interp-tier native legs (serial and
+  // parallel alike) and the deterministic plan legs are exact (NaN==NaN).
+  // The opt tier rounds differently by design (-O3, contraction on, typed
+  // storage), so its leg forks to the ulp budget that tier advertises.
+  const Comparator tol{opts.rtol, opts.atol, false, 0};
   const Comparator exact{};
+  const Comparator ulp{opts.opt_rtol, opts.opt_atol, true, opts.opt_max_ulp};
 
+  const auto plan = [&](bool parallel, DirectivePolicy policy,
+                        bool deterministic) {
+    InterpOptions o;
+    o.engine = ExecEngine::kPlan;
+    o.parallel = parallel;
+    o.num_threads = opts.num_threads;
+    o.policy = policy;
+    o.deterministic_parallel = deterministic;
+    return o;
+  };
+  // Native legs run the kernels that ship (the engine's defaults) with
+  // one deviation: the oracle exists to exercise the dispatch paths, so
+  // the profit gate must not divert regions to serial (the measured gate
+  // would keep most fuzz-sized regions serial, and a single-core host
+  // all).
+  const auto native = [&](bool parallel, DirectivePolicy policy,
+                          NumericModel model) {
+    InterpOptions o;
+    o.engine = ExecEngine::kNative;
+    o.parallel = parallel;
+    o.num_threads = opts.num_threads;
+    o.policy = policy;
+    o.native_model = model;
+    o.gate_always_dispatch = true;
+    o.native_cc = opts.cc;
+    o.native_cache_dir = opts.native_cache_dir.empty()
+                             ? cat(opts.work_dir, "/glaf-fuzz-kernels")
+                             : opts.native_cache_dir;
+    return o;
+  };
+
+  std::vector<Leg> legs;
+  if (opts.run_plan) {
+    legs.push_back({"plan", plan(false, DirectivePolicy::kV0, false), tol});
+    if (opts.run_parallel) {
+      for (const DirectivePolicy policy : opts.policies) {
+        legs.push_back({cat("parallel-", to_string(policy), "-plan"),
+                        plan(true, policy, false), tol});
+      }
+    }
+  }
   if (opts.run_native && cc_available(opts.cc)) {
-    const StatusOr<Snapshot> snap = run_native(
-        program, entry, specs.value(), opts, false, DirectivePolicy::kV0);
-    if (!snap.is_ok()) {
-      report.errors.push_back(cat("native: ", snap.status().message()));
-    } else {
-      report.native_backend_ran = true;
-      compare_snapshots("native", reference.value(), snap.value(),
-                        specs.value(), exact, &report);
-    }
+    legs.push_back({"native",
+                    native(false, DirectivePolicy::kV0, NumericModel::kInterp),
+                    exact, &OracleReport::native_backend_ran});
   }
-
   if (opts.run_native_parallel && cc_available(opts.cc)) {
+    // Each parallel kernel threads bit-exact steps and runs everything
+    // else serially, so it is bitwise equal to the serial reference by
+    // construction. The plan engine under the same deterministic contract
+    // closes the triangle: parallel-native == reference ==
+    // parallel-plan-det.
     for (const DirectivePolicy policy : opts.policies) {
-      // The parallel kernel: threaded range functions for bit-exact
-      // steps, serial execution for everything else — bitwise equal to
-      // the serial reference by construction.
-      const std::string backend =
-          cat("parallel-", to_string(policy), "-native");
-      const StatusOr<Snapshot> snap =
-          run_native(program, entry, specs.value(), opts, true, policy);
-      if (!snap.is_ok()) {
-        report.errors.push_back(cat(backend, ": ", snap.status().message()));
-      } else {
-        report.native_backend_ran = true;
-        compare_snapshots(backend, reference.value(), snap.value(),
-                          specs.value(), exact, &report);
-      }
-      // The plan engine under the same deterministic contract closes
-      // the triangle: parallel-native == reference == parallel-plan-det.
-      InterpOptions dopts;
-      dopts.engine = ExecEngine::kPlan;
-      dopts.parallel = true;
-      dopts.num_threads = opts.num_threads;
-      dopts.policy = policy;
-      dopts.deterministic_parallel = true;
-      const std::string det_backend =
-          cat("parallel-", to_string(policy), "-plan-det");
-      const StatusOr<Snapshot> det_snap =
-          run_interpreter(program, entry, specs.value(), dopts);
-      if (!det_snap.is_ok()) {
-        report.errors.push_back(
-            cat(det_backend, ": ", det_snap.status().message()));
-      } else {
-        compare_snapshots(det_backend, reference.value(), det_snap.value(),
-                          specs.value(), exact, &report);
-      }
+      legs.push_back({cat("parallel-", to_string(policy), "-native"),
+                      native(true, policy, NumericModel::kInterp), exact,
+                      &OracleReport::native_backend_ran});
+      legs.push_back({cat("parallel-", to_string(policy), "-plan-det"),
+                      plan(true, policy, true), exact});
     }
   }
-
-  if (opts.run_native_fused && cc_available(opts.cc)) {
-    for (const DirectivePolicy policy : opts.policies) {
-      // The same parallel kernel with adjacent fusable steps merged
-      // into single range entry points (ABI v3): fusion only changes
-      // how many fork/joins the dispatch costs, so the leg is held to
-      // the same bitwise contract as the unfused one.
-      const std::string backend =
-          cat("parallel-", to_string(policy), "-fused-native");
-      const StatusOr<Snapshot> snap = run_native(
-          program, entry, specs.value(), opts, true, policy, true);
-      if (!snap.is_ok()) {
-        report.errors.push_back(cat(backend, ": ", snap.status().message()));
-      } else {
-        report.native_backend_ran = true;
-        compare_snapshots(backend, reference.value(), snap.value(),
-                          specs.value(), exact, &report);
-      }
-    }
-  }
-
   if (opts.run_native_opt && cc_available(opts.cc)) {
-    // The opt tier rounds differently by design (-O3, contraction on,
-    // typed storage), so this is the one native leg the comparator
-    // forks away from bitwise: each element must land within the ulp
-    // budget (plus any configured rtol/atol band) of the reference.
-    const Comparator ulp{opts.opt_rtol, opts.opt_atol, true,
-                         opts.opt_max_ulp};
-    const StatusOr<Snapshot> snap =
-        run_native(program, entry, specs.value(), opts, false,
-                   DirectivePolicy::kV0, false, NumericModel::kOpt);
-    if (!snap.is_ok()) {
-      report.errors.push_back(cat("native-opt: ", snap.status().message()));
-    } else {
-      report.opt_backend_ran = true;
-      compare_snapshots("native-opt", reference.value(), snap.value(),
-                        specs.value(), ulp, &report);
-    }
+    legs.push_back({"native-opt",
+                    native(false, DirectivePolicy::kV0, NumericModel::kOpt),
+                    ulp, &OracleReport::opt_backend_ran});
   }
 
-  if (opts.run_compiled_c && cc_available(opts.cc)) {
-    const StatusOr<Snapshot> snap =
-        run_compiled_c(program, entry, specs.value(), opts);
+  const auto record = [&](const std::string& name,
+                          const StatusOr<Snapshot>& snap,
+                          const Comparator& cmp, bool OracleReport::*ran) {
     if (!snap.is_ok()) {
-      report.errors.push_back(cat("c: ", snap.status().message()));
-    } else {
-      report.c_backend_ran = true;
-      compare_snapshots("c", reference.value(), snap.value(), specs.value(), tol, &report);
+      report.errors.push_back(cat(name, ": ", snap.status().message()));
+      return;
     }
+    if (ran != nullptr) report.*ran = true;
+    compare_snapshots(name, reference.value(), snap.value(), specs.value(),
+                      cmp, &report);
+  };
+  for (const Leg& leg : legs) {
+    record(leg.name, run_machine(program, entry, specs.value(), leg.options),
+           leg.cmp, leg.ran);
+  }
+  if (opts.run_compiled_c && cc_available(opts.cc)) {
+    record("c", run_compiled_c(program, entry, specs.value(), opts), tol,
+           &OracleReport::c_backend_ran);
   }
   return report;
 }

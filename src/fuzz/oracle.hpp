@@ -9,9 +9,10 @@
 //   4. the native JIT engine (src/jit) running the kernel in-process —
 //      compared *bitwise* against the reference, since interp_math
 //      emission promises bit-identical arithmetic,
-//   5. (opt-in) the *parallel* native kernel under each policy, plus the
-//      plan engine in deterministic-parallel mode — also compared
-//      bitwise: threaded bit-exact steps must not change a single bit,
+//   5. (opt-in) the *parallel* native kernel that ships (fused regions,
+//      every region dispatched) under each policy, plus the plan engine
+//      in deterministic-parallel mode — also compared bitwise: threaded
+//      bit-exact steps must not change a single bit,
 //   6. the generated C translation unit compiled with the system
 //      compiler and run in a subprocess,
 //   7. (opt-in) the opt-tier native kernel — typed storage, restrict,
@@ -52,16 +53,10 @@ struct OracleOptions {
   /// deterministic parallel plan legs ("parallel-vK-plan-det") — every
   /// one held to bitwise equality against the serial reference (and so,
   /// transitively, against the serial native kernel and each other).
-  /// Off by default: each policy costs an extra kernel compile.
-  /// These legs run with region fusion *off* — per-step dispatch, the
-  /// historical ABI-v2 shape.
+  /// The native legs run the kernels that ship (fused regions, ABI v3)
+  /// with every region dispatched. Off by default: each policy costs an
+  /// extra kernel compile.
   bool run_native_parallel = false;
-  /// Fused-region parallel native legs ("parallel-vK-fused-native"):
-  /// the same kernels with adjacent fusable steps merged into single
-  /// range entry points (ABI v3), also compared bitwise. Together with
-  /// run_native_parallel this differentially pins fusion as a pure
-  /// dispatch-cost optimization. Off by default (extra compiles).
-  bool run_native_fused = false;
   /// Opt-tier native leg ("native-opt"): the same program JIT-compiled
   /// under NumericModel::kOpt — typed storage, restrict pointers,
   /// -O3 -ffp-contract=fast -march=native. Unlike every other native

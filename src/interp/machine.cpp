@@ -450,7 +450,7 @@ jit::NativeEngine::Options native_engine_options(const InterpOptions& options,
   nopts.dynamic_schedule = options.dynamic_schedule;
   nopts.schedule_chunk = options.schedule_chunk;
   nopts.fuse_regions = options.fuse_regions;
-  nopts.gate_min_units = options.gate_min_units;
+  nopts.gate_always_dispatch = options.gate_always_dispatch;
   nopts.pool = pool;
   nopts.cc = options.native_cc;
   nopts.cache_dir = options.native_cache_dir;

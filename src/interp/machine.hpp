@@ -148,15 +148,15 @@ struct InterpOptions {
   /// kNative parallel kernels: fuse adjacent fusable steps into single
   /// region dispatches (one fork/join per region instead of per step).
   bool fuse_regions = true;
-  /// kNative parallel kernels: the profit gate
-  /// (NativeEngine::Options::gate_min_units). -1, the default (any value
-  /// but 0), measures: each region call site times both branches over a
-  /// probe window of 2 x kGateProbeRuns runs, then dispatches only where
-  /// its fitted fork/join pays, re-timing the other branch after
-  /// kGateRevisitFirst decided runs and then every doubling period up to
-  /// kGateRevisitMax. Both branches compute the same bits, so the choice
-  /// never changes a result. 0 always dispatches.
-  std::int64_t gate_min_units = -1;
+  /// kNative parallel kernels: the profit gate measures by default. Each
+  /// region call site times both branches over a probe window of
+  /// 2 x kGateProbeRuns runs, then dispatches only where its fitted
+  /// fork/join pays, re-timing the other branch after kGateRevisitFirst
+  /// decided runs and then every doubling period up to kGateRevisitMax.
+  /// Both branches compute the same bits, so the choice never changes a
+  /// result. Test hook: gate_always_dispatch dispatches every region
+  /// (NativeEngine::Options::gate_always_dispatch).
+  bool gate_always_dispatch = false;
   /// kNative: numeric model of the emitted kernel. kInterp is the
   /// bit-identical all-double tier; kOpt stores grids in native widths
   /// and compiles -O3 -march=native — fast, but compared against the

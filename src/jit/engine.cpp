@@ -300,8 +300,9 @@ StatusOr<std::unique_ptr<NativeEngine>> NativeEngine::load_compiled(
     engine->pfor_host_->schedule_chunk = options.schedule_chunk;
     const int ranks = options.pool != nullptr ? options.pool->size() : 1;
     engine->pfor_host_->nranks = ranks;
-    engine->pfor_host_->gate = resolve_gate(
-        options.gate_min_units, ranks, std::thread::hardware_concurrency());
+    engine->pfor_host_->gate =
+        resolve_gate(options.gate_always_dispatch, ranks,
+                     std::thread::hardware_concurrency());
     set_pfor(pfor_trampoline, gate_open, gate_close, engine->pfor_host_.get(),
              ranks);
     engine->gated_fn_ = reinterpret_cast<long (*)()>(

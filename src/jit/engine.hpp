@@ -82,21 +82,22 @@ class NativeEngine {
     /// Fuse adjacent fusable ranged steps into one region entry point
     /// (one fork/join per region instead of per step).
     bool fuse_regions = true;
-    /// Profit gate. -1, the default (any value but 0), measures: each
-    /// region call site times its first 2 x kGateProbeRuns executions,
-    /// alternating the serial and the dispatched branch, fits a serial
-    /// cost per trip and a parallel overhead from the medians, and then
-    /// dispatches a run of n trips only when the fitted fork/join pays
-    /// for n. It re-times the branch it did not choose after
-    /// kGateRevisitFirst decided runs, a period that doubles up to
-    /// kGateRevisitMax while the decision holds (jit/gate.hpp). Both
-    /// branches compute the same bits (the serial branch is the original
-    /// loops, the dispatched one combines ranks in a fixed order), so the
-    /// choice changes time only. 0 always dispatches (tests and fuzz legs
-    /// of the dispatch machinery). A single-rank pool or a single-core
-    /// host never dispatches. Installed at load time, so it never splits
-    /// the kernel cache.
-    std::int64_t gate_min_units = -1;
+    /// Profit gate. By default it measures: each region call site times
+    /// its first 2 x kGateProbeRuns executions, alternating the serial
+    /// and the dispatched branch, fits a serial cost per trip and a
+    /// parallel overhead from the medians, and then dispatches a run of
+    /// n trips only when the fitted fork/join pays for n. It re-times the
+    /// branch it did not choose after kGateRevisitFirst decided runs, a
+    /// period that doubles up to kGateRevisitMax while the decision holds
+    /// (jit/gate.hpp). Both branches compute the same bits (the serial
+    /// branch is the original loops, the dispatched one combines ranks in
+    /// a fixed order), so the choice changes time only. A single-rank
+    /// pool or a single-core host never dispatches. Installed at load
+    /// time, so it never splits the kernel cache.
+    ///
+    /// Test hook: gate_always_dispatch dispatches every region instead,
+    /// for tests and fuzz legs of the dispatch machinery.
+    bool gate_always_dispatch = false;
     /// Pool for parallel kernels (borrowed, must outlive the engine).
     /// nullptr runs parallel units serially through the same range
     /// functions — results are identical either way.

@@ -25,9 +25,9 @@ const char* gate_mode_name(GateMode mode) {
   return "?";
 }
 
-GateMode resolve_gate(std::int64_t requested, int pool_threads,
+GateMode resolve_gate(bool always_dispatch, int pool_threads,
                       unsigned hardware_threads) {
-  if (requested == 0) return GateMode::kDispatch;
+  if (always_dispatch) return GateMode::kDispatch;
   if (pool_threads <= 1 || hardware_threads <= 1) return GateMode::kSerial;
   return GateMode::kMeasured;
 }

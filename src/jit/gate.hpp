@@ -36,21 +36,22 @@ inline constexpr long kGateRevisitMax = long{1} << 16;
 /// nmin meaning "never dispatch".
 inline constexpr long kNeverDispatch = std::numeric_limits<long>::max();
 
-/// How an engine's call sites decide (NativeEngine::Options::gate_min_units
-/// resolved against the pool and the host; resolve_gate).
+/// How an engine's call sites decide
+/// (NativeEngine::Options::gate_always_dispatch resolved against the pool
+/// and the host; resolve_gate).
 enum class GateMode {
   kMeasured,  ///< each call site times itself (GateSite)
-  kDispatch,  ///< always dispatch (gate_min_units = 0)
+  kDispatch,  ///< always dispatch (gate_always_dispatch)
   kSerial,    ///< never dispatch: only one rank could run
 };
 
 /// "measured", "dispatch" or "serial" (NativeReport::gate_mode).
 const char* gate_mode_name(GateMode mode);
 
-/// Resolve a gate_min_units request: 0 always dispatches; any other value
+/// Resolve the gate: always_dispatch dispatches everywhere; otherwise it
 /// measures, except that a single-rank pool or a single-core host never
 /// dispatches (a fork/join there buys nothing). Pure — exposed for tests.
-GateMode resolve_gate(std::int64_t requested, int pool_threads,
+GateMode resolve_gate(bool always_dispatch, int pool_threads,
                       unsigned hardware_threads);
 
 /// Host mirror of the emitted glaf_site (codegen/c.cpp keeps the layouts

@@ -132,10 +132,4 @@ void ThreadPool::dispatch(std::int64_t n, ChunkFn invoke, void* ctx) {
   }
 }
 
-ThreadPool& ThreadPool::shared() {
-  static ThreadPool pool(
-      static_cast<int>(std::max(1u, std::thread::hardware_concurrency())));
-  return pool;
-}
-
 }  // namespace glaf

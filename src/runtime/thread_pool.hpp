@@ -97,9 +97,6 @@ class ThreadPool {
     return parks_.load(std::memory_order_relaxed);
   }
 
-  /// Process-wide pool sized to the hardware (lazily constructed).
-  static ThreadPool& shared();
-
  private:
   /// Type-erased chunk invoker: ctx is the caller's callable.
   using ChunkFn = void (*)(void* ctx, int rank, std::int64_t begin,

@@ -50,11 +50,9 @@ TEST_P(CorpusReplay, AgreesAcrossBackends) {
   OracleOptions opts;
   opts.run_compiled_c = cc_available(opts.cc);
   // Replay each repro through the parallel native legs too: every
-  // directive policy, threaded kernels held bitwise to serial native
-  // and to the deterministic parallel plan engine — both per-step
-  // (unfused) and with fused region dispatch.
+  // directive policy, the fused kernels that ship held bitwise to serial
+  // native and to the deterministic parallel plan engine.
   opts.run_native_parallel = opts.run_compiled_c;
-  opts.run_native_fused = opts.run_compiled_c;
   auto loaded = load_repro(GetParam());
   ASSERT_TRUE(loaded.is_ok()) << GetParam();
   auto entry = find_entry(loaded.value());
@@ -68,11 +66,11 @@ TEST_P(CorpusReplay, AgreesAcrossBackends) {
                      : report.divergences[0].backend + " diverged on " +
                            report.divergences[0].grid)
               : report.errors[0]);
-  // Serial plan + 4 policies x parallel plan = 5 interpreter legs, plus
-  // the native-JIT and compiled-C backends and 4 policies x
-  // {parallel-native, parallel-plan-det, parallel-fused-native} when a
-  // system compiler is present (those gate on the same cc probe).
-  EXPECT_GE(report.backends_compared, opts.run_compiled_c ? 19 : 5);
+  // Serial plan + 4 policies x parallel plan = 5 interpreter legs; with
+  // a system compiler (the other legs gate on the same cc probe) add the
+  // native-JIT and compiled-C backends and 4 policies x
+  // {parallel-native, parallel-plan-det}: 15 in all.
+  EXPECT_EQ(report.backends_compared, opts.run_compiled_c ? 15 : 5);
   EXPECT_EQ(report.native_backend_ran, opts.run_compiled_c) << GetParam();
 }
 

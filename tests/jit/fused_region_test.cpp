@@ -84,7 +84,7 @@ InterpOptions parallel_native(DirectivePolicy policy, bool fuse,
   o.num_threads = threads;
   o.policy = policy;
   o.fuse_regions = fuse;
-  o.gate_min_units = 0;
+  o.gate_always_dispatch = true;
   return o;
 }
 

@@ -94,7 +94,7 @@ InterpOptions parallel_native(DirectivePolicy policy, int threads = 4,
   // These tests exercise the dispatch machinery itself, so the profit
   // gate must not divert small regions to the serial path (the measured
   // default keeps most of them serial, and a single-core host all).
-  o.gate_min_units = 0;
+  o.gate_always_dispatch = true;
   return o;
 }
 
@@ -268,7 +268,7 @@ TEST(ParallelNativeCrossEntry, SarbAtTheMeasuredGateAtOneAndFourThreads) {
   }
   for (const int threads : {1, 4}) {
     InterpOptions measured = parallel_native(DirectivePolicy::kV0, threads);
-    measured.gate_min_units = -1;
+    measured.gate_always_dispatch = false;
     NativeReport report;
     testing::run_cross_entry_wall(
         sarb, measured,

@@ -15,9 +15,10 @@
 //    claims that need a real win of a dispatch (a heavy region learns to
 //    dispatch) are checked only after timing a dispatch against serial
 //    on this host, on its usable CPUs;
-//  - gate 0 always dispatches, and no mode changes a result bit;
-//  - resolve_gate maps the Options knob to a mode (0 = always dispatch,
-//    else measured; single-rank pools and single-core hosts = serial).
+//  - gate_always_dispatch always dispatches, and no mode changes a
+//    result bit;
+//  - resolve_gate maps the Options hook to a mode (always dispatch, else
+//    measured; single-rank pools and single-core hosts = serial).
 
 #include <algorithm>
 #include <chrono>
@@ -89,12 +90,12 @@ Program tiny_smooth_program(int n) {
   return pb.build().value();
 }
 
-InterpOptions gated_native(std::int64_t gate, int threads = 4) {
+InterpOptions gated_native(int threads = 4, bool always_dispatch = false) {
   InterpOptions o;
   o.engine = ExecEngine::kNative;
   o.parallel = true;
   o.num_threads = threads;
-  o.gate_min_units = gate;
+  o.gate_always_dispatch = always_dispatch;
   return o;
 }
 
@@ -281,7 +282,7 @@ TEST(ProfitGate, SubThresholdKernelNeverLeavesSerial) {
   // The measured default: on a multi-core host the site probes both
   // branches, then learns that 16 cheap iterations never pay for a
   // fork/join; on a single-core host the gate is "never dispatch".
-  Machine m(p, gated_native(-1));
+  Machine m(p, gated_native());
   ASSERT_TRUE(m.native_report().available)
       << m.native_report().fallback_reason;
   EXPECT_EQ(m.native_report().gate_mode,
@@ -355,8 +356,8 @@ void load_heavy(Machine& m) {
 /// interleaved. 0 when only one CPU is usable.
 double dispatch_speedup(const Program& p) {
   if (usable_cpus() < 2) return 0.0;
-  Machine dispatched(p, gated_native(0, heavy_threads()));
-  Machine serial(p, gated_native(-1, 1));
+  Machine dispatched(p, gated_native(heavy_threads(), true));
+  Machine serial(p, gated_native(1));
   if (!dispatched.native_report().available ||
       !serial.native_report().available) {
     return 0.0;
@@ -395,7 +396,7 @@ TEST(ProfitGate, HeavyRegionLearnsToDispatch) {
                  << "now (" << speedup << "x on " << usable_cpus()
                  << " usable CPUs)";
   }
-  Machine m(p, gated_native(-1, heavy_threads()));
+  Machine m(p, gated_native(heavy_threads()));
   ASSERT_TRUE(m.native_report().available)
       << m.native_report().fallback_reason;
   load_heavy(m);
@@ -423,7 +424,7 @@ TEST(ProfitGate, DecisionChangesMidSequenceAndStaysBitwise) {
   InterpOptions plan;
   plan.engine = ExecEngine::kPlan;
   Machine reference(p, plan);
-  Machine native(p, gated_native(-1, heavy_threads()));
+  Machine native(p, gated_native(heavy_threads()));
   ASSERT_TRUE(native.native_report().available)
       << native.native_report().fallback_reason;
   load_heavy(reference);
@@ -478,11 +479,10 @@ TEST(ProfitGate, DecisionChangesMidSequenceAndStaysBitwise) {
 TEST(ProfitGate, GateOffAlwaysDispatches) {
   if (!have_cc()) GTEST_SKIP() << "no system compiler";
   const ScopedEnv env("GLAF_KERNEL_CACHE", fresh_cache_dir("off"));
-  // gate 0 = gating off: even the tiny kernel dispatches, at any pool
-  // size.
+  // Gating off: even the tiny kernel dispatches, at any pool size.
   for (const int threads : {1, 4}) {
     const NativeReport off =
-        run_tiny(tiny_smooth_program(16), gated_native(0, threads));
+        run_tiny(tiny_smooth_program(16), gated_native(threads, true));
     EXPECT_EQ(off.gate_mode, "dispatch") << threads;
     EXPECT_EQ(off.gated_serial_regions, 0u) << threads;
     EXPECT_EQ(off.gate_probes, 0u) << threads;
@@ -500,17 +500,17 @@ TEST(ProfitGate, GateDoesNotChangeResults) {
   }
   // Each mode through the measured site's window and past its first
   // revisit.
-  const auto run = [&](std::int64_t gate, int threads) {
-    Machine m(p, gated_native(gate, threads));
+  const auto run = [&](const InterpOptions& o) {
+    Machine m(p, o);
     EXPECT_TRUE(m.set_array("q", q).is_ok());
     for (int k = 0; k < static_cast<int>(kWindow) + kRevisit + 2; ++k) {
       EXPECT_TRUE(m.call("smooth").is_ok());
     }
     return std::make_pair(m.native_report().gate_mode, m.array("q2").value());
   };
-  const auto serial = run(-1, 1);
-  const auto dispatched = run(0, 4);
-  const auto measured = run(-1, 4);
+  const auto serial = run(gated_native(1));
+  const auto dispatched = run(gated_native(4, true));
+  const auto measured = run(gated_native(4));
   EXPECT_EQ(serial.first, "serial");
   EXPECT_EQ(dispatched.first, "dispatch");
   for (const auto* other : {&dispatched, &measured}) {
@@ -524,16 +524,15 @@ TEST(ProfitGate, GateDoesNotChangeResults) {
 TEST(ProfitGate, ResolveGate) {
   using jit::GateMode;
   using jit::resolve_gate;
-  // 0 always dispatches, whatever the pool.
-  EXPECT_EQ(resolve_gate(0, 8, 8), GateMode::kDispatch);
-  EXPECT_EQ(resolve_gate(0, 1, 1), GateMode::kDispatch);
-  // Any other value on a host that cannot win: never dispatch.
-  EXPECT_EQ(resolve_gate(-1, 1, 8), GateMode::kSerial);
-  EXPECT_EQ(resolve_gate(-1, 8, 1), GateMode::kSerial);
+  // The always-dispatch hook dispatches, whatever the pool.
+  EXPECT_EQ(resolve_gate(true, 8, 8), GateMode::kDispatch);
+  EXPECT_EQ(resolve_gate(true, 1, 1), GateMode::kDispatch);
+  // The default on a host that cannot win: never dispatch.
+  EXPECT_EQ(resolve_gate(false, 1, 8), GateMode::kSerial);
+  EXPECT_EQ(resolve_gate(false, 8, 1), GateMode::kSerial);
   // ... and on a real parallel host: every call site measures.
-  EXPECT_EQ(resolve_gate(-1, 8, 8), GateMode::kMeasured);
-  EXPECT_EQ(resolve_gate(-1, 2, 4), GateMode::kMeasured);
-  EXPECT_EQ(resolve_gate(12345, 8, 8), GateMode::kMeasured);
+  EXPECT_EQ(resolve_gate(false, 8, 8), GateMode::kMeasured);
+  EXPECT_EQ(resolve_gate(false, 2, 4), GateMode::kMeasured);
   EXPECT_STREQ(jit::gate_mode_name(GateMode::kMeasured), "measured");
   EXPECT_STREQ(jit::gate_mode_name(GateMode::kDispatch), "dispatch");
   EXPECT_STREQ(jit::gate_mode_name(GateMode::kSerial), "serial");

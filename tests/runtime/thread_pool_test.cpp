@@ -156,12 +156,5 @@ TEST(ThreadPoolDynamic, ReductionViaPartialsMatchesStatic) {
   EXPECT_EQ(dynamic_sum.load(), kN * (kN - 1) / 2);
 }
 
-TEST(ThreadPool, SharedPoolSingleton) {
-  ThreadPool& a = ThreadPool::shared();
-  ThreadPool& b = ThreadPool::shared();
-  EXPECT_EQ(&a, &b);
-  EXPECT_GE(a.size(), 1);
-}
-
 }  // namespace
 }  // namespace glaf

@@ -23,9 +23,6 @@
 //   glaf-fuzz --parallel               add the parallel-native + deterministic
 //                                      parallel-plan legs, held to bitwise
 //                                      equality under every selected policy
-//   glaf-fuzz --fuse                   add the fused-region parallel-native
-//                                      legs (ABI v3: adjacent fusable steps
-//                                      share one fork/join), also bitwise
 //   glaf-fuzz --policies=all|v0,v2,..  directive policies for those legs
 //                                      (default all of v0..v3)
 //   glaf-fuzz --emit=opt               add the opt-tier native leg (typed
@@ -83,7 +80,7 @@ void usage(const char* argv0) {
                "usage: %s [--seeds A:B] [--time-budget SECONDS] [--shrink]\n"
                "          [--repro-dir DIR] [--replay FILE] [--dump-seed N]\n"
                "          [--threads N] [--rtol X] [--atol X] [--no-cc]\n"
-               "          [--no-native] [--no-parallel] [--parallel] [--fuse]\n"
+               "          [--no-native] [--no-parallel] [--parallel]\n"
                "          [--policies=all|v0,v1,...] [--engine=plan|native]\n"
                "          [--emit=interp|opt] [--max-ulp N]\n"
                "          [--opt-rtol X] [--opt-atol X]\n",
@@ -142,8 +139,6 @@ bool parse_args(int argc, char** argv, CliOptions* opts) {
       opts->oracle.run_parallel = false;
     } else if (arg == "--parallel") {
       opts->oracle.run_native_parallel = true;
-    } else if (arg == "--fuse") {
-      opts->oracle.run_native_fused = true;
     } else if (arg.rfind("--policies", 0) == 0) {
       std::string value;
       if (arg.size() > 10 && arg[10] == '=') {
@@ -361,8 +356,7 @@ int main(int argc, char** argv) {
   }
 
   if ((opts.oracle.run_compiled_c || opts.oracle.run_native ||
-       opts.oracle.run_native_parallel || opts.oracle.run_native_fused ||
-       opts.oracle.run_native_opt) &&
+       opts.oracle.run_native_parallel || opts.oracle.run_native_opt) &&
       !cc_available(opts.oracle.cc)) {
     std::fprintf(stderr,
                  "note: compiler '%s' unavailable, skipping the C and"
@@ -371,7 +365,6 @@ int main(int argc, char** argv) {
     opts.oracle.run_compiled_c = false;
     opts.oracle.run_native = false;
     opts.oracle.run_native_parallel = false;
-    opts.oracle.run_native_fused = false;
     opts.oracle.run_native_opt = false;
   }
 
