@@ -20,12 +20,24 @@
 // dispatched) — the gap between the two is what the gate buys.
 // Fused-region counts come from the kernel's ABI-v3 metadata.
 //
+// Timing: every engine of a kernel gets its own machine, warmed past the
+// gate's probe window, and the machines are timed in kReps (5)
+// interleaved repetitions: each repetition times a slice of --min-seconds
+// per machine, in turn, and records the slice's median call. A cell is
+// the median over repetitions, so a burst of host load slows every column
+// of one repetition instead of one column of the run.
+//
 // Usage: interp_engine [--threads N] [--levels N] [--min-seconds X]
 //        [--out FILE] [--check-gate X]
 //
-// --check-gate X exits nonzero when any gated parallel-native kernel
-// runs slower than X times serial native — the CI smoke that the gate
+// --check-gate X exits nonzero when any kernel's gated parallel-native
+// speedup over serial native (the median over repetitions of the ratio
+// of their back-to-back slices) is below X — the CI smoke that the gate
 // never lets dispatch overhead win (0.9 allows measurement noise).
+//
+// The JSON also records the runtime's empty fork/join (20000
+// back-to-back dispatches of an empty region: median, p90 and worker
+// parks per dispatch) at 2 ranks and at --threads.
 //
 // --levels scales the SARB atmosphere (default 60, the paper's size):
 // per-level extents and loop bounds are symbolic over the n_levels
@@ -34,11 +46,16 @@
 // BENCH_interp.json is regenerated on a 4-core host with:
 //   bench/interp_engine --threads 4 --levels 4096 --min-seconds 0.05 --out BENCH_interp.json
 
+#include <algorithm>
+#include <array>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -48,6 +65,7 @@
 #include "fuliou/profile.hpp"
 #include "fun3d/glaf_fun3d.hpp"
 #include "interp/machine.hpp"
+#include "runtime/thread_pool.hpp"
 #include "support/cli.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
@@ -57,70 +75,182 @@ using namespace glaf;
 
 namespace {
 
+/// The timed engines, in the order each repetition times them: serial
+/// native right before gated and ungated, so the ratios the gate check
+/// reads compare slices taken back to back.
+enum Column {
+  kTreeWalk,
+  kPlan,
+  kParallelPlan,
+  kOpt,
+  kNative,
+  kGated,
+  kUngated,
+  kColumns
+};
+
+double quantile(std::vector<double> v, double q) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+}
+
 struct KernelResult {
   std::string suite;  ///< "sarb" or "fun3d"
   std::string name;
-  double serial_treewalk_s = 0.0;
-  double serial_plan_s = 0.0;
-  double serial_native_s = 0.0;
-  /// Serial native under the opt emission tier (typed storage, -O3).
-  double serial_opt_s = 0.0;
-  double parallel_plan_s = 0.0;
-  /// Parallel native under the measured profit gate (the default).
-  double parallel_native_s = 0.0;
-  /// Parallel native with the gate off (every region dispatched).
-  double parallel_native_ungated_s = 0.0;
-  /// ABI-v3 region metadata and gate activity from the gated run.
+  /// Seconds per call in each repetition, per Column (empty when the
+  /// engine was unavailable).
+  std::array<std::vector<double>, kColumns> reps;
+  /// ABI-v3 region metadata and gate activity from the gated machine.
   std::uint64_t regions_total = 0;
   std::uint64_t regions_fused = 0;
   std::uint64_t gated_regions = 0;
+
+  /// Median seconds per call over the repetitions (0 when unavailable).
+  [[nodiscard]] double s(Column c) const { return quantile(reps[c], 0.5); }
+  [[nodiscard]] double iqr_s(Column c) const {
+    return quantile(reps[c], 0.75) - quantile(reps[c], 0.25);
+  }
+  /// a / b as a speedup: the median over repetitions of the ratio within
+  /// each, so host load that slows one repetition cancels (0 when either
+  /// is missing).
+  [[nodiscard]] double speedup(Column a, Column b) const {
+    if (reps[a].size() != reps[b].size() || reps[a].empty()) return 0.0;
+    std::vector<double> ratio;
+    for (std::size_t i = 0; i < reps[a].size(); ++i) {
+      ratio.push_back(reps[a][i] / reps[b][i]);
+    }
+    return quantile(std::move(ratio), 0.5);
+  }
 };
 
-InterpOptions engine_opts(ExecEngine engine, bool parallel, int threads,
-                          bool gate_always_dispatch = false) {
+InterpOptions column_opts(Column c, int threads) {
   InterpOptions o;
-  o.engine = engine;
-  o.parallel = parallel;
+  o.engine = c == kTreeWalk                     ? ExecEngine::kTreeWalk
+             : c == kPlan || c == kParallelPlan ? ExecEngine::kPlan
+                                                : ExecEngine::kNative;
+  o.parallel = c == kParallelPlan || c == kGated || c == kUngated;
   o.num_threads = threads;
-  o.gate_always_dispatch = gate_always_dispatch;
+  o.gate_always_dispatch = c == kUngated;
+  if (c == kOpt) o.native_model = NumericModel::kOpt;
   return o;
 }
 
-InterpOptions opt_tier_opts(int threads) {
-  InterpOptions o = engine_opts(ExecEngine::kNative, false, threads);
-  o.native_model = NumericModel::kOpt;
-  return o;
+/// Calls before timing starts: past every measured gate site's probe
+/// window (2 x 4 runs), so the repetitions time decided runs.
+constexpr int kWarmupCalls = 10;
+
+/// Interleaved repetitions per kernel; every cell is their median.
+constexpr int kReps = 5;
+
+/// Time every engine on `entry` in kReps interleaved repetitions. Native
+/// machines must have actually loaded — a silent plan fallback would
+/// report plan numbers under the native label; such a column stays 0.
+KernelResult measure_kernel(const Program& program, const std::string& suite,
+                            const std::string& entry, int threads,
+                            double min_seconds,
+                            const std::function<void(Machine&)>& prepare,
+                            NativeReport* opt_report) {
+  KernelResult r;
+  r.suite = suite;
+  r.name = entry;
+  std::array<std::unique_ptr<Machine>, kColumns> machines;
+  for (int c = 0; c < kColumns; ++c) {
+    const InterpOptions opts = column_opts(static_cast<Column>(c), threads);
+    auto m = std::make_unique<Machine>(program, opts);
+    if (opts.engine == ExecEngine::kNative && !m->native_report().available) {
+      std::fprintf(stderr, "interp_engine: native unavailable for %s: %s\n",
+                   entry.c_str(), m->native_report().fallback_reason.c_str());
+      continue;
+    }
+    if (prepare) prepare(*m);
+    bool ok = true;
+    for (int k = 0; k < kWarmupCalls && ok; ++k) {
+      const StatusOr<double> call = m->call(entry);
+      if (!call.is_ok()) {
+        std::fprintf(stderr, "interp_engine: %s: %s\n", entry.c_str(),
+                     call.status().message().c_str());
+        ok = false;
+      }
+    }
+    if (ok) machines[c] = std::move(m);
+  }
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (int c = 0; c < kColumns; ++c) {
+      if (!machines[c]) continue;
+      std::vector<double> calls;
+      double total = 0.0;
+      while (calls.size() < 3 || total < min_seconds) {
+        Timer t;
+        (void)machines[c]->call(entry);
+        calls.push_back(t.seconds());
+        total += calls.back();
+      }
+      r.reps[c].push_back(quantile(std::move(calls), 0.5));
+    }
+  }
+  if (machines[kGated]) {
+    const NativeReport& rep = machines[kGated]->native_report();
+    r.regions_total = rep.regions_total;
+    r.regions_fused = rep.regions_fused;
+    r.gated_regions = rep.gated_serial_regions;
+  }
+  if (machines[kOpt]) *opt_report = machines[kOpt]->native_report();
+  return r;
 }
 
-/// Best wall time per call of `entry` on a fresh machine. Native
-/// measurements require the kernel to have actually loaded — a silent
-/// plan fallback would report plan numbers under the native label.
-double measure(const Program& program, const InterpOptions& opts,
-               const std::string& entry, double min_seconds,
-               const std::function<void(Machine&)>& prepare,
-               NativeReport* report_out = nullptr) {
-  Machine m(program, opts);
-  if (opts.engine == ExecEngine::kNative && !m.native_report().available) {
-    std::fprintf(stderr, "interp_engine: native unavailable for %s: %s\n",
-                 entry.c_str(), m.native_report().fallback_reason.c_str());
-    return 0.0;
+/// The runtime's empty fork/join at `ranks`: back-to-back dispatches of
+/// an empty region on a fresh pool.
+struct ForkJoin {
+  int ranks = 0;
+  double median_us = 0.0;
+  double p90_us = 0.0;
+  double parks_per_dispatch = 0.0;
+};
+
+ForkJoin measure_fork_join(int ranks) {
+  constexpr int kDispatches = 20000;
+  ThreadPool pool(ranks);
+  std::vector<double> us;
+  us.reserve(kDispatches);
+  for (int i = 0; i < kDispatches; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    pool.parallel_for(ranks, [](int, std::int64_t, std::int64_t) {});
+    us.push_back(std::chrono::duration<double, std::micro>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
   }
-  if (prepare) prepare(m);
-  const StatusOr<double> probe = m.call(entry);
-  if (!probe.is_ok()) {
-    std::fprintf(stderr, "interp_engine: %s: %s\n", entry.c_str(),
-                 probe.status().message().c_str());
-    return 0.0;
-  }
-  const double best = time_best([&] { (void)m.call(entry); }, min_seconds, 3);
-  if (report_out != nullptr) *report_out = m.native_report();
-  return best;
+  ForkJoin f;
+  f.ranks = ranks;
+  f.median_us = quantile(us, 0.5);
+  f.p90_us = quantile(us, 0.9);
+  f.parks_per_dispatch =
+      pool.dispatches() > 0 ? static_cast<double>(pool.parks()) /
+                                  static_cast<double>(pool.dispatches())
+                            : 0.0;
+  return f;
 }
 
 std::string fmt(double v, const char* spec = "%.3g") {
   char buf[64];
   std::snprintf(buf, sizeof(buf), spec, v);
   return buf;
+}
+
+/// Geometric mean of the positive values.
+double geomean(const std::vector<double>& v) {
+  double log_sum = 0.0;
+  int n = 0;
+  for (const double x : v) {
+    if (x > 0.0) {
+      log_sum += std::log(x);
+      ++n;
+    }
+  }
+  return n > 0 ? std::exp(log_sum / n) : 0.0;
 }
 
 }  // namespace
@@ -130,13 +260,9 @@ int main(int argc, char** argv) {
   const int threads = static_cast<int>(args.get_int("threads", 4));
   const int levels =
       static_cast<int>(args.get_int("levels", fuliou::kNumLevels));
-  const double min_seconds = args.get("min-seconds", "").empty()
-                                 ? 0.05
-                                 : std::stod(args.get("min-seconds", "0.05"));
+  const double min_seconds = args.get_double("min-seconds", 0.05);
   const std::string out_path = args.get("out", "BENCH_interp.json");
-  const std::string check_gate_arg = args.get("check-gate", "");
-  const double check_gate =
-      check_gate_arg.empty() ? 0.0 : std::stod(check_gate_arg);
+  const double check_gate = args.get_double("check-gate", 0.0);
 
   std::vector<KernelResult> results;
   // Provenance of the opt-tier kernels (compiler identity and the exact
@@ -158,34 +284,8 @@ int main(int argc, char** argv) {
   for (const std::string& name : fuliou::table1_subroutines()) {
     const Function* fn = sarb.find_function(name);
     if (fn == nullptr || !fn->params.empty()) continue;
-    KernelResult r;
-    r.suite = "sarb";
-    r.name = name;
-    r.serial_treewalk_s =
-        measure(sarb, engine_opts(ExecEngine::kTreeWalk, false, threads),
-                name, min_seconds, load_sarb);
-    r.serial_plan_s =
-        measure(sarb, engine_opts(ExecEngine::kPlan, false, threads), name,
-                min_seconds, load_sarb);
-    r.serial_native_s =
-        measure(sarb, engine_opts(ExecEngine::kNative, false, threads),
-                name, min_seconds, load_sarb);
-    r.serial_opt_s = measure(sarb, opt_tier_opts(threads), name, min_seconds,
-                             load_sarb, &opt_report);
-    r.parallel_plan_s =
-        measure(sarb, engine_opts(ExecEngine::kPlan, true, threads), name,
-                min_seconds, load_sarb);
-    NativeReport nrep;
-    r.parallel_native_s =
-        measure(sarb, engine_opts(ExecEngine::kNative, true, threads),
-                name, min_seconds, load_sarb, &nrep);
-    r.parallel_native_ungated_s =
-        measure(sarb, engine_opts(ExecEngine::kNative, true, threads, true),
-                name, min_seconds, load_sarb);
-    r.regions_total = nrep.regions_total;
-    r.regions_fused = nrep.regions_fused;
-    r.gated_regions = nrep.gated_serial_regions;
-    results.push_back(r);
+    results.push_back(measure_kernel(sarb, "sarb", name, threads, min_seconds,
+                                     load_sarb, &opt_report));
   }
 
   // --- FUN3D kernels: deterministic synthetic mesh inputs.
@@ -208,34 +308,14 @@ int main(int argc, char** argv) {
   };
   for (const std::string& name : {std::string("edge_scatter"),
                                   std::string("smooth_q")}) {
-    KernelResult r;
-    r.suite = "fun3d";
-    r.name = name;
-    r.serial_treewalk_s =
-        measure(f3d, engine_opts(ExecEngine::kTreeWalk, false, threads),
-                name, min_seconds, load_f3d);
-    r.serial_plan_s =
-        measure(f3d, engine_opts(ExecEngine::kPlan, false, threads), name,
-                min_seconds, load_f3d);
-    r.serial_native_s =
-        measure(f3d, engine_opts(ExecEngine::kNative, false, threads),
-                name, min_seconds, load_f3d);
-    r.serial_opt_s = measure(f3d, opt_tier_opts(threads), name, min_seconds,
-                             load_f3d, &opt_report);
-    r.parallel_plan_s =
-        measure(f3d, engine_opts(ExecEngine::kPlan, true, threads), name,
-                min_seconds, load_f3d);
-    NativeReport nrep;
-    r.parallel_native_s =
-        measure(f3d, engine_opts(ExecEngine::kNative, true, threads),
-                name, min_seconds, load_f3d, &nrep);
-    r.parallel_native_ungated_s =
-        measure(f3d, engine_opts(ExecEngine::kNative, true, threads, true),
-                name, min_seconds, load_f3d);
-    r.regions_total = nrep.regions_total;
-    r.regions_fused = nrep.regions_fused;
-    r.gated_regions = nrep.gated_serial_regions;
-    results.push_back(r);
+    results.push_back(measure_kernel(f3d, "fun3d", name, threads, min_seconds,
+                                     load_f3d, &opt_report));
+  }
+
+  // --- the runtime's empty fork/join, at 2 ranks and at --threads.
+  std::vector<ForkJoin> fork_joins;
+  for (const int ranks : std::set<int>{2, std::max(2, threads)}) {
+    fork_joins.push_back(measure_fork_join(ranks));
   }
 
   // --- report
@@ -245,121 +325,68 @@ int main(int argc, char** argv) {
                    "par native gated", "gated x",
                    "par native ungated", "ungated x", "regions",
                    "fused", "gated"});
-  table.set_alignment({Align::kLeft, Align::kRight, Align::kRight,
-                       Align::kRight, Align::kRight, Align::kRight,
-                       Align::kRight, Align::kRight, Align::kRight,
-                       Align::kRight, Align::kRight, Align::kRight,
-                       Align::kRight, Align::kRight, Align::kRight,
-                       Align::kRight, Align::kRight});
-  double log_sum = 0.0;
-  double native_log_sum = 0.0;
-  double opt_log_sum = 0.0;
-  double pnative_log_sum = 0.0;
-  double ungated_log_sum = 0.0;
-  int sarb_count = 0;
-  int native_count = 0;
-  int opt_count = 0;
-  int pnative_count = 0;
-  int ungated_count = 0;
+  std::vector<Align> align(17, Align::kRight);
+  align[0] = Align::kLeft;
+  table.set_alignment(align);
+  // Per-kernel speedups: plan over tree-walk; native and opt over the
+  // *plan* engine (what the compile round-trip has to win, and the typed
+  // tier's gain on the same denominator); parallel plan over serial plan;
+  // gated and ungated parallel native over *serial native* (what
+  // threading the kernel buys on this host — the gap between the two is
+  // what the gate saved by keeping regions that do not pay serial).
+  const auto speedups = [](const KernelResult& r) {
+    return std::array<double, 6>{
+        r.speedup(kTreeWalk, kPlan), r.speedup(kPlan, kNative),
+        r.speedup(kPlan, kOpt),      r.speedup(kPlan, kParallelPlan),
+        r.speedup(kNative, kGated),  r.speedup(kNative, kUngated)};
+  };
+  std::array<std::vector<double>, 6> sarb_speedups;
   int gate_violations = 0;
   for (const KernelResult& r : results) {
-    const double s_speed =
-        r.serial_plan_s > 0.0 ? r.serial_treewalk_s / r.serial_plan_s : 0.0;
-    // Native speedup over the *plan* engine: the number the native
-    // engine has to win to justify the compile round-trip.
-    const double n_speed = r.serial_native_s > 0.0
-                               ? r.serial_plan_s / r.serial_native_s
-                               : 0.0;
-    // Opt-tier speedup over the plan VM — the same denominator as the
-    // interp-tier native column, so "opt x >= native x" reads directly
-    // as the typed/-O3 emission paying for its looser numeric contract.
-    const double o_speed =
-        r.serial_opt_s > 0.0 ? r.serial_plan_s / r.serial_opt_s : 0.0;
-    // Parallel plan VM over serial plan VM: what threading the
-    // interpreter's one parallel path buys.
-    const double p_speed =
-        r.parallel_plan_s > 0.0 ? r.serial_plan_s / r.parallel_plan_s : 0.0;
-    // Parallel-native speedup over *serial native*: what threading the
-    // kernel itself buys on this host (bounded by its core count).
-    // Gated is the default configuration; ungated (always dispatch)
-    // shows what the profit gate saved by keeping regions that do not
-    // pay serial.
-    const double pn_speed = r.parallel_native_s > 0.0
-                                ? r.serial_native_s / r.parallel_native_s
-                                : 0.0;
-    const double pu_speed =
-        r.parallel_native_ungated_s > 0.0
-            ? r.serial_native_s / r.parallel_native_ungated_s
-            : 0.0;
-    if (r.suite == "sarb" && s_speed > 0.0) {
-      log_sum += std::log(s_speed);
-      ++sarb_count;
+    const std::array<double, 6> x = speedups(r);
+    if (r.suite == "sarb") {
+      for (std::size_t i = 0; i < x.size(); ++i) sarb_speedups[i].push_back(x[i]);
     }
-    if (r.suite == "sarb" && n_speed > 0.0) {
-      native_log_sum += std::log(n_speed);
-      ++native_count;
-    }
-    if (r.suite == "sarb" && o_speed > 0.0) {
-      opt_log_sum += std::log(o_speed);
-      ++opt_count;
-    }
-    if (r.suite == "sarb" && pn_speed > 0.0) {
-      pnative_log_sum += std::log(pn_speed);
-      ++pnative_count;
-    }
-    if (r.suite == "sarb" && pu_speed > 0.0) {
-      ungated_log_sum += std::log(pu_speed);
-      ++ungated_count;
-    }
-    if (check_gate > 0.0 && pn_speed > 0.0 && pn_speed < check_gate) {
+    if (check_gate > 0.0 && x[4] > 0.0 && x[4] < check_gate) {
       std::fprintf(stderr,
                    "interp_engine: GATE CHECK FAILED: %s/%s gated parallel"
-                   " native is %.3fx serial native (< %.2fx)\n",
-                   r.suite.c_str(), r.name.c_str(), pn_speed, check_gate);
+                   " native is %.3fx serial native (< %.2fx; medians of %d"
+                   " interleaved repetitions)\n",
+                   r.suite.c_str(), r.name.c_str(), x[4], check_gate, kReps);
       ++gate_violations;
     }
-    table.add_row({r.suite + "/" + r.name,
-                   fmt(r.serial_treewalk_s * 1e6) + " us",
-                   fmt(r.serial_plan_s * 1e6) + " us",
-                   fmt(r.serial_native_s * 1e6) + " us",
-                   fmt(r.serial_opt_s * 1e6) + " us",
-                   fmt(s_speed, "%.2f") + "x",
-                   fmt(n_speed, "%.2f") + "x",
-                   fmt(o_speed, "%.2f") + "x",
-                   fmt(r.parallel_plan_s * 1e6) + " us",
-                   fmt(p_speed, "%.2f") + "x",
-                   fmt(r.parallel_native_s * 1e6) + " us",
-                   fmt(pn_speed, "%.2f") + "x",
-                   fmt(r.parallel_native_ungated_s * 1e6) + " us",
-                   fmt(pu_speed, "%.2f") + "x",
+    const auto us = [&](Column c) { return fmt(r.s(c) * 1e6) + " us"; };
+    const auto times = [](double v) { return fmt(v, "%.2f") + "x"; };
+    table.add_row({r.suite + "/" + r.name, us(kTreeWalk), us(kPlan),
+                   us(kNative), us(kOpt), times(x[0]), times(x[1]),
+                   times(x[2]), us(kParallelPlan), times(x[3]), us(kGated),
+                   times(x[4]), us(kUngated), times(x[5]),
                    std::to_string(r.regions_total),
                    std::to_string(r.regions_fused),
                    std::to_string(r.gated_regions)});
   }
-  const double geomean =
-      sarb_count > 0 ? std::exp(log_sum / sarb_count) : 0.0;
-  const double native_geomean =
-      native_count > 0 ? std::exp(native_log_sum / native_count) : 0.0;
-  const double opt_geomean =
-      opt_count > 0 ? std::exp(opt_log_sum / opt_count) : 0.0;
-  const double pnative_geomean =
-      pnative_count > 0 ? std::exp(pnative_log_sum / pnative_count) : 0.0;
-  const double ungated_geomean =
-      ungated_count > 0 ? std::exp(ungated_log_sum / ungated_count) : 0.0;
+  std::array<double, 6> geo{};
+  for (std::size_t i = 0; i < geo.size(); ++i) geo[i] = geomean(sarb_speedups[i]);
   const unsigned host_cores = std::thread::hardware_concurrency();
   std::printf("== execution engines: tree-walk vs flat plans vs native JIT "
-              "(%d threads for parallel rows, %u host cores) ==\n\n%s\n",
-              threads, host_cores, table.render().c_str());
+              "(%d threads for parallel rows, %u host cores, medians of %d "
+              "interleaved repetitions) ==\n\n%s\n",
+              threads, host_cores, kReps, table.render().c_str());
   std::printf("SARB serial geomean speedup (plan vs tree-walk):      %.2fx\n",
-              geomean);
+              geo[0]);
   std::printf("SARB serial geomean speedup (native vs plan):         %.2fx\n",
-              native_geomean);
+              geo[1]);
   std::printf("SARB serial geomean speedup (opt vs plan):            %.2fx\n",
-              opt_geomean);
+              geo[2]);
   std::printf("SARB parallel geomean speedup (gated vs ser-native):  %.2fx\n",
-              pnative_geomean);
+              geo[4]);
   std::printf("SARB parallel geomean speedup (ungated vs ser-nat):   %.2fx\n",
-              ungated_geomean);
+              geo[5]);
+  for (const ForkJoin& f : fork_joins) {
+    std::printf("empty fork/join, %d ranks: median %.2f us, p90 %.2f us, "
+                "%.3f parks per dispatch\n",
+                f.ranks, f.median_us, f.p90_us, f.parks_per_dispatch);
+  }
 
   std::ofstream out(out_path);
   if (!out) {
@@ -370,6 +397,7 @@ int main(int argc, char** argv) {
       << "  \"threads\": " << threads << ",\n"
       << "  \"levels\": " << levels << ",\n"
       << "  \"host_cores\": " << host_cores << ",\n"
+      << "  \"reps\": " << kReps << ",\n"
       << "  \"regenerate\": \"bench/interp_engine --threads " << threads
       << " --levels " << levels << " --min-seconds " << fmt(min_seconds, "%g")
       << (check_gate > 0.0 ? cat(" --check-gate ", fmt(check_gate, "%g")) : "")
@@ -379,54 +407,50 @@ int main(int argc, char** argv) {
       << "\",\n"
       << "  \"opt_compile_flags\": \"" << opt_report.compile_flags << "\",\n"
       << "  \"opt_host_key\": \"" << opt_report.host_key << "\",\n"
-      << "  \"kernels\": [\n";
+      << "  \"fork_join\": [\n";
+  for (std::size_t i = 0; i < fork_joins.size(); ++i) {
+    const ForkJoin& f = fork_joins[i];
+    out << "    {\"ranks\": " << f.ranks << ", \"median_us\": "
+        << fmt(f.median_us, "%.3f") << ", \"p90_us\": "
+        << fmt(f.p90_us, "%.3f") << ", \"parks_per_dispatch\": "
+        << fmt(f.parks_per_dispatch, "%.4f") << "}"
+        << (i + 1 < fork_joins.size() ? "," : "") << "\n";
+  }
+  out << "  ],\n  \"kernels\": [\n";
+  const char* names[kColumns] = {
+      "serial_treewalk", "serial_plan",   "parallel_plan",
+      "serial_opt",      "serial_native", "parallel_native",
+      "parallel_native_ungated"};
+  const char* speedup_names[6] = {
+      "serial_speedup",          "serial_native_speedup",
+      "serial_opt_speedup",      "parallel_plan_speedup",
+      "parallel_native_speedup", "parallel_native_ungated_speedup"};
   for (std::size_t i = 0; i < results.size(); ++i) {
     const KernelResult& r = results[i];
-    const double s_speed =
-        r.serial_plan_s > 0.0 ? r.serial_treewalk_s / r.serial_plan_s : 0.0;
-    const double n_speed = r.serial_native_s > 0.0
-                               ? r.serial_plan_s / r.serial_native_s
-                               : 0.0;
-    const double o_speed =
-        r.serial_opt_s > 0.0 ? r.serial_plan_s / r.serial_opt_s : 0.0;
-    const double p_speed =
-        r.parallel_plan_s > 0.0 ? r.serial_plan_s / r.parallel_plan_s : 0.0;
-    const double pn_speed = r.parallel_native_s > 0.0
-                                ? r.serial_native_s / r.parallel_native_s
-                                : 0.0;
-    const double pu_speed =
-        r.parallel_native_ungated_s > 0.0
-            ? r.serial_native_s / r.parallel_native_ungated_s
-            : 0.0;
     out << "    {\"suite\": \"" << r.suite << "\", \"name\": \"" << r.name
-        << "\", \"serial_treewalk_s\": " << fmt(r.serial_treewalk_s, "%.6g")
-        << ", \"serial_plan_s\": " << fmt(r.serial_plan_s, "%.6g")
-        << ", \"serial_native_s\": " << fmt(r.serial_native_s, "%.6g")
-        << ", \"serial_opt_s\": " << fmt(r.serial_opt_s, "%.6g")
-        << ", \"serial_speedup\": " << fmt(s_speed, "%.3f")
-        << ", \"serial_native_speedup\": " << fmt(n_speed, "%.3f")
-        << ", \"serial_opt_speedup\": " << fmt(o_speed, "%.3f")
-        << ", \"parallel_plan_s\": " << fmt(r.parallel_plan_s, "%.6g")
-        << ", \"parallel_plan_speedup\": " << fmt(p_speed, "%.3f")
-        << ", \"parallel_native_s\": " << fmt(r.parallel_native_s, "%.6g")
-        << ", \"parallel_native_speedup\": " << fmt(pn_speed, "%.3f")
-        << ", \"parallel_native_ungated_s\": "
-        << fmt(r.parallel_native_ungated_s, "%.6g")
-        << ", \"parallel_native_ungated_speedup\": " << fmt(pu_speed, "%.3f")
-        << ", \"regions_total\": " << r.regions_total
+        << "\"";
+    for (int c = 0; c < kColumns; ++c) {
+      const auto col = static_cast<Column>(c);
+      out << ", \"" << names[c] << "_s\": " << fmt(r.s(col), "%.6g")
+          << ", \"" << names[c] << "_iqr_s\": " << fmt(r.iqr_s(col), "%.3g");
+    }
+    const std::array<double, 6> x = speedups(r);
+    for (std::size_t k = 0; k < x.size(); ++k) {
+      out << ", \"" << speedup_names[k] << "\": " << fmt(x[k], "%.3f");
+    }
+    out << ", \"regions_total\": " << r.regions_total
         << ", \"regions_fused\": " << r.regions_fused
         << ", \"gated_regions\": " << r.gated_regions << "}"
         << (i + 1 < results.size() ? "," : "") << "\n";
   }
-  out << "  ],\n  \"sarb_serial_geomean_speedup\": " << fmt(geomean, "%.3f")
+  out << "  ],\n  \"sarb_serial_geomean_speedup\": " << fmt(geo[0], "%.3f")
       << ",\n  \"sarb_serial_native_geomean_speedup\": "
-      << fmt(native_geomean, "%.3f")
-      << ",\n  \"sarb_serial_opt_geomean_speedup\": "
-      << fmt(opt_geomean, "%.3f")
+      << fmt(geo[1], "%.3f")
+      << ",\n  \"sarb_serial_opt_geomean_speedup\": " << fmt(geo[2], "%.3f")
       << ",\n  \"sarb_parallel_native_geomean_speedup\": "
-      << fmt(pnative_geomean, "%.3f")
+      << fmt(geo[4], "%.3f")
       << ",\n  \"sarb_parallel_native_ungated_geomean_speedup\": "
-      << fmt(ungated_geomean, "%.3f") << "\n}\n";
+      << fmt(geo[5], "%.3f") << "\n}\n";
   std::printf("wrote %s\n", out_path.c_str());
   if (gate_violations > 0) {
     std::fprintf(stderr, "interp_engine: %d kernel(s) failed the"

@@ -789,7 +789,11 @@ class CGen {
       std::vector<std::string> vars;
       for (const LoopSpec& loop : step.loops) vars.push_back(loop.index_var);
       vars.push_back("glaf_k");
-      if (owner < 0 && depth > 1) vars.push_back("glaf_r");
+      if (owner < 0 && depth > 1) {
+        vars.push_back("glaf_r");
+        vars.push_back("glaf_w");
+        for (std::size_t d = 0; d < depth; ++d) vars.push_back(cat("glaf_q", d));
+      }
       for (std::size_t d = 0; owner >= 0 && d < depth; ++d) {
         if (static_cast<int>(d) != owner) vars.push_back(cat("glaf_q", d));
       }
@@ -841,6 +845,7 @@ class CGen {
       return interp_math() ? cat("(long)", expr(e)) : expr(e);
     };
     int open = 0;
+    std::string carry;  ///< flat banding: advance the counters a row
     if (owner >= 0) {
       // Ownership banding: [glaf_lo, glaf_hi) covers dimension `owner`
       // alone; the other banded dimensions run their full trip counts, so
@@ -862,26 +867,52 @@ class CGen {
         }
         ++open;
       }
-    } else {
-      // Flat banding: [glaf_lo, glaf_hi) indexes the collapsed iteration
-      // space; unflatten row-major into the banded index variables.
+    } else if (depth == 1) {
       w_.line("for (glaf_k = glaf_lo; glaf_k < glaf_hi; ++glaf_k) {");
       w_.indent();
       ++open;
-      if (depth == 1) {
-        w_.line(cat(step.loops[0].index_var, " = glaf_c->glaf_b", bs,
-                    "[0] + glaf_k * glaf_c->glaf_s", bs, "[0];"));
-      } else {
-        w_.line("glaf_r = glaf_k;");
-        for (std::size_t d = depth; d-- > 1;) {
-          w_.line(cat(step.loops[d].index_var, " = glaf_c->glaf_b", bs, "[",
-                      d, "] + (glaf_r % glaf_c->glaf_t", bs, "[", d,
-                      "]) * glaf_c->glaf_s", bs, "[", d, "];"));
-          w_.line(cat("glaf_r /= glaf_c->glaf_t", bs, "[", d, "];"));
-        }
-        w_.line(cat(step.loops[0].index_var, " = glaf_c->glaf_b", bs,
-                    "[0] + glaf_r * glaf_c->glaf_s", bs, "[0];"));
+      w_.line(cat(step.loops[0].index_var, " = glaf_c->glaf_b", bs,
+                  "[0] + glaf_k * glaf_c->glaf_s", bs, "[0];"));
+    } else {
+      // Flat banding: [glaf_lo, glaf_hi) indexes the collapsed iteration
+      // space. Unflatten glaf_lo once (row-major) into the trip counters
+      // glaf_q<d>, then walk rows: the innermost banded dimension runs as
+      // a plain counted loop over the part of its row inside the chunk
+      // (partial first and last rows), and the outer counters carry at
+      // each row end — the body sees the serial loop shape, with no
+      // division per trip.
+      const std::size_t last = depth - 1;
+      const auto field = [&](const char* f, std::size_t d) {
+        return cat("glaf_c->glaf_", f, bs, "[", d, "]");
+      };
+      w_.line("glaf_r = glaf_lo;");
+      for (std::size_t d = last; d >= 1; --d) {
+        w_.line(cat("glaf_q", d, " = glaf_r % ", field("t", d),
+                    "; glaf_r /= ", field("t", d), ";"));
       }
+      w_.line("glaf_q0 = glaf_r;");
+      w_.line("for (glaf_k = glaf_lo; glaf_k < glaf_hi; glaf_k += glaf_w) {");
+      w_.indent();
+      for (std::size_t d = 0; d < last; ++d) {
+        w_.line(cat(step.loops[d].index_var, " = ", field("b", d),
+                    " + glaf_q", d, " * ", field("s", d), ";"));
+      }
+      w_.line(cat("glaf_w = ", field("t", last), " - glaf_q", last,
+                  "; if (glaf_w > glaf_hi - glaf_k) glaf_w = glaf_hi - "
+                  "glaf_k;"));
+      const std::string& var = step.loops[last].index_var;
+      w_.line(cat("for (", var, " = ", field("b", last), " + glaf_q", last,
+                  " * ", field("s", last), ", glaf_r = 0; glaf_r < glaf_w; "
+                  "++glaf_r, ", var, " += ", field("s", last), ") {"));
+      w_.indent();
+      carry = cat("glaf_q", last, " = 0;");
+      for (std::size_t d = last - 1; d >= 1; --d) {
+        carry += cat(" if (++glaf_q", d, " == ", field("t", d), ") { glaf_q",
+                     d, " = 0;");
+      }
+      carry += " ++glaf_q0;";
+      carry += std::string(last - 1, '}');
+      open += 2;
     }
     for (std::size_t d = depth; d < step.loops.size(); ++d) {
       const LoopSpec& loop = step.loops[d];
@@ -896,9 +927,10 @@ class CGen {
       ++open;
     }
     emit_body(step.body, fn, nullptr);
-    for (int i = 0; i < open; ++i) {
+    for (int i = open; i > 0; --i) {
       w_.dedent();
       w_.line("}");
+      if (i == 2 && !carry.empty()) w_.line(carry);
     }
   }
 

@@ -77,8 +77,9 @@ std::int64_t now_ns() {
 }
 
 /// A region call site's countdown ran out (GateSlot::left). A fixed mode
-/// arms the slot for good; the measured gate opens a timed run of the
-/// branch its GateSite picks, which gate_close records after the branch.
+/// arms the slot for good; the measured gate asks the ledger, which
+/// settles the pending timed run and runs the site's next decided run or
+/// opens a timed run of the branch its GateSite picks.
 long gate_open(void* hctx, GateSlot* slot, long n) {
   auto* host = static_cast<PforHost*>(hctx);
   if (host->gate != GateMode::kMeasured) {
@@ -86,25 +87,16 @@ long gate_open(void* hctx, GateSlot* slot, long n) {
     slot->left = std::numeric_limits<long>::max();
     return n >= slot->nmin ? 1 : 0;
   }
-  auto* site = static_cast<GateSite*>(slot->state);
-  if (site == nullptr) {
-    site = host->sites.emplace_back(std::make_unique<GateSite>(host->nranks))
-               .get();
-    slot->state = site;
-  }
-  slot->timing = 1;
-  return site->open(n, now_ns()) ? 1 : 0;
+  return host->ledger.open(slot, n, now_ns()) ? 1 : 0;
 }
 
+/// The kernel closed a timed run after its branch; the ledger keeps it
+/// open on the clock until the next gate event or the end of the call.
 void gate_close(void* hctx, GateSlot* slot) {
-  auto* site = static_cast<GateSite*>(slot->state);
-  site->close(now_ns());
-  slot->timing = 0;
-  slot->nmin = site->nmin();
-  slot->left = site->left();
   auto* host = static_cast<PforHost*>(hctx);
+  const bool dispatched = host->ledger.close(slot, now_ns());
   host->probes.fetch_add(1, std::memory_order_relaxed);
-  if (!site->dispatching()) {
+  if (!dispatched) {
     host->serial_probes.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -299,7 +291,7 @@ StatusOr<std::unique_ptr<NativeEngine>> NativeEngine::load_compiled(
     engine->pfor_host_->dynamic_schedule = options.dynamic_schedule;
     engine->pfor_host_->schedule_chunk = options.schedule_chunk;
     const int ranks = options.pool != nullptr ? options.pool->size() : 1;
-    engine->pfor_host_->nranks = ranks;
+    engine->pfor_host_->ledger = GateLedger(ranks);
     engine->pfor_host_->gate =
         resolve_gate(options.gate_always_dispatch, ranks,
                      std::thread::hardware_concurrency());
@@ -360,6 +352,10 @@ StatusOr<double> NativeEngine::call(const AbiFunction& fn) {
                options_.num_threads, 0.0};
   const long status =
       reinterpret_cast<WrapperFn>(entry_points_[index])(&args);
+  // A timed gate run is charged through the call's copy-out.
+  if (pfor_host_ != nullptr && pfor_host_->ledger.pending()) {
+    pfor_host_->ledger.settle(now_ns());
+  }
   if (status != 0) {
     return internal_error(cat("native kernel rejected slot ", status - 1,
                               " of '", fn.name, "' (extent mismatch)"));

@@ -37,9 +37,8 @@ struct PforHost {
   ThreadPool* pool = nullptr;
   bool dynamic_schedule = false;
   std::int64_t schedule_chunk = 4;
-  int nranks = 1;
   GateMode gate = GateMode::kDispatch;
-  std::vector<std::unique_ptr<GateSite>> sites;
+  GateLedger ledger;
   std::atomic<std::uint64_t> regions{0};
   std::atomic<std::uint64_t> probes{0};
   std::atomic<std::uint64_t> serial_probes{0};  ///< probes that ran serial

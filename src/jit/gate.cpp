@@ -36,7 +36,7 @@ GateSite::GateSite(int nranks) : nranks_(std::max(nranks, 1)) {}
 
 bool GateSite::open(long n, std::int64_t now_ns) {
   if (runs_ < 2 * kGateProbeRuns) {
-    open_dispatch_ = (runs_ & 1) != 0;
+    open_dispatch_ = runs_ >= kGateProbeRuns;
   } else if (revisit_) {
     open_dispatch_ = !revisit_dispatch_;
   } else {
@@ -96,6 +96,38 @@ void GateSite::fit() {
   } else {
     nmin_ = x < 0.0 ? 0 : static_cast<long>(std::floor(x)) + 1;
   }
+}
+
+bool GateLedger::open(GateSlot* slot, long n, std::int64_t now_ns) {
+  settle(now_ns);
+  if (slot->left > 0) {
+    --slot->left;
+    return n >= slot->nmin;
+  }
+  auto* site = static_cast<GateSite*>(slot->state);
+  if (site == nullptr) {
+    site = sites_.emplace_back(std::make_unique<GateSite>(nranks_)).get();
+    slot->state = site;
+  }
+  slot->timing = 1;
+  return site->open(n, now_ns);
+}
+
+bool GateLedger::close(GateSlot* slot, std::int64_t now_ns) {
+  settle(now_ns);
+  slot->timing = 0;
+  slot->left = 0;
+  pending_ = slot;
+  return static_cast<GateSite*>(slot->state)->dispatching();
+}
+
+void GateLedger::settle(std::int64_t now_ns) {
+  if (pending_ == nullptr) return;
+  auto* site = static_cast<GateSite*>(pending_->state);
+  site->close(now_ns);
+  pending_->nmin = site->nmin();
+  pending_->left = site->left();
+  pending_ = nullptr;
 }
 
 }  // namespace glaf::jit

@@ -9,7 +9,8 @@
 // n >= nmin. When the countdown runs out the kernel asks the host, which
 // either fixes the slot for good (always or never dispatch) or opens a
 // timed run that the kernel closes after the branch. Everything else —
-// the probe window, the fit and the revisit schedule — is GateSite, here.
+// the probe window, the fit and the revisit schedule — is GateSite, and
+// the clock of the timed runs is GateLedger, here.
 //
 // Both branches of a call site compute the same bits (the serial branch
 // is the original loops; the dispatched one combines ranks in a fixed
@@ -18,11 +19,15 @@
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <vector>
 
 namespace glaf::jit {
 
-/// A site's first 2 * kGateProbeRuns runs alternate the serial and the
-/// dispatched branch (serial first), timed; each branch then keeps its
+/// A site's first 2 * kGateProbeRuns runs are timed in two blocks: the
+/// serial branch kGateProbeRuns times, then the dispatched branch as many
+/// times, so each branch is measured in its own steady state (its caches,
+/// the pool's spinning or parked workers); each branch then keeps its
 /// newest kGateProbeRuns samples. After kGateRevisitFirst decided runs the
 /// site revisits: it times the branch it did not choose, then the other
 /// branch, and refits. The period doubles up to kGateRevisitMax while the
@@ -112,6 +117,37 @@ class GateSite {
   long open_n_ = 0;
   bool open_dispatch_ = false;
   std::int64_t open_ns_ = 0;
+};
+
+/// The timed runs of one kernel's call sites (one ledger per engine). A
+/// timed run is charged past the end of its branch, until the next
+/// host-visible gate event — any site's open or close — or the end of the
+/// kernel call (settle): a dispatched run then also pays for what it
+/// leaves behind, such as the copy-out of data the workers wrote. Until a
+/// closed run is settled its slot's countdown stays at 0, so the site's
+/// next run asks the host again, which settles it first.
+class GateLedger {
+ public:
+  explicit GateLedger(int nranks = 1) : nranks_(nranks) {}
+
+  /// The countdown of `slot` ran out at `now_ns` before a run of n trips.
+  /// Settles the pending run; if that armed this slot's countdown, the
+  /// run is its first decided run, else it opens a timed run (slot->timing
+  /// = 1). Returns whether the run dispatches.
+  bool open(GateSlot* slot, long n, std::int64_t now_ns);
+  /// The kernel closed the timed run of `slot` at `now_ns`: settle any
+  /// pending run and leave this one pending. Returns whether the closed
+  /// run dispatched.
+  bool close(GateSlot* slot, std::int64_t now_ns);
+  /// Close the pending run, if any, at `now_ns` and arm its slot.
+  void settle(std::int64_t now_ns);
+  /// Whether a closed run waits to be settled.
+  [[nodiscard]] bool pending() const { return pending_ != nullptr; }
+
+ private:
+  int nranks_;
+  std::vector<std::unique_ptr<GateSite>> sites_;
+  GateSlot* pending_ = nullptr;
 };
 
 }  // namespace glaf::jit

@@ -1,8 +1,37 @@
 #include "runtime/thread_pool.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 
 namespace glaf {
+namespace {
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Spinning threads yield the CPU once every this many pause probes
+/// (about a microsecond of spinning). Without the yield, a caller whose
+/// workers share its CPU waits out a scheduler slice, milliseconds, per
+/// dispatch.
+constexpr int kYieldEvery = 64;
+
+/// One spin probe: a pause, and every kYieldEvery probes a sched_yield so
+/// a thread sharing this CPU (a worker, the caller, a server thread)
+/// gets to run. Returns true on the probes that yielded.
+inline bool spin_step(int* probes) {
+  cpu_relax();
+  if (++*probes % kYieldEvery != 0) return false;
+  sched_yield();
+  return true;
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(int num_threads)
     : num_threads_(std::max(1, num_threads)) {
@@ -13,11 +42,9 @@ ThreadPool::ThreadPool(int num_threads)
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  start_cv_.notify_all();
+  stop_.store(true, std::memory_order_relaxed);
+  generation_.fetch_add(1, std::memory_order_seq_cst);
+  generation_.notify_all();
   for (std::thread& t : workers_) t.join();
 }
 
@@ -37,52 +64,40 @@ void ThreadPool::run_chunk(const Job& job, int chunk) {
   try {
     job.invoke(job.ctx, chunk, begin, end);
   } catch (...) {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<std::mutex> lock(error_mutex_);
     if (!first_error_) first_error_ = std::current_exception();
   }
 }
 
 void ThreadPool::worker_main(int rank) {
-  std::int64_t seen_generation = 0;
+  std::uint32_t seen = 0;
   while (true) {
-    // Spin phase: lock-free relaxed probes of the generation counter.
-    // A dispatch that arrives within the spin budget skips the futex
-    // wakeup; DESIGN.md §7.2 records how rarely back-to-back dispatches
-    // manage that, since the caller's own wakeup outlasts the spin.
-    for (int i = 0; i < kSpinIterations; ++i) {
-      if (generation_.load(std::memory_order_acquire) != seen_generation) {
+    // Spin phase: pause probes of the generation, bounded by wall time
+    // (checked only when yielding, so the clock is read rarely).
+    const auto deadline = std::chrono::steady_clock::now() + kSpinBudget;
+    int probes = 0;
+    while (generation_.load(std::memory_order_acquire) == seen) {
+      if (spin_step(&probes) &&
+          std::chrono::steady_clock::now() >= deadline) {
+        // Budget exhausted: park. Announce first, then re-check the
+        // generation inside wait(); see sleepers_ for why no dispatch
+        // can slip between the two.
+        sleepers_.fetch_add(1, std::memory_order_seq_cst);
+        parks_.fetch_add(1, std::memory_order_relaxed);
+        while (generation_.load(std::memory_order_seq_cst) == seen) {
+          generation_.wait(seen, std::memory_order_seq_cst);
+        }
+        sleepers_.fetch_sub(1, std::memory_order_relaxed);
         break;
       }
     }
-    Job job;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (!stop_ &&
-          generation_.load(std::memory_order_relaxed) == seen_generation) {
-        // Spin budget exhausted with no new job: park. parked_ is
-        // maintained under the mutex, and the dispatcher bumps the
-        // generation under the same mutex, so the park decision cannot
-        // race a concurrent dispatch into a missed wakeup.
-        ++parked_;
-        parks_.fetch_add(1, std::memory_order_relaxed);
-        start_cv_.wait(lock, [&] {
-          return stop_ || generation_.load(std::memory_order_relaxed) !=
-                              seen_generation;
-        });
-        --parked_;
-      }
-      if (stop_) return;
-      seen_generation = generation_.load(std::memory_order_relaxed);
-      job = job_;
-    }
+    seen = generation_.load(std::memory_order_acquire);
+    if (stop_.load(std::memory_order_relaxed)) return;
+    const Job job = job_;
     run_chunk(job, rank);
-    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // Last chunk done: wake the caller. Taking the mutex before the
-      // notify pairs with the caller's predicate check under the same
-      // mutex, closing the missed-wakeup window.
-      const std::lock_guard<std::mutex> lock(mutex_);
-      done_cv_.notify_all();
-    }
+    // Release: the caller's acquire on pending_ orders this chunk's
+    // writes (and any first_error_) before its return.
+    pending_.fetch_sub(1, std::memory_order_release);
   }
 }
 
@@ -93,42 +108,26 @@ void ThreadPool::dispatch(std::int64_t n, ChunkFn invoke, void* ctx) {
     return;
   }
   dispatches_.fetch_add(1, std::memory_order_relaxed);
-  bool anyone_parked = false;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    job_.invoke = invoke;
-    job_.ctx = ctx;
-    job_.n = n;
-    job_.chunks = num_threads_;
-    first_error_ = nullptr;
-    pending_.store(num_threads_ - 1, std::memory_order_relaxed);
-    // Publish last, with release: a spinning worker that observes the
-    // new generation sees the whole job descriptor.
-    generation_.fetch_add(1, std::memory_order_release);
-    anyone_parked = parked_ > 0;
+  job_ = Job{invoke, ctx, n, num_threads_};
+  first_error_ = nullptr;
+  pending_.store(num_threads_ - 1, std::memory_order_relaxed);
+  // Publish last: a worker that observes the new generation sees the
+  // whole job. seq_cst orders the bump before the sleepers_ load.
+  generation_.fetch_add(1, std::memory_order_seq_cst);
+  if (sleepers_.load(std::memory_order_seq_cst) > 0) {
+    generation_.notify_all();
   }
-  if (anyone_parked) start_cv_.notify_all();
   run_chunk(job_, 0);  // rank 0 = calling thread
-  // Spin for the workers' tails before blocking: with chunks this even,
-  // they finish within the budget almost always.
-  for (int i = 0; i < kSpinIterations; ++i) {
-    if (pending_.load(std::memory_order_acquire) == 0) break;
+  // Spin for the workers' tails, yielding so a worker that shares this
+  // CPU can finish; the caller never parks.
+  int probes = 0;
+  while (pending_.load(std::memory_order_acquire) != 0) {
+    spin_step(&probes);
   }
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    // Acquire, not relaxed: the last worker's fetch_sub can land before
-    // it takes the mutex to notify, so the mutex alone does not order its
-    // chunk before our return. Without the acquire, the caller could
-    // reuse the job's callable (a stack lambda) while nothing orders the
-    // workers' reads of it first.
-    done_cv_.wait(lock, [&] {
-      return pending_.load(std::memory_order_acquire) == 0;
-    });
-    if (first_error_) {
-      std::exception_ptr e = first_error_;
-      first_error_ = nullptr;
-      std::rethrow_exception(e);
-    }
+  if (first_error_) {
+    std::exception_ptr e = first_error_;
+    first_error_ = nullptr;
+    std::rethrow_exception(e);
   }
 }
 

@@ -4,14 +4,15 @@
 // static contiguous chunks (one per worker), matching OMP's default static
 // schedule for PARALLEL DO.
 //
-// Workers are persistent: spawned once in the constructor, they spin
-// briefly on the job generation counter between dispatches (catching
-// back-to-back parallel regions — e.g. fused-region kernels issuing one
-// dispatch per call — without a syscall) and park on a condition variable
-// only after the spin budget runs out. The dispatcher bumps the
-// generation under the pool mutex and notifies only when someone is
-// actually parked, so a hot pool pays two atomic transitions per region
-// and an idle pool costs no CPU.
+// Workers are persistent: spawned once in the constructor, they spin on
+// the job generation counter between dispatches for about kSpinBudget
+// (a pause per probe, a sched_yield every few dozen probes, so a
+// co-located thread still runs), then park on std::atomic::wait. A
+// dispatch publishes the job through the generation alone — no mutex —
+// and issues a notify only when a worker is actually parked. The caller
+// waits for its workers by spinning with the same yield and never parks:
+// a hot pool is an active OpenMP runtime (about 1 us per empty
+// fork/join), an idle one costs no CPU once the budget runs out.
 //
 // The public entry points are templates over the callable: a job is
 // published to the workers as a raw function pointer plus an opaque
@@ -26,7 +27,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
 #include <exception>
 #include <mutex>
@@ -38,6 +39,9 @@ namespace glaf {
 
 class ThreadPool {
  public:
+  /// How long an idle worker spins before it parks.
+  static constexpr std::chrono::microseconds kSpinBudget{100};
+
   /// Spawns `num_threads` workers (>=1). The calling thread also executes
   /// chunks, so total parallelism is num_threads (workers = n-1).
   explicit ThreadPool(int num_threads);
@@ -90,9 +94,9 @@ class ThreadPool {
   [[nodiscard]] std::uint64_t dispatches() const {
     return dispatches_.load(std::memory_order_relaxed);
   }
-  /// Times any worker exhausted its spin budget and blocked on the
-  /// condition variable. dispatches() x workers minus parks() is the
-  /// number of wakeups the spin phase absorbed without a syscall.
+  /// Times any worker exhausted its spin budget and parked.
+  /// dispatches() x workers minus parks() is the number of wakeups the
+  /// spin phase absorbed without a syscall.
   [[nodiscard]] std::uint64_t parks() const {
     return parks_.load(std::memory_order_relaxed);
   }
@@ -109,12 +113,6 @@ class ThreadPool {
     int chunks = 0;
   };
 
-  /// Relaxed generation probes a worker makes before parking. Roughly
-  /// tens of microseconds of spinning — enough to bridge the gap between
-  /// the regions of one kernel call, short enough that an idle pool
-  /// parks promptly.
-  static constexpr int kSpinIterations = 4096;
-
   void dispatch(std::int64_t n, ChunkFn invoke, void* ctx);
   void worker_main(int rank);
   void run_chunk(const Job& job, int chunk);
@@ -124,22 +122,25 @@ class ThreadPool {
   const int num_threads_;
   std::vector<std::thread> workers_;
 
-  std::mutex mutex_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
+  /// The current job: written by the caller before it bumps generation_
+  /// (release), read by workers after they observe the bump (acquire).
+  /// The caller writes the next one only after pending_ reached 0, so
+  /// every worker has copied it by then.
   Job job_;
-  /// Job sequence number. Written under mutex_; read with relaxed loads
-  /// in the workers' spin phase (acquire on the transition) so spinning
-  /// never touches the lock.
-  std::atomic<std::int64_t> generation_{0};
+  /// Job sequence number; 32 bits so std::atomic::wait is a bare futex.
+  std::atomic<std::uint32_t> generation_{0};
   /// Chunks of the current job not yet finished (workers only; the
   /// caller runs chunk 0 itself).
   std::atomic<int> pending_{0};
-  /// Workers currently blocked in start_cv_.wait (maintained under
-  /// mutex_): the dispatcher skips notify_all when every worker is still
-  /// spinning.
-  int parked_ = 0;
-  bool stop_ = false;
+  /// Workers parked (or about to park) in generation_.wait. Paired with
+  /// the generation through seq_cst so a dispatch either sees a parker
+  /// and notifies, or the parker sees the new generation and never
+  /// blocks.
+  std::atomic<int> sleepers_{0};
+  std::atomic<bool> stop_{false};
+  /// First exception of the current job. Written under error_mutex_;
+  /// the caller reads it after pending_ reached 0 (acquire).
+  std::mutex error_mutex_;
   std::exception_ptr first_error_;
   std::atomic<std::uint64_t> dispatches_{0};
   std::atomic<std::uint64_t> parks_{0};

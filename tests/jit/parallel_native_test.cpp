@@ -406,6 +406,111 @@ TEST(ParallelNativeReductions, FloatSumStaysSerialInsideTheKernel) {
   expect_value_equal(serial, par, "total");
 }
 
+// ---- collapsed (flat-banded) ranges -----------------------------------------
+
+/// Loop nests the emitter collapses into one flat range: its range
+/// function unflattens the chunk start once and walks rows, so chunks that
+/// start or end mid-row, or are shorter than a row, are the cases to pin.
+/// Trip counts come from global scalars, so one kernel runs every shape:
+///  - fwd: r x c, j = 1, 4, ... (stride 3);
+///  - bwd: r x c, j = 2c-1 down to 1 (stride -2);
+///  - cube: a x b x d, depth-3 collapse;
+///  - tri: r x c collapsed, with an inner k = 0..j loop the collapse cannot
+///    take (its bound reads j).
+Program collapsed_program() {
+  ProgramBuilder pb("m");
+  const auto scalar = [&](const char* name) {
+    return pb.global(name, DataType::kInt, {}, {.init = {std::int64_t{1}}});
+  };
+  auto r = scalar("r");
+  auto c = scalar("c");
+  auto a = scalar("a");
+  auto b = scalar("b");
+  auto d = scalar("d");
+  auto x = pb.global("x", DataType::kDouble, {E(9), E(32)});
+  auto y = pb.global("y", DataType::kDouble, {E(9), E(32)});
+  auto w = pb.global("w", DataType::kDouble, {E(9), E(32)});
+  auto x3 = pb.global("x3", DataType::kDouble, {E(9), E(12), E(12)});
+  auto z = pb.global("z", DataType::kDouble, {E(9), E(12), E(12)});
+  auto t = pb.global("t", DataType::kDouble, {E(9), E(12), E(12)});
+  auto fb = pb.function("f");
+  auto fwd = fb.step("fwd");
+  fwd.foreach_("i", 0, E(r) - 1).foreach_("j", 1, E(c) * 3 - 2, 3);
+  fwd.assign(y(idx("i"), idx("j")),
+             x(idx("i"), idx("j")) * 0.5 + idx("i") * 7.0 + idx("j"));
+  auto bwd = fb.step("bwd");
+  bwd.foreach_("i", 0, E(r) - 1).foreach_("j", E(c) * 2 - 1, 1, -2);
+  bwd.assign(w(idx("i"), idx("j")),
+             x(idx("i"), idx("j")) - idx("i") + idx("j") * 0.25);
+  auto cube = fb.step("cube");
+  cube.foreach_("i", 0, E(a) - 1)
+      .foreach_("j", 0, E(b) - 1)
+      .foreach_("k", 0, E(d) - 1);
+  cube.assign(z(idx("i"), idx("j"), idx("k")),
+              x3(idx("i"), idx("j"), idx("k")) * 2.0 + idx("i") * 100.0 +
+                  idx("j") * 10.0 + idx("k"));
+  auto tri = fb.step("tri");
+  tri.foreach_("i", 0, E(r) - 1)
+      .foreach_("j", 0, E(c) - 1)
+      .foreach_("k", 0, idx("j"));
+  tri.assign(t(idx("i"), idx("j"), idx("k")),
+             x3(idx("i"), idx("j"), idx("k")) + idx("k") * 0.5);
+  return pb.build().value();
+}
+
+TEST(ParallelNativeCollapse, RaggedPartitionsBitwiseAtOneToFourRanks) {
+  if (!have_cc()) GTEST_SKIP() << "no system compiler";
+  const ScopedEnv env("GLAF_KERNEL_CACHE", fresh_cache_dir("collapse"));
+  const Program p = collapsed_program();
+  {
+    // Every step is flat-banded (no ownership band) at its full depth.
+    Machine probe(p, serial_native());
+    const auto& verdicts =
+        probe.analysis().verdicts.at(p.find_function("f")->id);
+    ASSERT_EQ(verdicts.size(), 4u);
+    const int depth[] = {2, 2, 3, 2};
+    for (std::size_t s = 0; s < verdicts.size(); ++s) {
+      ASSERT_TRUE(verdicts[s].bit_exact) << verdict_to_string(p, verdicts[s]);
+      EXPECT_LT(verdicts[s].exact_partition_dim, 0) << s;
+      EXPECT_EQ(verdicts[s].collapse, depth[s]) << s;
+    }
+  }
+  // (r, c) for fwd/bwd/tri and (a, b, d) for cube: rows longer and
+  // shorter than a chunk, single rows and single columns.
+  struct Shape {
+    int r, c, a, b, d;
+  };
+  const Shape shapes[] = {{7, 5, 5, 1, 3},  {1, 9, 1, 1, 7},
+                          {9, 1, 2, 3, 4},  {3, 4, 3, 5, 2},
+                          {5, 11, 4, 2, 3}, {2, 3, 9, 1, 1}};
+  InterpOptions plan;
+  plan.engine = ExecEngine::kPlan;
+  for (const int threads : {1, 2, 3, 4}) {
+    Machine reference(p, plan);
+    Machine native(p, parallel_native(DirectivePolicy::kV0, threads));
+    require_native(native);
+    int round = 0;
+    for (const Shape& sh : shapes) {
+      const std::string tag = cat(threads, " ranks, ", sh.r, "x", sh.c, ", ",
+                                  sh.a, "x", sh.b, "x", sh.d);
+      testing::overwrite_floating_globals(reference, native, round++);
+      for (Machine* m : {&reference, &native}) {
+        for (const auto& [name, v] :
+             {std::pair<const char*, int>{"r", sh.r}, {"c", sh.c},
+              {"a", sh.a}, {"b", sh.b}, {"d", sh.d}}) {
+          ASSERT_TRUE(m->set_scalar(name, v).is_ok()) << name;
+        }
+        ASSERT_TRUE(m->call("f").is_ok()) << tag;
+      }
+      testing::expect_globals_bitwise(reference, native, tag);
+      if (::testing::Test::HasFailure()) return;
+    }
+    EXPECT_EQ(native.native_report().parallel_regions,
+              4 * std::size(shapes))
+        << threads;
+  }
+}
+
 // ---- ownership-banded accumulation ------------------------------------------
 
 /// acc(i) += w(i,j) under a collapse(2) directive: element acc(i) is

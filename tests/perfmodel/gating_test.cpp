@@ -3,10 +3,13 @@
 // where it does.
 //
 //  - GateSite, the measured gate's per-call-site logic, driven with
-//    synthetic timings: the serial-first probe window, the fitted
-//    break-even trip count, the doubling revisit period and its cap, a
-//    trip count that moves across the break-even, and the correction of
-//    a decision fitted in a noisy window;
+//    synthetic timings through the engine's GateLedger: the probe window
+//    (a serial block, then a dispatched block), the fitted break-even
+//    trip count, the doubling revisit period and its cap, a trip count
+//    that moves across the break-even, the correction of a decision
+//    fitted in a noisy window, and a dispatch whose downstream cost keeps
+//    the site serial; the ledger keeps a closed run on the clock until the
+//    next gate event or the end of the call;
 //  - the measured default in a real kernel: a sub-threshold region (the
 //    smooth_q shape that motivated the gate) never dispatches after the
 //    window except on revisit probes, every one of its runs is a probe
@@ -115,46 +118,54 @@ constexpr int kRevisit = static_cast<int>(jit::kGateRevisitFirst);
 
 // ---- GateSite with synthetic timings ----------------------------------------
 
-/// The kernel's side of one call site (the emitted glaf_site countdown)
-/// around a GateSite, on a fake clock: a serial run of n trips costs
-/// `per_trip * n` ns, a dispatched one `overhead + per_trip * n / ranks`.
+/// One call site in a kernel call, on a fake clock: the emitted
+/// glaf_site countdown around the engine's GateLedger. A serial run of n
+/// trips costs `per_trip * n` ns, a dispatched one
+/// `overhead + per_trip * n / ranks`, plus `downstream_ns` after the
+/// branch (e.g. the copy-out of data the workers wrote); the call ends
+/// right after, which settles the run.
 struct SimulatedSite {
-  explicit SimulatedSite(int ranks) : ranks(ranks), site(ranks) {}
+  explicit SimulatedSite(int ranks) : ranks(ranks), ledger(ranks) {}
 
-  /// One region execution; returns whether it dispatched.
+  /// One kernel call running the site once; returns whether it
+  /// dispatched.
   bool run(long n) {
-    if (--left >= 0) return n >= nmin;
-    const bool dispatch = site.open(n, clock);
+    const bool dispatch = --slot.left >= 0 ? n >= slot.nmin
+                                           : ledger.open(&slot, n, clock);
+    const bool timed = slot.timing != 0;
     clock += static_cast<std::int64_t>(
         dispatch ? overhead + per_trip * static_cast<double>(n) / ranks
                  : per_trip * static_cast<double>(n));
-    if (noise_runs > 0) {
-      --noise_runs;
-      if (dispatch) clock += static_cast<std::int64_t>(noise_ns);
+    if (timed) {
+      if (noise_runs > 0) {
+        --noise_runs;
+        if (dispatch) clock += static_cast<std::int64_t>(noise_ns);
+      }
+      EXPECT_EQ(ledger.close(&slot, clock), dispatch);
+      ++probes;
     }
-    site.close(clock);
-    ++probes;
-    left = site.left();
-    nmin = site.nmin();
+    if (dispatch) clock += static_cast<std::int64_t>(downstream_ns);
+    ledger.settle(clock);
     return dispatch;
   }
 
   int ranks;
-  jit::GateSite site;
-  long left = 0, nmin = 0;
+  jit::GateLedger ledger;
+  jit::GateSlot slot{0, 0, 0, nullptr};
   std::int64_t clock = 0;
   double per_trip = 10.0;     ///< ns per trip, serial
   double overhead = 20000.0;  ///< ns per dispatch
+  double downstream_ns = 0.0;  ///< ns a dispatch leaves behind
   int noise_runs = 0;         ///< timed runs whose dispatch is slowed
   double noise_ns = 0.0;
   int probes = 0;
 };
 
-TEST(GateSite, WindowAlternatesSerialFirstThenSettles) {
+TEST(GateSite, WindowTimesASerialBlockThenADispatchedBlock) {
   SimulatedSite s(2);
   // 100 trips: 1 us serial against a 20 us fork/join.
   for (std::uint64_t k = 0; k < kWindow; ++k) {
-    EXPECT_EQ(s.run(100), k % 2 == 1) << k;
+    EXPECT_EQ(s.run(100), k >= jit::kGateProbeRuns) << k;
   }
   EXPECT_EQ(s.probes, static_cast<int>(kWindow));
   for (int k = 0; k < kRevisit; ++k) EXPECT_FALSE(s.run(100)) << k;
@@ -165,20 +176,86 @@ TEST(GateSite, WindowAlternatesSerialFirstThenSettles) {
   EXPECT_EQ(s.probes, static_cast<int>(kWindow) + 2);
 }
 
+TEST(GateSite, DownstreamCostOfADispatchKeepsTheSiteSerial) {
+  // 100000 trips at 10 ns: 1 ms serial, 0.52 ms dispatched on 2 ranks by
+  // the branch's own clock — but each dispatch leaves 0.6 ms of work
+  // behind it in the call. Timed to the end of the branch, the site
+  // would dispatch; charged to the end of the call, it stays serial.
+  jit::GateSite branch_only(2);
+  std::int64_t clock = 0;
+  for (std::uint64_t k = 0; k < kWindow; ++k) {
+    const bool dispatch = branch_only.open(100000, clock);
+    clock += dispatch ? 20000 + 500000 : 1000000;
+    branch_only.close(clock);
+  }
+  EXPECT_LE(branch_only.nmin(), 100000);
+
+  SimulatedSite s(2);
+  s.downstream_ns = 6e5;
+  for (std::uint64_t k = 0; k < kWindow; ++k) s.run(100000);
+  EXPECT_GT(s.slot.nmin, 100000);
+  for (int k = 0; k < kRevisit; ++k) EXPECT_FALSE(s.run(100000)) << k;
+}
+
+TEST(GateLedger, ClosedRunPendsUntilTheNextGateEvent) {
+  jit::GateLedger ledger(2);
+  jit::GateSlot a{0, 0, 0, nullptr}, b{0, 0, 0, nullptr};
+  std::int64_t clock = 0;
+  // Site a's window, each run alone in its call.
+  for (std::uint64_t k = 0; k < kWindow; ++k) {
+    ASSERT_EQ(--a.left, -1) << k;
+    EXPECT_EQ(ledger.open(&a, 100, clock), k >= jit::kGateProbeRuns) << k;
+    EXPECT_EQ(a.timing, 1);
+    clock += 1000;
+    ledger.close(&a, clock);
+    EXPECT_EQ(a.timing, 0);
+    // Closed but not settled: the countdown stays at 0.
+    EXPECT_TRUE(ledger.pending());
+    EXPECT_EQ(a.left, 0) << k;
+    if (k + 1 < kWindow) ledger.settle(clock);
+  }
+  // The window's last run is still pending; site b's open settles it and
+  // arms a's countdown.
+  EXPECT_FALSE(ledger.open(&b, 100, clock)) << "b's window starts serial";
+  EXPECT_FALSE(ledger.pending());
+  // a = 10 ns/trip, F = 1000 - a * 100 / 2 = 500 ns: n > 100 pays.
+  EXPECT_EQ(a.left, jit::kGateRevisitFirst);
+  EXPECT_EQ(a.nmin, 101);
+  EXPECT_EQ(b.timing, 1);
+  ledger.close(&b, clock);
+
+  // A pending run whose own site runs next: the site's open settles it
+  // and the run is the first decided one.
+  jit::GateLedger solo(2);
+  jit::GateSlot c{0, 0, 0, nullptr};
+  for (std::uint64_t k = 0; k < kWindow; ++k) {
+    --c.left;
+    solo.open(&c, 100, clock);
+    clock += 1000;
+    solo.close(&c, clock);
+  }
+  ASSERT_TRUE(solo.pending());
+  ASSERT_EQ(--c.left, -1);
+  EXPECT_FALSE(solo.open(&c, 100, clock));
+  EXPECT_FALSE(solo.pending());
+  EXPECT_EQ(c.timing, 0);
+  EXPECT_EQ(c.left, jit::kGateRevisitFirst - 1);
+}
+
 TEST(GateSite, FitsTheBreakEvenTripCount) {
   // a = 10 ns/trip, F = 20 us, 2 ranks: dispatch pays from
   // n > F / (a * (1 - 1/2)) = 4000 trips, wherever the site probed.
   for (const long probe_n : {100L, 1000L, 100000L}) {
     SimulatedSite s(2);
     for (std::uint64_t k = 0; k < kWindow; ++k) s.run(probe_n);
-    EXPECT_NEAR(static_cast<double>(s.nmin), 4000.0, 2.0) << probe_n;
+    EXPECT_NEAR(static_cast<double>(s.slot.nmin), 4000.0, 2.0) << probe_n;
     EXPECT_FALSE(s.run(3000)) << probe_n;
     EXPECT_TRUE(s.run(5000)) << probe_n;
   }
   // More ranks save more of the serial time: the break-even drops.
   SimulatedSite four(4);
   for (std::uint64_t k = 0; k < kWindow; ++k) four.run(1000);
-  EXPECT_NEAR(static_cast<double>(four.nmin), 20000.0 / 7.5, 2.0);
+  EXPECT_NEAR(static_cast<double>(four.slot.nmin), 20000.0 / 7.5, 2.0);
 }
 
 TEST(GateSite, RevisitPeriodDoublesUpToTheCap) {
@@ -212,7 +289,8 @@ TEST(GateSite, NoisyWindowIsCorrectedWithinAFewPairs) {
   // Revisit pairs whose dispatch beat the fit's serial time follow each
   // other until the newest samples outvote the window's.
   int runs = 0;
-  while (!(s.left > 0 && s.nmin <= 100000) && runs < 4 * jit::kGateProbeRuns) {
+  while (!(s.slot.left > 0 && s.slot.nmin <= 100000) &&
+         runs < 4 * jit::kGateProbeRuns) {
     s.run(100000);
     ++runs;
   }
@@ -227,7 +305,7 @@ TEST(GateSite, TripCountAcrossTheBreakEvenKeepsThePeriodDoubling) {
   // branch beats the fit, so the period keeps doubling.
   SimulatedSite s(2);
   for (std::uint64_t k = 0; k < kWindow; ++k) s.run(1000);
-  ASSERT_EQ(s.nmin, 4001);
+  ASSERT_EQ(s.slot.nmin, 4001);
   long call = 0;
   const auto next_n = [&] { return (call++ % 2 == 0) ? 3000L : 5000L; };
   long expected = jit::kGateRevisitFirst;
@@ -241,18 +319,18 @@ TEST(GateSite, TripCountAcrossTheBreakEvenKeepsThePeriodDoubling) {
       if (s.probes != before) {
         // The revisit's first run takes the branch the fit does not
         // choose at its n.
-        EXPECT_EQ(dispatched, n < s.nmin) << revisit;
+        EXPECT_EQ(dispatched, n < s.slot.nmin) << revisit;
         first = dispatched;
         break;
       }
-      EXPECT_EQ(dispatched, n >= s.nmin) << revisit << " " << n;
+      EXPECT_EQ(dispatched, n >= s.slot.nmin) << revisit << " " << n;
       ++decided;
     }
     const int before = s.probes;
     EXPECT_NE(s.run(next_n()), first) << "the pair times both branches";
     EXPECT_EQ(s.probes, before + 1) << revisit;
     EXPECT_EQ(decided, expected) << revisit;
-    EXPECT_EQ(s.nmin, 4001) << revisit;
+    EXPECT_EQ(s.slot.nmin, 4001) << revisit;
     expected = std::min(2 * expected, jit::kGateRevisitMax);
   }
 }
