@@ -44,9 +44,9 @@ int main(int argc, char** argv) {
               rms_of(probe_run.jac));
   const Fun3dUnitCosts costs = measure_fun3d_unit_costs(probe);
   std::printf("calibrated unit costs: edge %.3f us, alloc %.4f us, "
-              "fork %.2f us, atomic factor %.2f\n\n",
-              costs.edge_us, costs.alloc_us, costs.fork_base_us,
-              costs.atomic_factor);
+              "atomic factor %.2f; modelled Xeon fork %.2f us\n\n",
+              costs.edge_us, costs.alloc_us, costs.atomic_factor,
+              costs.fork_base_us);
 
   // 2. Scale the workload shape to the paper's dataset.
   Fun3dWorkload workload = workload_from(probe, probe_run.stats);

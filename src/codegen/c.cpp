@@ -216,8 +216,7 @@ class CGen {
       w_.raw(cat("/* COMMON /", block, "/ (FORTRAN interop layout) */"));
       w_.raw(cat("extern struct ", block, "_common {"));
       for (const Grid* g : grids) {
-        w_.raw(cat("  ", ctype(g->elem_type), " ", g->name,
-                   flat_array_suffix(*g), ";"));
+        w_.raw(cat("  ", global_decl(*g), ";"));
       }
       w_.raw(cat("} ", block, "_;"));
     }
@@ -231,9 +230,8 @@ class CGen {
                    g.external_module, " */"));
         continue;
       }
-      w_.raw(cat("extern ", ctype(g.elem_type), " ", g.name,
-                 flat_array_suffix(g), "; /* from module ", g.external_module,
-                 " */"));
+      w_.raw(cat("extern ", global_decl(g), "; /* from module ",
+                 g.external_module, " */"));
     }
     // Owned globals: static file-scope definitions (§3.3 module scope).
     for (const GridId id : p_.global_grids) {
@@ -242,9 +240,26 @@ class CGen {
       if (opt_.emit_comments && !g.comment.empty()) {
         w_.raw(cat("/* ", g.comment, " */"));
       }
-      emit_definition(g, /*file_scope=*/true);
+      if (binds(g)) {
+        w_.raw(cat("static ", global_decl(g), ";"));
+      } else {
+        emit_definition(g, /*file_scope=*/true);
+      }
     }
     w_.blank();
+  }
+
+  /// Whether `g` is a global array the caller binds (binds_global_arrays).
+  bool binds(const Grid& g) const {
+    return binds_global_arrays(opt_.numeric_model) && !g.dims.empty() &&
+           !g.is_struct();
+  }
+
+  /// File-scope declarator of a non-struct global without its storage
+  /// class: "double a[16]", or a bound array's "double* restrict a".
+  std::string global_decl(const Grid& g) const {
+    if (binds(g)) return bound_array_decl(ctype(g.elem_type), g.name);
+    return cat(ctype(g.elem_type), " ", g.name, flat_array_suffix(g));
   }
 
   /// Fold an extent, resolving never-written global size parameters.

@@ -53,6 +53,26 @@ enum class NumericModel : std::uint8_t {
 
 const char* to_string(NumericModel model);
 
+/// Whether code emitted under `model` binds every global array to
+/// storage its caller owns instead of defining its own. The interp tier
+/// stores everything as double, the layout of the JIT host's grids, so
+/// its kernels work on the host's arrays in place (jit/emit.cpp binds
+/// them on every call); the other models keep their own typed storage.
+inline bool binds_global_arrays(NumericModel model) {
+  return model == NumericModel::kInterp;
+}
+
+/// File-scope declarator of a bound global array: "double* restrict a".
+/// `restrict` is sound because the caller binds each global to storage
+/// of its own — distinct globals never share or overlap memory
+/// (jit::NativeEngine::call refuses bindings that do) — so a kernel
+/// store through one global's pointer cannot change what another
+/// global's pointer reads.
+inline std::string bound_array_decl(const std::string& elem_type,
+                                    const std::string& name) {
+  return elem_type + "* restrict " + name;
+}
+
 /// All options consumed by the generators.
 struct CodegenOptions {
   Language language = Language::kFortran;

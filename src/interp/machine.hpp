@@ -257,7 +257,10 @@ class Machine {
   /// machine fell back to plans (see native_report_.fallback_reason).
   std::unique_ptr<jit::NativeEngine> native_;
   /// The kernel's slots as global instances (slots() order), rebound
-  /// into the engine's argument block on every native call.
+  /// into the engine's argument block on every native call. Interp-tier
+  /// kernels work on these instances' data in place; each slot is a
+  /// distinct global with its own Instance, so no two slots share
+  /// storage (the `restrict` invariant NativeEngine::call checks).
   std::vector<Instance*> native_globals_;
   NativeReport native_report_;
 

@@ -38,6 +38,16 @@ std::string nat_type(DataType t, NumericModel model) {
   return "double";
 }
 
+/// Declarator of one slot's storage in the unit: "double a[16]", or a
+/// bound array's "double* restrict a" (codegen/options.hpp says why
+/// restrict holds).
+std::string slot_decl(const Grid& g, const AbiSlot& slot, NumericModel model) {
+  const std::string ty = nat_type(g.elem_type, model);
+  if (g.dims.empty()) return cat(ty, " ", g.name);
+  if (binds_global_arrays(model)) return bound_array_decl(ty, g.name);
+  return cat(ty, " ", g.name, "[", slot.elements, "]");
+}
+
 /// Definitions the generated TU leaves to "the legacy objects": TYPE
 /// parent variables (prepended — functions access parent.member), plus
 /// storage for module externs and COMMON blocks (appended).
@@ -45,12 +55,12 @@ std::string prelude_text(const Program& p, const std::vector<AbiSlot>& slots,
                          NumericModel model) {
   // Group TYPE elements by parent variable, in global_grids order.
   std::vector<std::string> parents;
-  std::map<std::string, std::vector<const Grid*>> members;
+  std::map<std::string, std::vector<const AbiSlot*>> members;
   for (const AbiSlot& slot : slots) {
     const Grid& g = p.grid(slot.grid);
     if (g.type_parent.empty()) continue;
     if (members[g.type_parent].empty()) parents.push_back(g.type_parent);
-    members[g.type_parent].push_back(&g);
+    members[g.type_parent].push_back(&slot);
   }
   if (parents.empty()) return "";
   std::vector<std::string> out;
@@ -58,15 +68,9 @@ std::string prelude_text(const Program& p, const std::vector<AbiSlot>& slots,
                 " would provide) */");
   for (const std::string& parent : parents) {
     out.push_back(cat("static struct {"));
-    for (const Grid* g : members[parent]) {
-      const std::string ty = nat_type(g->elem_type, model);
-      std::int64_t elems = 1;
-      for (const AbiSlot& slot : slots) {
-        if (&p.grid(slot.grid) == g) elems = slot.elements;
-      }
-      out.push_back(g->dims.empty()
-                        ? cat("  ", ty, " ", g->name, ";")
-                        : cat("  ", ty, " ", g->name, "[", elems, "];"));
+    for (const AbiSlot* slot : members[parent]) {
+      out.push_back(
+          cat("  ", slot_decl(p.grid(slot->grid), *slot, model), ";"));
     }
     out.push_back(cat("} ", parent, ";"));
   }
@@ -89,10 +93,7 @@ std::string wrapper_text(const Program& p, const std::vector<AbiSlot>& slots,
   for (const AbiSlot& slot : slots) {
     const Grid& g = p.grid(slot.grid);
     if (g.external == ExternalKind::kModule && g.type_parent.empty()) {
-      const std::string ty = nat_type(g.elem_type, model);
-      out.push_back(g.dims.empty()
-                        ? cat(ty, " ", g.name, ";")
-                        : cat(ty, " ", g.name, "[", slot.elements, "];"));
+      out.push_back(cat(slot_decl(g, slot, model), ";"));
     } else if (g.external == ExternalKind::kCommon &&
                !common_defined[g.common_block]) {
       common_defined[g.common_block] = true;
@@ -136,19 +137,24 @@ std::string wrapper_text(const Program& p, const std::vector<AbiSlot>& slots,
                     model == NumericModel::kOpt ? 1 : 0, "; }"));
   out.push_back("");
   // Copy-in validates every slot's element count first (a nonzero return
-  // is 1 + the offending slot index), then copies host state into the
-  // unit's storage; copy-out is the mirror image. The host block is
-  // always double*: the interp tier memcpys it straight through, the opt
-  // tier converts element-wise into the slot's native width here — this
+  // is 1 + the offending slot index) and only then touches anything, so
+  // a mis-sized binding fails before a kernel can write past it. The
+  // host block is always double*. The interp tier, whose storage is
+  // double too, then binds every array to the host's buffer (no mask:
+  // the kernel works on the host's arrays in place, so even a read the
+  // effect summaries miss sees current data) and copies scalars in; the
+  // opt tier converts every touched slot element-wise into its native
+  // width. Copy-out is the mirror image for whatever was copied. This
   // boundary is the only place the two storage models meet.
   //
-  // Both copies take a per-entry slot mask: an entry wrapper only moves
-  // the globals its function (transitively) touches — copy-in for any
-  // access, copy-out for writes. Written grids always appear in the
-  // copy-in mask too, so a partial write exports the host's own values
-  // for untouched elements; touches include the scalars grid extents
-  // read. Slots outside the mask keep whatever the unit's storage last
-  // held, which the entry never observes. Small entry points over large
+  // The copies take a per-entry slot mask, so they matter for scalars
+  // and for the opt tier only: an entry wrapper moves just the globals
+  // its function (transitively) touches — copy-in for any access,
+  // copy-out for writes. Written grids always appear in the copy-in
+  // mask too, so a partial write exports the host's own values for
+  // untouched elements; touches include the scalars grid extents read.
+  // Slots outside the mask keep whatever the unit's storage last held,
+  // which the entry never observes. Small entry points over large
   // programs would otherwise be dominated by boundary traffic.
   auto guard = [](std::size_t i, const std::string& line) {
     return cat("  if (glaf_nat_m[", i, "]) {", line.substr(1), " }");
@@ -167,6 +173,8 @@ std::string wrapper_text(const Program& p, const std::vector<AbiSlot>& slots,
     if (g.dims.empty()) {
       out.push_back(guard(i, cat("  ", name, " = (", ty,
                                  ")glaf_nat_a->grids[", i, "][0];")));
+    } else if (binds_global_arrays(model)) {
+      out.push_back(cat("  ", name, " = glaf_nat_a->grids[", i, "];"));
     } else if (ty == "double") {
       out.push_back(guard(i, cat("  memcpy(", name, ", glaf_nat_a->grids[", i,
                                  "], ", slots[i].elements,
@@ -190,6 +198,7 @@ std::string wrapper_text(const Program& p, const std::vector<AbiSlot>& slots,
     const Grid& g = p.grid(slots[i].grid);
     const std::string name = storage_name(g);
     const std::string ty = nat_type(g.elem_type, model);
+    if (!g.dims.empty() && binds_global_arrays(model)) continue;  // written in place
     if (g.dims.empty()) {
       out.push_back(guard(i, cat("  glaf_nat_a->grids[", i, "][0] = (double)",
                                  name, ";")));

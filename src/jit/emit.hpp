@@ -5,12 +5,15 @@
 // kInterp tier or the typed, ulp-bounded kOpt tier), plus an
 // extern-"C" ABI wrapper per function. The wrapper takes a flat argument
 // block — grid base pointers in global_grids order, their element
-// counts, and the entry call's scalar arguments — copies the globals the
-// function touches into the unit's own storage, runs the function, and
-// copies the ones it writes back out. Keeping storage inside the unit
-// lets one emission strategy cover every global kind (owned statics,
-// module externs, COMMON members, TYPE elements) with the copy as the
-// only ABI surface.
+// counts, and the entry call's scalar arguments — and validates every
+// extent. The interp tier, which stores everything as double like the
+// host, then points each global array at the host's buffer and works on
+// it in place; only scalars are copied in and (when written) back out.
+// The opt tier keeps typed storage inside the unit and converts every
+// global the function touches in, and every one it writes back out. One
+// emission strategy covers every global kind (owned statics, module
+// externs, COMMON members, TYPE elements), with the wrapper as the only
+// ABI surface.
 
 #include <cstdint>
 #include <string>
@@ -90,7 +93,9 @@ struct EmitOptions {
 
 /// Per-entry copy masks, one flag per slot in global_grids order: the
 /// wrapper copies a slot in when `touch` is set (the function reads or
-/// writes it, transitively) and back out when `write` is set. A
+/// writes it, transitively) and back out when `write` is set. Interp-tier
+/// arrays are bound to the host's storage whatever the masks say, so
+/// the masks matter for scalars and for the opt tier only. A
 /// function without a summary in `effects` gets all-ones masks — copy
 /// everything, never skip a live slot.
 struct CopyMasks {

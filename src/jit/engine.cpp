@@ -10,7 +10,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <limits>
+#include <numeric>
 
 #include <thread>
 
@@ -307,6 +309,9 @@ StatusOr<std::unique_ptr<NativeEngine>> NativeEngine::load_compiled(
   // nothing. Unbound slots keep extent 0, which copy-in rejects.
   engine->grids_.assign(engine->unit_.slots.size(), nullptr);
   engine->extents_.assign(engine->unit_.slots.size(), 0);
+  engine->by_address_.resize(engine->unit_.slots.size());
+  std::iota(engine->by_address_.begin(), engine->by_address_.end(),
+            std::size_t{0});
   std::size_t max_scalars = 0;
   engine->entry_points_.resize(engine->unit_.functions.size(), nullptr);
   for (std::size_t i = 0; i < engine->unit_.functions.size(); ++i) {
@@ -337,8 +342,30 @@ const AbiFunction* NativeEngine::find(const std::string& function) const {
 
 void NativeEngine::bind_global(std::size_t slot, double* data,
                                std::int64_t elements) {
+  if (grids_[slot] != data || extents_[slot] != elements) {
+    bindings_checked_ = false;
+  }
   grids_[slot] = data;
   extents_[slot] = static_cast<long>(elements);
+}
+
+Status NativeEngine::check_disjoint_bindings() {
+  std::sort(by_address_.begin(), by_address_.end(),
+            [this](std::size_t a, std::size_t b) {
+              return std::less<const double*>()(grids_[a], grids_[b]);
+            });
+  const double* end = nullptr;
+  std::size_t owner = 0;
+  for (const std::size_t slot : by_address_) {
+    if (grids_[slot] == nullptr || extents_[slot] <= 0) continue;
+    if (end != nullptr && std::less<const double*>()(grids_[slot], end)) {
+      return invalid_argument(cat("native kernel slots ", owner, " and ",
+                                  slot, " share storage"));
+    }
+    end = grids_[slot] + extents_[slot];
+    owner = slot;
+  }
+  return Status::ok();
 }
 
 StatusOr<double> NativeEngine::call(const AbiFunction& fn) {
@@ -347,6 +374,11 @@ StatusOr<double> NativeEngine::call(const AbiFunction& fn) {
       index >= static_cast<std::ptrdiff_t>(entry_points_.size()) ||
       entry_points_[index] == nullptr) {
     return failed_precondition(cat("'", fn.name, "' has no native entry"));
+  }
+  if (!bindings_checked_) {
+    const Status disjoint = check_disjoint_bindings();
+    if (!disjoint.is_ok()) return disjoint;
+    bindings_checked_ = true;
   }
   NatArgs args{grids_.data(), extents_.data(), scalars_.data(),
                options_.num_threads, 0.0};

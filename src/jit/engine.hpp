@@ -155,7 +155,8 @@ class NativeEngine {
   /// (slots() order) reads and writes `elements` doubles at `data`, and
   /// scalar argument `i` of the entry is `value`. The staging arrays are
   /// owned by the engine and sized at load, so binding and calling
-  /// allocate nothing; bindings persist until rebound.
+  /// allocate nothing; bindings persist until rebound. Distinct slots
+  /// must not share storage: call() refuses bindings that overlap.
   void bind_global(std::size_t slot, double* data, std::int64_t elements);
   void bind_scalar(std::size_t i, double value) { scalars_[i] = value; }
 
@@ -248,6 +249,16 @@ class NativeEngine {
   std::vector<double*> grids_;
   std::vector<long> extents_;
   std::vector<double> scalars_;
+  /// Slot indices sorted by bound address (scratch of
+  /// check_disjoint_bindings), and whether the bindings have been
+  /// checked since they last changed.
+  std::vector<std::size_t> by_address_;
+  bool bindings_checked_ = false;
+
+  /// Refuse slots whose bound buffers overlap: interp-tier kernels
+  /// declare each global array `restrict` and write it in place, which
+  /// is only sound when every slot has storage of its own.
+  Status check_disjoint_bindings();
 };
 
 

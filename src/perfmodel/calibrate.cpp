@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "fun3d/recon.hpp"
-#include "runtime/thread_pool.hpp"
 #include "support/timer.hpp"
 
 namespace glaf {
@@ -28,17 +27,6 @@ double measure_alloc_us() {
     g_sink = local;
   });
   return secs * 1e6 / (static_cast<double>(kReps) * fun3d::kEdgeTemps);
-}
-
-double measure_fork_base_us() {
-  ThreadPool pool(2);
-  constexpr int kReps = 200;
-  const double secs = time_best([&] {
-    for (int i = 0; i < kReps; ++i) {
-      pool.parallel_for(2, [](int, std::int64_t, std::int64_t) {});
-    }
-  });
-  return secs * 1e6 / kReps;
 }
 
 double measure_atomic_factor() {
@@ -92,9 +80,9 @@ Fun3dUnitCosts measure_fun3d_unit_costs(const fun3d::Mesh& probe_mesh) {
   // glibc's tcache fast path can undercut a real FORTRAN ALLOCATE by an
   // order of magnitude; floor at a representative allocator cost.
   costs.alloc_us = std::max(measure_alloc_us(), 0.02);
-  costs.fork_base_us = measure_fork_base_us();
-  costs.fork_per_thread_us = costs.fork_base_us / 6.0;
-  costs.nested_fork_us = costs.fork_base_us / 15.0;
+  // Fork/join keeps the documented costs of the modelled Xeon: this
+  // host's thread pool says nothing about an OpenMP region on that
+  // machine, and its latency swings with the host's load between runs.
   costs.atomic_factor = measure_atomic_factor();
   return costs;
 }

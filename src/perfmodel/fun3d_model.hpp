@@ -19,8 +19,9 @@
 namespace glaf {
 
 /// Per-operation costs in microseconds (plus dimensionless factors).
-/// Defaults are representative of a ~3.5 GHz Xeon and are overridden by
-/// host measurements in the benchmark harness.
+/// Defaults are representative of a ~3.5 GHz Xeon; the benchmark
+/// harness overrides the body, allocation and atomic costs with host
+/// measurements and keeps the fork/join costs (perfmodel/calibrate.hpp).
 struct Fun3dUnitCosts {
   double cell_us = 0.08;      ///< per-cell context build (nodes + faces)
   double edge_us = 0.35;      ///< per-edge computation (50 temporaries)

@@ -669,8 +669,13 @@ void Server::send(const std::shared_ptr<Connection>& conn,
   const Status st = write_frame(conn->fd, frame, options_.write_timeout_ms);
   if (!st.is_ok()) {
     // Peer is gone (or stopped reading long enough to blow the write
-    // timeout); pending callbacks see open == false and drop.
+    // timeout); pending callbacks see open == false and drop. The reply
+    // is lost, so end the connection: shutdown (on the fd this lock
+    // keeps valid) wakes the reader blocked in read_frame, which closes
+    // it, and the client sees EOF instead of waiting out its read
+    // timeout.
     conn->open.store(false, std::memory_order_release);
+    ::shutdown(conn->fd, SHUT_RDWR);
   }
 }
 

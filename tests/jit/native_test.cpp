@@ -5,8 +5,11 @@
 // cold/warm compile behaviour, corruption recovery and directory
 // override, and (c) the fallback policy when no compiler is available
 // or a program has no flat-argument-block layout, plus (d) the
-// cross-entry boundary wall: entry wrappers copy only the globals their
-// function touches, and stale kernel storage must never be observed.
+// cross-entry boundary wall: entry wrappers copy only the scalars their
+// function touches, and stale kernel storage must never be observed,
+// and (e) the in-place boundary: interp-tier kernels bind every global
+// array to the host's buffer, only after every extent checks out, and
+// only when no two slots share storage.
 //
 // Every test that needs the system compiler GTEST_SKIPs without one.
 
@@ -31,6 +34,7 @@
 #include "interp/machine.hpp"
 #include "jit/cache.hpp"
 #include "jit/emit.hpp"
+#include "jit/engine.hpp"
 #include "support/strings.hpp"
 #include "support/subprocess.hpp"
 #include "testing/cross_entry.hpp"
@@ -455,6 +459,251 @@ TEST(NativeEmit, MissingEffectSummaryCopiesEverything) {
     EXPECT_EQ(masks.touch, ones) << name;
     EXPECT_EQ(masks.write, ones) << name;
   }
+}
+
+// ---- in-place boundary ------------------------------------------------------
+
+/// One global array of every kind the wrapper binds: a module extern, a
+/// COMMON member, a TYPE element and an owned module variable. `mix`
+/// reads and writes all four, so any of them left unbound or bound to
+/// the wrong slot shows up in the bitwise comparison.
+Program array_kinds_program() {
+  ProgramBuilder pb("kinds_mod");
+  auto n = pb.global("n", DataType::kInt, {}, {.init = {std::int64_t{5}}});
+  auto ext = pb.global("ext", DataType::kDouble, {E(n)},
+                       {.from_module = "legacy_mod"});
+  auto blk = pb.global("blk", DataType::kDouble, {E(n)},
+                       {.common_block = "cb"});
+  auto mem = pb.global("mem", DataType::kDouble, {E(n)},
+                       {.from_module = "legacy_mod", .type_parent = "rec"});
+  auto own = pb.global("own", DataType::kDouble, {E(n)},
+                       {.module_scope = true});
+  auto fb = pb.function("mix");
+  auto s = fb.step("Step1");
+  s.foreach_("k", 0, E(n) - 1);
+  s.assign(own(idx("k")), ext(idx("k")) + blk(idx("k")) * mem(idx("k")));
+  s.assign(blk(idx("k")), own(idx("k")) - ext(idx("k")));
+  s.assign(mem(idx("k")), own(idx("k")) * 0.5);
+  s.assign(ext(idx("k")), E(n) - ext(idx("k")));
+  return pb.build().value();
+}
+
+/// The wrapper's boundary code: glaf_nat_copy_in and glaf_nat_copy_out.
+std::string boundary_text(const std::string& src) {
+  const std::size_t begin = src.find("static long glaf_nat_copy_in(");
+  const std::size_t end =
+      src.find("static const unsigned char glaf_nat_touch_", begin);
+  if (begin == std::string::npos || end == std::string::npos) return "";
+  return src.substr(begin, end - begin);
+}
+
+TEST(NativeEmit, InterpUnitsBindGlobalArraysInPlace) {
+  // The interp tier stores everything as double, like the host block,
+  // so its wrapper points every global array at the host's buffer: each
+  // array is a restrict pointer, and the boundary copies no array in
+  // either direction. Serial and parallel units alike.
+  for (const Program& p :
+       {fuliou::build_sarb_program(), fun3d::build_fun3d_glaf_program(),
+        array_kinds_program()}) {
+    for (const bool parallel : {false, true}) {
+      jit::EmitOptions opts;
+      opts.parallel = parallel;
+      const StatusOr<jit::KernelUnit> unit =
+          jit::emit_kernel_unit(p, analyze_program(p), opts);
+      ASSERT_TRUE(unit.is_ok()) << unit.status().message();
+      const std::string& src = unit.value().source;
+      const std::string boundary = boundary_text(src);
+      ASSERT_FALSE(boundary.empty()) << p.module_name;
+      EXPECT_EQ(boundary.find("memcpy("), std::string::npos) << p.module_name;
+      const std::vector<jit::AbiSlot>& slots = unit.value().slots;
+      int arrays = 0;
+      for (std::size_t i = 0; i < slots.size(); ++i) {
+        const Grid& g = p.grid(slots[i].grid);
+        if (g.dims.empty()) continue;
+        ++arrays;
+        EXPECT_NE(src.find(cat("double* restrict ", g.name, ";")),
+                  std::string::npos)
+            << p.module_name << " " << g.name;
+        EXPECT_NE(boundary.find(cat(" = glaf_nat_a->grids[", i, "];")),
+                  std::string::npos)
+            << p.module_name << " " << g.name;
+        EXPECT_EQ(boundary.find(cat("glaf_nat_a->grids[", i, "][")),
+                  std::string::npos)
+            << p.module_name << " " << g.name << " is copied element-wise";
+      }
+      EXPECT_GT(arrays, 0) << p.module_name;
+    }
+  }
+}
+
+TEST(NativeEmit, Fun3dEdgeScatterWritesThroughRestrictPointers) {
+  // edge_scatter's scatter loop stores into jac while it reads edge_a, q
+  // and w. As plain pointers those stores could alias the reads, and the
+  // loop would reload them after every store; restrict rules that out.
+  // Serial and parallel units alike declare all four restrict and keep
+  // the loop in edge_scatter itself, indexing the globals directly.
+  const Program p = fun3d::build_fun3d_glaf_program();
+  for (const bool parallel : {false, true}) {
+    jit::EmitOptions opts;
+    opts.parallel = parallel;
+    const StatusOr<jit::KernelUnit> unit =
+        jit::emit_kernel_unit(p, analyze_program(p), opts);
+    ASSERT_TRUE(unit.is_ok()) << unit.status().message();
+    const std::string& src = unit.value().source;
+    for (const char* name : {"jac", "edge_a", "q", "w"}) {
+      EXPECT_NE(src.find(cat("double* restrict ", name, ";")),
+                std::string::npos)
+          << name << (parallel ? " (parallel)" : "");
+    }
+    const std::size_t begin = src.find("void edge_scatter(void) {");
+    ASSERT_NE(begin, std::string::npos);
+    const std::string body =
+        src.substr(begin, src.find("\n}\n", begin) - begin);
+    EXPECT_NE(body.find("jac[(long)(edge_a[(long)(e)])] = "),
+              std::string::npos)
+        << body;
+    EXPECT_NE(body.find("q[(long)(edge_b[(long)(e)])]"), std::string::npos);
+    EXPECT_NE(body.find("w[(long)(e)]"), std::string::npos);
+  }
+}
+
+TEST(NativeEmit, OptUnitsKeepConvertingCopies) {
+  // The opt tier stores grids in their native widths, so its boundary
+  // still converts: arrays are copied in and out, never bound.
+  const Program p = fun3d::build_fun3d_glaf_program();
+  jit::EmitOptions opts;
+  opts.model = NumericModel::kOpt;
+  const StatusOr<jit::KernelUnit> unit =
+      jit::emit_kernel_unit(p, analyze_program(p), opts);
+  ASSERT_TRUE(unit.is_ok()) << unit.status().message();
+  const std::string boundary = boundary_text(unit.value().source);
+  EXPECT_NE(boundary.find("memcpy(jac, glaf_nat_a->grids["),
+            std::string::npos);
+  EXPECT_NE(boundary.find("], jac, "), std::string::npos);
+  EXPECT_EQ(unit.value().source.find("double* restrict jac;"),
+            std::string::npos);
+}
+
+TEST(NativeVsPlan, EveryGlobalArrayKindWorksInPlace) {
+  if (!have_cc()) GTEST_SKIP() << "no system compiler";
+  const Program p = array_kinds_program();
+  Machine pl(p, plan_opts());
+  Machine nat(p, native_opts());
+  require_native(nat);
+  for (Machine* m : {&pl, &nat}) {
+    ASSERT_TRUE(m->set_array("ext", {1, 2, 3, 4, 5}).is_ok());
+    ASSERT_TRUE(m->set_array("blk", {0.5, -1, 2, 0.25, 8}).is_ok());
+    ASSERT_TRUE(m->set_array("mem", {3, 3, -2, 1, 0}).is_ok());
+    ASSERT_TRUE(m->call("mix").is_ok());
+    ASSERT_TRUE(m->call("mix").is_ok());
+  }
+  EXPECT_EQ(nat.native_report().native_calls, 2u);
+  compare_all_globals(pl, nat);
+}
+
+/// A loaded interp-tier engine for array_kinds_program, driven directly
+/// through the flat argument block.
+std::unique_ptr<jit::NativeEngine> array_kinds_engine(const std::string& tag) {
+  const Program p = array_kinds_program();
+  jit::NativeEngine::Options options;
+  options.cache_dir = fresh_cache_dir(tag);
+  StatusOr<std::unique_ptr<jit::NativeEngine>> engine =
+      jit::NativeEngine::create(p, analyze_program(p), options);
+  EXPECT_TRUE(engine.is_ok()) << engine.status().message();
+  return engine.is_ok() ? std::move(engine).value() : nullptr;
+}
+
+/// One host buffer per slot, each element a distinct value.
+std::vector<std::vector<double>> host_buffers(const jit::NativeEngine& e) {
+  std::vector<std::vector<double>> host;
+  for (const jit::AbiSlot& slot : e.slots()) {
+    host.emplace_back(static_cast<std::size_t>(slot.elements));
+    for (std::size_t k = 0; k < host.back().size(); ++k) {
+      host.back()[k] = static_cast<double>(10 * host.size() + k);
+    }
+  }
+  host[0][0] = 5.0;  // n: the extent every array was emitted with
+  return host;
+}
+
+TEST(NativeLoad, MisSizedBindingIsRefusedBeforeAnyWrite) {
+  // Kernels write host buffers in place, so the copy-in extent check is
+  // all that stands between a mis-sized binding and a heap overwrite.
+  if (!have_cc()) GTEST_SKIP() << "no system compiler";
+  const std::unique_ptr<jit::NativeEngine> engine =
+      array_kinds_engine("extent_guard");
+  ASSERT_NE(engine, nullptr);
+  const jit::AbiFunction* mix = engine->find("mix");
+  ASSERT_NE(mix, nullptr);
+  const std::size_t slots = engine->slots().size();
+  for (std::size_t bad = 0; bad < slots; ++bad) {
+    std::vector<std::vector<double>> host = host_buffers(*engine);
+    // One element short of what the kernel expects, in an allocation of
+    // exactly that size, so an instrumented kernel that wrote past it
+    // would be reported.
+    host[bad] = std::vector<double>(host[bad].begin(), host[bad].end() - 1);
+    const std::vector<std::vector<double>> before = host;
+    for (std::size_t i = 0; i < slots; ++i) {
+      engine->bind_global(i, host[i].data(),
+                          static_cast<std::int64_t>(host[i].size()));
+    }
+    const StatusOr<double> result = engine->call(*mix);
+    ASSERT_FALSE(result.is_ok()) << "slot " << bad;
+    EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+    EXPECT_EQ(result.status().message(),
+              cat("native kernel rejected slot ", bad,
+                  " of 'mix' (extent mismatch)"));
+    EXPECT_EQ(host, before) << "a refused call wrote a host buffer";
+  }
+  // Rightly sized, the same engine runs and writes in place.
+  std::vector<std::vector<double>> host = host_buffers(*engine);
+  const std::vector<std::vector<double>> before = host;
+  for (std::size_t i = 0; i < slots; ++i) {
+    engine->bind_global(i, host[i].data(),
+                        static_cast<std::int64_t>(host[i].size()));
+  }
+  ASSERT_TRUE(engine->call(*mix).is_ok());
+  EXPECT_NE(host, before);
+}
+
+TEST(NativeLoad, OverlappingBindingsAreRefused) {
+  // Interp-tier kernels declare every global array restrict and write it
+  // in place: sound only while distinct globals have distinct storage.
+  // The engine refuses bindings that break that before the kernel runs.
+  if (!have_cc()) GTEST_SKIP() << "no system compiler";
+  const std::unique_ptr<jit::NativeEngine> engine =
+      array_kinds_engine("overlap");
+  ASSERT_NE(engine, nullptr);
+  const jit::AbiFunction* mix = engine->find("mix");
+  ASSERT_NE(mix, nullptr);
+  const std::size_t slots = engine->slots().size();
+  ASSERT_EQ(slots, 5u);  // n, ext, blk, mem, own
+  std::vector<std::vector<double>> host = host_buffers(*engine);
+  for (std::size_t i = 0; i < slots; ++i) {
+    engine->bind_global(i, host[i].data(),
+                        static_cast<std::int64_t>(host[i].size()));
+  }
+  ASSERT_TRUE(engine->call(*mix).is_ok());
+
+  // blk on ext's buffer, then blk two elements into ext's buffer.
+  std::vector<double> shared(7, 1.0);
+  for (const std::size_t offset : {0u, 2u}) {
+    engine->bind_global(1, shared.data(), 5);
+    engine->bind_global(2, shared.data() + offset, 5);
+    const std::vector<double> before = shared;
+    const StatusOr<double> result = engine->call(*mix);
+    ASSERT_FALSE(result.is_ok()) << "offset " << offset;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("share storage"),
+              std::string::npos)
+        << result.status().message();
+    EXPECT_EQ(shared, before);
+  }
+  // Adjacent but disjoint buffers are fine.
+  std::vector<double> pair(10, 1.0);
+  engine->bind_global(1, pair.data(), 5);
+  engine->bind_global(2, pair.data() + 5, 5);
+  EXPECT_TRUE(engine->call(*mix).is_ok());
 }
 
 // ---- private kernel copy ----------------------------------------------------

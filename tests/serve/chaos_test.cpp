@@ -6,15 +6,17 @@
 //
 // Covers: request deadlines (expired-in-queue answers without running),
 // admission control (overload answers kBusy fast), the kHealth frame,
-// graceful drain (in-flight work finishes, new work is shed), the
-// per-session circuit breaker (repeated native failures demote loudly
-// and re-probe after backoff), truncated kernel-cache publishes
-// (detected and rebuilt), a wedged daemon (client read timeout), and
-// client reconnect after a server restart.
+// graceful drain (in-flight work finishes, new work is shed), a lost
+// reply (the connection ends at once), the per-session circuit breaker
+// (repeated native failures demote loudly and re-probe after backoff),
+// truncated kernel-cache publishes (detected and rebuilt), a wedged
+// daemon (client read timeout), and client reconnect after a server
+// restart.
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -96,6 +98,57 @@ void stuff_run(int fd, std::uint64_t sid, const std::string& entry) {
   msg.session_id = sid;
   msg.entry = entry;
   ASSERT_TRUE(write_frame(fd, encode(msg)).is_ok());
+}
+
+TEST(ServeChaos, LostReplyEndsTheConnection) {
+  // A run's reply is written by a batcher thread while the connection's
+  // reader sits in read_frame. When that write fails the reply is lost,
+  // and the server must end the connection, so the client reads EOF at
+  // once instead of waiting out its read timeout for a reply that never
+  // comes.
+  FaultGuard guard;
+  const TestDirs dirs = make_dirs("lost_reply");
+  Server::Options options;
+  options.socket_path = dirs.socket_path;
+  options.cache_dir = dirs.cache_dir;
+  options.threads = 1;
+  Server server(options);
+  ASSERT_TRUE(server.start().is_ok());
+
+  Client client;
+  ASSERT_TRUE(client.connect(dirs.socket_path).is_ok());
+  ExecConfig config;
+  config.target_tier = 0;
+  const auto load = client.load_source(spin_source(1000), config);
+  ASSERT_TRUE(load.is_ok()) << load.status().to_string();
+
+  const int fd = raw_connect(dirs.socket_path);
+  timeval limit{};
+  limit.tv_sec = 5;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof(limit)),
+            0);
+  ASSERT_TRUE(fault::configure("serve.sock.write:1:1").is_ok());
+  // A raw send: write_frame would draw the armed fault itself.
+  RunEntryMsg msg;
+  msg.session_id = load.value().session_id;
+  msg.entry = "spin";
+  const std::vector<std::uint8_t> bytes = encode_frame(encode(msg));
+  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+  Timer elapsed;
+  std::uint8_t byte = 0;
+  const ssize_t n = ::recv(fd, &byte, 1, 0);
+  const int err = errno;
+  EXPECT_TRUE(n == 0 || (n < 0 && err == ECONNRESET))
+      << "recv returned " << n << ", errno " << err;
+  EXPECT_LT(elapsed.milliseconds(), 1000.0);
+  EXPECT_EQ(fault::injections("serve.sock.write"), 1u);
+  ::close(fd);
+
+  // Only that connection ended: the first client is still served.
+  fault::clear();
+  const auto run = client.run(load.value().session_id, "spin", {});
+  EXPECT_TRUE(run.is_ok()) << run.status().to_string();
 }
 
 TEST(ServeChaos, ExpiredDeadlineGetsTypedErrorWithoutRunning) {
