@@ -18,7 +18,7 @@
 // profit gate, which keeps regions whose timed fork/join does not pay on
 // the calling thread) and *ungated* (gate_always_dispatch, every region
 // dispatched) — the gap between the two is what the gate buys.
-// Fused-region counts come from the kernel's ABI-v3 metadata.
+// Fused-region counts come from the kernel unit's region list.
 //
 // Timing: every engine of a kernel gets its own machine, warmed past the
 // gate's probe window, and the machines are timed in kReps (5)
@@ -29,6 +29,7 @@
 //
 // Usage: interp_engine [--threads N] [--levels N] [--min-seconds X]
 //        [--out FILE] [--check-gate X]
+// (--help prints the options and exits before running anything.)
 //
 // --check-gate X exits nonzero when any kernel's gated parallel-native
 // speedup over serial native (the median over repetitions of the ratio
@@ -255,8 +256,26 @@ double geomean(const std::vector<double>& v) {
 
 }  // namespace
 
+constexpr const char* kUsage =
+    "usage: interp_engine [--threads N] [--levels N] [--min-seconds X]\n"
+    "                     [--out FILE] [--check-gate X]\n"
+    "  --threads N      parallel engines' pool width (default 4)\n"
+    "  --levels N       SARB atmosphere levels (default 60)\n"
+    "  --min-seconds X  timed slice per machine and repetition (default "
+    "0.05)\n"
+    "  --out FILE       JSON report (default BENCH_interp.json)\n"
+    "  --check-gate X   exit 1 when a gated parallel-native speedup over\n"
+    "                   serial native is below X\n";
+
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  const std::vector<std::string>& positional = args.positional();
+  if (args.has("help") ||
+      std::find(positional.begin(), positional.end(), "-h") !=
+          positional.end()) {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
   const int threads = static_cast<int>(args.get_int("threads", 4));
   const int levels =
       static_cast<int>(args.get_int("levels", fuliou::kNumLevels));

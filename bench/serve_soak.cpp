@@ -9,13 +9,15 @@
 // threads with a deterministic mix of kRun, kRunBatch, deadline-
 // carrying, kHealth and kStats requests.
 //
-// The acceptance contract is the robustness tentpole's: EVERY request
-// ends in exactly one of {bit-identical result, typed error} — never a
-// hang (watchdog aborts the process), never a crash, never a wrong
-// answer. The tier ceiling is native-interp, where results are
-// bitwise identical to the plan tier by contract, so "wrong answer"
-// is a plain != against a golden value computed before the faults
-// arm.
+// The acceptance contract: EVERY request ends in exactly one of
+// {bit-identical result, typed error} — never a hang (watchdog aborts
+// the process), never a crash, never a wrong answer, and never a lost
+// reply: a run request that took the client's whole read timeout (the
+// client retries after it, so it may still succeed) is booked as
+// `read_timeouts`, apart from ok results and typed errors, and fails the
+// soak. The tier ceiling is native-interp, where results are bitwise
+// identical to the plan tier by contract, so "wrong answer" is a plain
+// != against a golden value computed before the faults arm.
 //
 //   bench/serve_soak --requests 6000 --clients 8 --seed 42
 //       --out BENCH_soak.json
@@ -49,25 +51,50 @@ using namespace glaf;
 
 namespace {
 
-/// Shared outcome ledger: every sub-request lands in exactly one
-/// bucket, so ok + wrong + sum(errors) must equal the total issued.
+/// The soak clients' read timeout. A reply that never comes costs a
+/// client this long (the client then re-dials and retries, so the
+/// request may still succeed); the soak fails when that happens even
+/// once.
+constexpr int kReadTimeoutMs = 20000;
+
+/// Shared outcome ledger: every run sub-request lands in exactly one
+/// bucket, so ok + wrong + read_timeouts + sum(errors) must equal the
+/// total issued.
 struct Ledger {
   std::mutex mutex;
   std::uint64_t ok = 0;           ///< bit-identical result
   std::uint64_t wrong = 0;        ///< result mismatch (must stay 0)
+  /// Took at least the read timeout, whatever the outcome: a lost
+  /// reply (must stay 0).
+  std::uint64_t read_timeouts = 0;
   std::uint64_t health_probes = 0;
   std::uint64_t stats_probes = 0;
   std::uint64_t probe_errors = 0;
   std::map<std::string, std::uint64_t> errors;  ///< by status code name
 
-  void record(const StatusOr<double>& result, double golden) {
+  /// Book `n` sub-requests that failed with `status` after `ms`.
+  void fail(const Status& status, double ms, std::uint64_t n) {
     std::lock_guard<std::mutex> lock(mutex);
-    if (!result.is_ok()) {
-      ++errors[std::string(to_string(result.status().code()))];
-    } else if (result.value() == golden) {
-      ++ok;
+    if (ms >= kReadTimeoutMs) {
+      read_timeouts += n;
     } else {
+      errors[std::string(to_string(status.code()))] += n;
+    }
+  }
+
+  /// Book one sub-request that ended in `result` after `ms`.
+  void record(const StatusOr<double>& result, double golden, double ms) {
+    if (!result.is_ok()) {
+      fail(result.status(), ms, 1);
+      return;
+    }
+    std::lock_guard<std::mutex> lock(mutex);
+    if (result.value() != golden) {
       ++wrong;
+    } else if (ms >= kReadTimeoutMs) {
+      ++read_timeouts;
+    } else {
+      ++ok;
     }
   }
 };
@@ -79,7 +106,7 @@ void client_main(const std::string& socket_path, std::uint64_t sid,
                  int requests, Ledger* ledger) {
   serve::Client::Options copts;
   copts.connect_timeout_ms = 5000;
-  copts.read_timeout_ms = 20000;
+  copts.read_timeout_ms = kReadTimeoutMs;
   copts.retries = 8;
   copts.retry_backoff_ms = 2;
   copts.retry_seed = seed ^ static_cast<std::uint64_t>(thread_id) * 977;
@@ -103,17 +130,18 @@ void client_main(const std::string& socket_path, std::uint64_t sid,
       }
     }
     const std::uint64_t roll = rng.next_below(100);
+    const Timer timer;
     if (roll < 12 && issued + 4 <= requests) {
       // Batch of 4 (one wire frame, one ledger entry per sub-result).
       const auto reply =
           client.run_batch(sid, "entropy_interface", 4, 0, {});
       if (reply.is_ok()) {
         for (const serve::RunReplyMsg& r : reply.value().results) {
-          ledger->record(StatusOr<double>(r.result), golden);
+          ledger->record(StatusOr<double>(r.result), golden,
+                         timer.milliseconds());
         }
       } else {
-        std::lock_guard<std::mutex> lock(ledger->mutex);
-        ledger->errors[std::string(to_string(reply.status().code()))] += 4;
+        ledger->fail(reply.status(), timer.milliseconds(), 4);
       }
       issued += 4;
     } else if (roll < 18) {
@@ -122,9 +150,11 @@ void client_main(const std::string& socket_path, std::uint64_t sid,
       const auto reply = client.run(sid, "entropy_interface", {},
                                     /*deadline_ms=*/1);
       if (reply.is_ok()) {
-        ledger->record(StatusOr<double>(reply.value().result), golden);
+        ledger->record(StatusOr<double>(reply.value().result), golden,
+                       timer.milliseconds());
       } else {
-        ledger->record(StatusOr<double>(reply.status()), golden);
+        ledger->record(StatusOr<double>(reply.status()), golden,
+                       timer.milliseconds());
       }
       ++issued;
     } else if (roll < 21) {
@@ -139,9 +169,11 @@ void client_main(const std::string& socket_path, std::uint64_t sid,
     } else {
       const auto reply = client.run(sid, "entropy_interface");
       if (reply.is_ok()) {
-        ledger->record(StatusOr<double>(reply.value().result), golden);
+        ledger->record(StatusOr<double>(reply.value().result), golden,
+                       timer.milliseconds());
       } else {
-        ledger->record(StatusOr<double>(reply.status()), golden);
+        ledger->record(StatusOr<double>(reply.status()), golden,
+                       timer.milliseconds());
       }
       ++issued;
     }
@@ -267,7 +299,8 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(clients);
   std::uint64_t error_total = 0;
   for (const auto& [code, n] : ledger.errors) error_total += n;
-  const std::uint64_t accounted = ledger.ok + ledger.wrong + error_total;
+  const std::uint64_t accounted =
+      ledger.ok + ledger.wrong + ledger.read_timeouts + error_total;
 
   JsonWriter w;
   w.begin_object();
@@ -294,6 +327,8 @@ int main(int argc, char** argv) {
   w.value(ledger.ok);
   w.key("wrong_value");
   w.value(ledger.wrong);
+  w.key("read_timeouts");
+  w.value(ledger.read_timeouts);
   w.key("typed_errors");
   w.begin_object();
   for (const auto& [code, n] : ledger.errors) {
@@ -342,15 +377,24 @@ int main(int argc, char** argv) {
   }
 
   std::fprintf(stderr,
-               "serve_soak: %llu issued, %llu ok, %llu wrong, %llu typed"
-               " errors (%.0f qps)\n",
+               "serve_soak: %llu issued, %llu ok, %llu wrong, %llu read"
+               " timeouts, %llu typed errors (%.0f qps)\n",
                static_cast<unsigned long long>(issued),
                static_cast<unsigned long long>(ledger.ok),
                static_cast<unsigned long long>(ledger.wrong),
+               static_cast<unsigned long long>(ledger.read_timeouts),
                static_cast<unsigned long long>(error_total),
                seconds > 0 ? static_cast<double>(issued) / seconds : 0.0);
   if (ledger.wrong != 0) {
     std::fprintf(stderr, "serve_soak: FAIL: wrong answers under fault\n");
+    return 1;
+  }
+  if (ledger.read_timeouts != 0) {
+    std::fprintf(stderr,
+                 "serve_soak: FAIL: %llu requests waited out the %d ms read"
+                 " timeout (a lost reply)\n",
+                 static_cast<unsigned long long>(ledger.read_timeouts),
+                 kReadTimeoutMs);
     return 1;
   }
   if (accounted != issued) {

@@ -6,7 +6,10 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "core/types.hpp"
 
 namespace glaf {
 
@@ -53,21 +56,45 @@ enum class NumericModel : std::uint8_t {
 
 const char* to_string(NumericModel model);
 
-/// Whether code emitted under `model` binds every global array to
-/// storage its caller owns instead of defining its own. The interp tier
-/// stores everything as double, the layout of the JIT host's grids, so
-/// its kernels work on the host's arrays in place (jit/emit.cpp binds
-/// them on every call); the other models keep their own typed storage.
-inline bool binds_global_arrays(NumericModel model) {
-  return model == NumericModel::kInterp;
+/// The C type code emitted under `model` stores a value of type `t` in.
+/// The interp tier stores every value as a double, mirroring the
+/// interpreter; the typed and opt models keep the faithful width. The C
+/// back-end (CGen::ctype) and the JIT wrapper (jit/emit.cpp) both spell
+/// storage through this one function.
+inline const char* storage_ctype(DataType t, NumericModel model) {
+  if (model == NumericModel::kInterp && t != DataType::kVoid) return "double";
+  switch (t) {
+    case DataType::kInt: return "long";
+    case DataType::kReal: return "float";
+    case DataType::kDouble: return "double";
+    case DataType::kLogical: return "int";
+    case DataType::kVoid: return "void";
+  }
+  return "void";
+}
+
+/// Whether a global array of element type `elem`, emitted under `model`,
+/// binds to storage its caller owns instead of defining its own. The JIT
+/// host holds every grid as doubles, so a JIT unit (kInterp or kOpt)
+/// binds exactly the arrays it stores as double: every interp-tier array
+/// and every DOUBLE PRECISION opt-tier array. The wrapper (jit/emit.cpp)
+/// points each one at the host's buffer on every call, and the kernel
+/// works on it in place. Arrays stored narrower (opt-tier long, int and
+/// float) keep their own storage and the wrapper's converting copies;
+/// kTyped is the standalone back-end and owns all of its storage.
+///
+/// A bound array is declared `restrict` (bound_array_decl). That is
+/// sound because the caller binds each global to storage of its own:
+/// distinct globals never share or overlap memory
+/// (jit::NativeEngine::call refuses bindings that do), so a kernel store
+/// through one global's pointer cannot change what another global's
+/// pointer reads.
+inline bool binds_global_array(DataType elem, NumericModel model) {
+  return model != NumericModel::kTyped &&
+         std::string_view(storage_ctype(elem, model)) == "double";
 }
 
 /// File-scope declarator of a bound global array: "double* restrict a".
-/// `restrict` is sound because the caller binds each global to storage
-/// of its own — distinct globals never share or overlap memory
-/// (jit::NativeEngine::call refuses bindings that do) — so a kernel
-/// store through one global's pointer cannot change what another
-/// global's pointer reads.
 inline std::string bound_array_decl(const std::string& elem_type,
                                     const std::string& name) {
   return elem_type + "* restrict " + name;
@@ -110,6 +137,7 @@ struct CodegenOptions {
   /// runtime — partitions the work. Per-thread reduction scratch is
   /// combined in rank order, keeping results identical to the serial
   /// kernel. Steps that are not bit-exact run serially inside the unit.
+  /// Set only by jit::emit_kernel_unit, which keeps opt units serial.
   bool host_parallel = false;
 
   /// Fuse maximal runs of adjacent range-dispatched steps that share a

@@ -444,7 +444,6 @@ jit::NativeEngine::Options native_engine_options(const InterpOptions& options,
                                                  ThreadPool* pool) {
   jit::NativeEngine::Options nopts;
   nopts.parallel = options.parallel;
-  nopts.num_threads = options.num_threads;
   nopts.policy = options.policy;
   nopts.save_temporaries = options.save_temporaries;
   nopts.dynamic_schedule = options.dynamic_schedule;

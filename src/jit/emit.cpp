@@ -22,29 +22,14 @@ std::string storage_name(const Grid& g) {
   return g.name;
 }
 
-/// Storage type of one grid inside the unit: the interp tier stores
-/// everything as double (the interpreter's model); the opt tier uses the
-/// native width the typed C back-end would pick. Must agree with
-/// CGen::ctype for the same numeric model.
-std::string nat_type(DataType t, NumericModel model) {
-  if (model != NumericModel::kOpt) return "double";
-  switch (t) {
-    case DataType::kInt: return "long";
-    case DataType::kReal: return "float";
-    case DataType::kDouble: return "double";
-    case DataType::kLogical: return "int";
-    case DataType::kVoid: break;
-  }
-  return "double";
-}
-
-/// Declarator of one slot's storage in the unit: "double a[16]", or a
-/// bound array's "double* restrict a" (codegen/options.hpp says why
-/// restrict holds).
+/// Declarator of one slot's storage in the unit: "long a[16]", or a
+/// bound array's "double* restrict a" (binds_global_array).
 std::string slot_decl(const Grid& g, const AbiSlot& slot, NumericModel model) {
-  const std::string ty = nat_type(g.elem_type, model);
+  const std::string ty = storage_ctype(g.elem_type, model);
   if (g.dims.empty()) return cat(ty, " ", g.name);
-  if (binds_global_arrays(model)) return bound_array_decl(ty, g.name);
+  if (binds_global_array(g.elem_type, model)) {
+    return bound_array_decl(ty, g.name);
+  }
   return cat(ty, " ", g.name, "[", slot.elements, "]");
 }
 
@@ -80,13 +65,11 @@ std::string prelude_text(const Program& p, const std::vector<AbiSlot>& slots,
 
 std::string wrapper_text(const Program& p, const std::vector<AbiSlot>& slots,
                          const std::vector<AbiFunction>& functions,
-                         bool parallel,
-                         const std::vector<ParallelRegion>& regions,
-                         NumericModel model, const EffectsMap& effects) {
+                         bool parallel, NumericModel model,
+                         const EffectsMap& effects) {
   std::vector<std::string> out;
   out.push_back("");
   out.push_back("/* ---- native-engine ABI wrapper ---- */");
-  out.push_back("#include <string.h>");
   out.push_back("");
   // Storage for module externs and COMMON blocks (harness role).
   std::map<std::string, bool> common_defined;
@@ -108,7 +91,6 @@ std::string wrapper_text(const Program& p, const std::vector<AbiSlot>& slots,
   out.push_back("  double* const* grids;   /* base pointer per slot */");
   out.push_back("  const long* extents;    /* element count per slot */");
   out.push_back("  const double* scalars;  /* entry call scalar args */");
-  out.push_back("  long num_threads;");
   out.push_back("  double result;");
   out.push_back("} glaf_nat_args;");
   out.push_back("");
@@ -120,16 +102,6 @@ std::string wrapper_text(const Program& p, const std::vector<AbiSlot>& slots,
   // engine installs its pool through glaf_set_pfor when so).
   out.push_back(cat("long glaf_nat_parallel(void) { return ",
                     parallel ? 1 : 0, "; }"));
-  // Static region metadata: how many dispatch regions the unit carries
-  // and how many of them fused two or more steps into one fork/join.
-  std::size_t fused = 0;
-  for (const ParallelRegion& r : regions) {
-    if (r.step_count >= 2) ++fused;
-  }
-  out.push_back(cat("long glaf_nat_regions(void) { return ", regions.size(),
-                    "; }"));
-  out.push_back(cat("long glaf_nat_fused_regions(void) { return ", fused,
-                    "; }"));
   // Numeric-model tier of this unit (0 = interp/bit-identical, 1 = opt/
   // typed): the engine refuses a cached object whose tier disagrees with
   // the one it was asked to run.
@@ -139,22 +111,21 @@ std::string wrapper_text(const Program& p, const std::vector<AbiSlot>& slots,
   // Copy-in validates every slot's element count first (a nonzero return
   // is 1 + the offending slot index) and only then touches anything, so
   // a mis-sized binding fails before a kernel can write past it. The
-  // host block is always double*. The interp tier, whose storage is
-  // double too, then binds every array to the host's buffer (no mask:
-  // the kernel works on the host's arrays in place, so even a read the
-  // effect summaries miss sees current data) and copies scalars in; the
-  // opt tier converts every touched slot element-wise into its native
-  // width. Copy-out is the mirror image for whatever was copied. This
-  // boundary is the only place the two storage models meet.
+  // host block is always double*. Every array the unit stores as double
+  // (binds_global_array) is then pointed at the host's buffer, with no
+  // mask: the kernel works on the host's arrays in place, so even a read
+  // the effect summaries miss sees current data. Scalars, and opt-tier
+  // arrays stored narrower, are converted element-wise into the unit's
+  // storage; copy-out converts the written ones back. This boundary is
+  // the only place the two storage models meet.
   //
-  // The copies take a per-entry slot mask, so they matter for scalars
-  // and for the opt tier only: an entry wrapper moves just the globals
-  // its function (transitively) touches — copy-in for any access,
-  // copy-out for writes. Written grids always appear in the copy-in
-  // mask too, so a partial write exports the host's own values for
-  // untouched elements; touches include the scalars grid extents read.
-  // Slots outside the mask keep whatever the unit's storage last held,
-  // which the entry never observes. Small entry points over large
+  // The copies take a per-entry slot mask: an entry wrapper moves just
+  // the globals its function (transitively) touches — copy-in for any
+  // access, copy-out for writes. Written slots always appear in the
+  // copy-in mask too, so a partial write exports the host's own values
+  // for untouched elements; touches include the scalars grid extents
+  // read. Slots outside the mask keep whatever the unit's storage last
+  // held, which the entry never observes. Small entry points over large
   // programs would otherwise be dominated by boundary traffic.
   auto guard = [](std::size_t i, const std::string& line) {
     return cat("  if (glaf_nat_m[", i, "]) {", line.substr(1), " }");
@@ -169,16 +140,12 @@ std::string wrapper_text(const Program& p, const std::vector<AbiSlot>& slots,
   for (std::size_t i = 0; i < slots.size(); ++i) {
     const Grid& g = p.grid(slots[i].grid);
     const std::string name = storage_name(g);
-    const std::string ty = nat_type(g.elem_type, model);
+    const std::string ty = storage_ctype(g.elem_type, model);
     if (g.dims.empty()) {
       out.push_back(guard(i, cat("  ", name, " = (", ty,
                                  ")glaf_nat_a->grids[", i, "][0];")));
-    } else if (binds_global_arrays(model)) {
+    } else if (binds_global_array(g.elem_type, model)) {
       out.push_back(cat("  ", name, " = glaf_nat_a->grids[", i, "];"));
-    } else if (ty == "double") {
-      out.push_back(guard(i, cat("  memcpy(", name, ", glaf_nat_a->grids[", i,
-                                 "], ", slots[i].elements,
-                                 " * sizeof(double));")));
     } else {
       out.push_back(guard(i, cat("  { const double* restrict glaf_s = "
                                  "glaf_nat_a->grids[", i, "]; ", ty,
@@ -197,16 +164,11 @@ std::string wrapper_text(const Program& p, const std::vector<AbiSlot>& slots,
   for (std::size_t i = 0; i < slots.size(); ++i) {
     const Grid& g = p.grid(slots[i].grid);
     const std::string name = storage_name(g);
-    const std::string ty = nat_type(g.elem_type, model);
-    if (!g.dims.empty() && binds_global_arrays(model)) continue;  // written in place
+    const std::string ty = storage_ctype(g.elem_type, model);
     if (g.dims.empty()) {
       out.push_back(guard(i, cat("  glaf_nat_a->grids[", i, "][0] = (double)",
                                  name, ";")));
-    } else if (ty == "double") {
-      out.push_back(guard(i, cat("  memcpy(glaf_nat_a->grids[", i, "], ",
-                                 name, ", ", slots[i].elements,
-                                 " * sizeof(double));")));
-    } else {
+    } else if (!binds_global_array(g.elem_type, model)) {
       out.push_back(guard(i, cat("  { const ", ty, "* restrict glaf_s = ",
                                  name,
                                  "; double* restrict glaf_d = "
@@ -336,9 +298,9 @@ StatusOr<KernelUnit> emit_kernel_unit(const Program& program,
 
   // The host-parallel range ABI is an interp-tier feature (its bit-exact
   // partitioning argument is meaningless under reordered typed math), so
-  // opt units are always serial.
-  const bool parallel =
-      options.parallel && options.model != NumericModel::kOpt;
+  // opt units are always serial. This is the one place that decides it:
+  // the engine reads unit.parallel.
+  unit.parallel = options.parallel && options.model != NumericModel::kOpt;
 
   CodegenOptions copts;
   copts.language = Language::kC;
@@ -348,7 +310,7 @@ StatusOr<KernelUnit> emit_kernel_unit(const Program& program,
   // functions dispatched through glaf_set_pfor. No OpenMP pragmas are
   // emitted — the schedule is the host pool's choice, not the kernel's.
   copts.enable_openmp = false;
-  copts.host_parallel = parallel;
+  copts.host_parallel = unit.parallel;
   copts.fuse_regions = options.fuse_regions;
   copts.policy = options.policy;
   copts.save_temporaries = options.save_temporaries;
@@ -356,8 +318,8 @@ StatusOr<KernelUnit> emit_kernel_unit(const Program& program,
   unit.regions = code.regions;
   unit.source = cat(prelude_text(*prog, unit.slots, options.model),
                     code.source,
-                    wrapper_text(*prog, unit.slots, unit.functions, parallel,
-                                 unit.regions, options.model, anal->effects));
+                    wrapper_text(*prog, unit.slots, unit.functions,
+                                 unit.parallel, options.model, anal->effects));
   return unit;
 }
 

@@ -6,14 +6,14 @@
 // extern-"C" ABI wrapper per function. The wrapper takes a flat argument
 // block — grid base pointers in global_grids order, their element
 // counts, and the entry call's scalar arguments — and validates every
-// extent. The interp tier, which stores everything as double like the
-// host, then points each global array at the host's buffer and works on
-// it in place; only scalars are copied in and (when written) back out.
-// The opt tier keeps typed storage inside the unit and converts every
-// global the function touches in, and every one it writes back out. One
-// emission strategy covers every global kind (owned statics, module
-// externs, COMMON members, TYPE elements), with the wrapper as the only
-// ABI surface.
+// extent. One rule then covers both tiers (binds_global_array in
+// codegen/options.hpp): every global array the unit stores as double —
+// every interp-tier array, every DOUBLE PRECISION opt-tier array — points
+// at the host's buffer and is worked on in place. Only scalars and the
+// opt tier's narrower arrays (long, int, float) are converted in and,
+// when written, back out. One emission strategy covers every global kind
+// (owned statics, module externs, COMMON members, TYPE elements), with
+// the wrapper as the only ABI surface.
 
 #include <cstdint>
 #include <string>
@@ -38,7 +38,10 @@ namespace glaf::jit {
 /// v5: the measured profit gate — glaf_set_pfor takes the host's gate
 ///     callbacks instead of a threshold, and every region call site
 ///     keeps a glaf_site slot (jit/gate.hpp).
-inline constexpr long kAbiVersion = 5;
+/// v6: opt units bind their double arrays in place like interp units;
+///     glaf_nat_args loses num_threads, and the unused region metadata
+///     exports (glaf_nat_regions / glaf_nat_fused_regions) are gone.
+inline constexpr long kAbiVersion = 6;
 
 /// One comparable/copyable global: position in the flat argument block
 /// is its position in program.global_grids.
@@ -66,6 +69,9 @@ struct KernelUnit {
   /// Host-parallel dispatch regions the unit was emitted with (empty
   /// for serial units).
   std::vector<ParallelRegion> regions;
+  /// Whether the unit was emitted with host-parallel ranges: the
+  /// requested EmitOptions::parallel, resolved (opt units are serial).
+  bool parallel = false;
 };
 
 /// Options controlling the lowered unit (mirrors InterpOptions).
@@ -86,18 +92,19 @@ struct EmitOptions {
   /// Numeric model of the lowered unit. kInterp is the bit-identical
   /// tier; kOpt stores grids in native widths, restrict-qualifies
   /// pointers, and applies the S4 interchange pass — its results are
-  /// compared under ulp budgets. kOpt units are always serial (the
-  /// host-parallel range ABI is an interp-tier feature).
+  /// compared under ulp budgets. kOpt units are always serial
+  /// (KernelUnit::parallel says how a unit was emitted).
   NumericModel model = NumericModel::kInterp;
 };
 
 /// Per-entry copy masks, one flag per slot in global_grids order: the
 /// wrapper copies a slot in when `touch` is set (the function reads or
-/// writes it, transitively) and back out when `write` is set. Interp-tier
-/// arrays are bound to the host's storage whatever the masks say, so
-/// the masks matter for scalars and for the opt tier only. A
-/// function without a summary in `effects` gets all-ones masks — copy
-/// everything, never skip a live slot.
+/// writes it, transitively) and back out when `write` is set. Arrays the
+/// unit stores as double are bound to the host's storage whatever the
+/// masks say, so the masks matter for scalars and for the opt tier's
+/// long, int and float arrays only. A function without a summary in
+/// `effects` gets all-ones masks — copy everything, never skip a live
+/// slot.
 struct CopyMasks {
   std::vector<bool> touch;
   std::vector<bool> write;

@@ -30,7 +30,6 @@ struct NatArgs {
   double* const* grids;
   const long* extents;
   const double* scalars;
-  long num_threads;
   double result;
 };
 
@@ -154,14 +153,9 @@ StatusOr<std::unique_ptr<NativeEngine>> NativeEngine::create(
 StatusOr<CompiledKernel> NativeEngine::compile_object(
     const Program& program, const ProgramAnalysis& analysis,
     const Options& options) {
-  // The opt tier is serial by construction (emit.cpp clamps the same
-  // way); resolve it once here so the ABI check, the pfor installation
-  // and the cache key all agree.
   const bool opt_tier = options.model == NumericModel::kOpt;
-  const bool parallel = options.parallel && !opt_tier;
-
   EmitOptions eopts;
-  eopts.parallel = parallel;
+  eopts.parallel = options.parallel;
   eopts.policy = options.policy;
   eopts.save_temporaries = options.save_temporaries;
   eopts.dynamic_schedule = options.dynamic_schedule;
@@ -170,6 +164,9 @@ StatusOr<CompiledKernel> NativeEngine::compile_object(
   eopts.model = options.model;
   StatusOr<KernelUnit> unit = emit_kernel_unit(program, analysis, eopts);
   if (!unit.is_ok()) return unit.status();
+  // The unit's resolved mode (opt units are serial), so the cache key,
+  // the ABI check and the pfor installation all agree with the source.
+  const bool parallel = unit.value().parallel;
 
   const std::string cc = default_cc(options.cc);
   const bool portable =
@@ -233,7 +230,7 @@ StatusOr<std::unique_ptr<NativeEngine>> NativeEngine::load_compiled(
     return internal_error("fault injected: kernel load refused");
   }
   const bool opt_tier = options.model == NumericModel::kOpt;
-  const bool parallel = compiled.parallel;
+  const bool parallel = compiled.unit.parallel;
 
   auto engine = std::unique_ptr<NativeEngine>(new NativeEngine());
   engine->unit_ = std::move(compiled.unit);
@@ -380,8 +377,7 @@ StatusOr<double> NativeEngine::call(const AbiFunction& fn) {
     if (!disjoint.is_ok()) return disjoint;
     bindings_checked_ = true;
   }
-  NatArgs args{grids_.data(), extents_.data(), scalars_.data(),
-               options_.num_threads, 0.0};
+  NatArgs args{grids_.data(), extents_.data(), scalars_.data(), 0.0};
   const long status =
       reinterpret_cast<WrapperFn>(entry_points_[index])(&args);
   // A timed gate run is charged through the call's copy-out.

@@ -52,9 +52,8 @@ struct CompiledKernel {
   KernelUnit unit;
   std::string object_path;  ///< published cache entry
   bool cache_hit = false;   ///< compilation skipped (entry already valid)
-  /// The engine-level parallel mode the unit was emitted with (the opt
-  /// tier clamps Options::parallel to serial; this is the resolved value
-  /// the load half must trust).
+  /// The mode the unit was emitted with: unit.parallel, the resolved
+  /// value of Options::parallel (opt units are serial).
   bool parallel = false;
   /// Build provenance / cache identity: resolved compiler command, its
   /// --version line, the flag string, the host fingerprint (opt tier,
@@ -73,7 +72,6 @@ class NativeEngine {
  public:
   struct Options {
     bool parallel = false;
-    int num_threads = 4;
     DirectivePolicy policy = DirectivePolicy::kV0;
     bool save_temporaries = false;
     bool dynamic_schedule = false;
@@ -109,7 +107,7 @@ class NativeEngine {
     /// bit-identical all-double tier (-O2, contraction off); kOpt
     /// compiles the typed tier with -O3 -march=native and contraction
     /// on — its results are ulp-close, not bitwise. kOpt units are
-    /// always serial (the range ABI is an interp-tier feature).
+    /// always serial (emit_kernel_unit resolves it; KernelUnit::parallel).
     NumericModel model = NumericModel::kInterp;
     /// Compile the opt tier without -march=native (generic -O3), for
     /// cache directories or objects that must run on any host. Also
@@ -255,9 +253,10 @@ class NativeEngine {
   std::vector<std::size_t> by_address_;
   bool bindings_checked_ = false;
 
-  /// Refuse slots whose bound buffers overlap: interp-tier kernels
-  /// declare each global array `restrict` and write it in place, which
-  /// is only sound when every slot has storage of its own.
+  /// Refuse slots whose bound buffers overlap: kernels of either tier
+  /// declare each double global array `restrict` and write it in place
+  /// (binds_global_array), which is only sound when every slot has
+  /// storage of its own.
   Status check_disjoint_bindings();
 };
 

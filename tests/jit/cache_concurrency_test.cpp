@@ -41,7 +41,6 @@ jit::NativeEngine::Options cache_options(const std::string& cache_dir) {
   jit::NativeEngine::Options options;
   options.cache_dir = cache_dir;
   options.parallel = false;
-  options.num_threads = 1;
   return options;
 }
 

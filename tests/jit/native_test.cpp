@@ -7,9 +7,9 @@
 // or a program has no flat-argument-block layout, plus (d) the
 // cross-entry boundary wall: entry wrappers copy only the scalars their
 // function touches, and stale kernel storage must never be observed,
-// and (e) the in-place boundary: interp-tier kernels bind every global
-// array to the host's buffer, only after every extent checks out, and
-// only when no two slots share storage.
+// and (e) the in-place boundary: kernels of both tiers bind every
+// global array they store as double to the host's buffer, only after
+// every extent checks out, and only when no two slots share storage.
 //
 // Every test that needs the system compiler GTEST_SKIPs without one.
 
@@ -567,46 +567,82 @@ TEST(NativeEmit, Fun3dEdgeScatterWritesThroughRestrictPointers) {
   }
 }
 
-TEST(NativeEmit, OptUnitsKeepConvertingCopies) {
-  // The opt tier stores grids in their native widths, so its boundary
-  // still converts: arrays are copied in and out, never bound.
+TEST(NativeEmit, OptUnitsBindDoubleArraysAndConvertTheRest) {
+  // The opt tier stores DOUBLE PRECISION arrays as double, like the host
+  // block, so they bind in place exactly as in the interp tier: jac is a
+  // restrict pointer and no array is memcpy'd. The INTEGER edge_a is
+  // stored as long, so it alone is still converted element by element.
   const Program p = fun3d::build_fun3d_glaf_program();
   jit::EmitOptions opts;
   opts.model = NumericModel::kOpt;
   const StatusOr<jit::KernelUnit> unit =
       jit::emit_kernel_unit(p, analyze_program(p), opts);
   ASSERT_TRUE(unit.is_ok()) << unit.status().message();
-  const std::string boundary = boundary_text(unit.value().source);
-  EXPECT_NE(boundary.find("memcpy(jac, glaf_nat_a->grids["),
+  const std::string& src = unit.value().source;
+  const std::string boundary = boundary_text(src);
+  ASSERT_FALSE(boundary.empty());
+  EXPECT_NE(src.find("double* restrict jac;"), std::string::npos);
+  EXPECT_EQ(boundary.find("memcpy("), std::string::npos) << boundary;
+  std::size_t jac = 0, edge_a = 0;
+  const std::vector<jit::AbiSlot>& slots = unit.value().slots;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    if (slots[i].name == "jac") jac = i;
+    if (slots[i].name == "edge_a") edge_a = i;
+  }
+  EXPECT_NE(boundary.find(cat("  jac = glaf_nat_a->grids[", jac, "];")),
             std::string::npos);
-  EXPECT_NE(boundary.find("], jac, "), std::string::npos);
-  EXPECT_EQ(unit.value().source.find("double* restrict jac;"),
-            std::string::npos);
+  EXPECT_NE(src.find("extern long edge_a[512];"), std::string::npos);
+  EXPECT_NE(boundary.find(cat("glaf_s = glaf_nat_a->grids[", edge_a,
+                              "]; long* restrict glaf_d = edge_a;")),
+            std::string::npos)
+      << boundary;
+  EXPECT_NE(boundary.find("glaf_s = edge_a; double* restrict glaf_d = "
+                          "glaf_nat_a->grids["),
+            std::string::npos)
+      << boundary;
 }
+
+/// Both JIT tiers: each binds its double arrays in place
+/// (binds_global_array), so the in-place tests below run on each.
+constexpr NumericModel kTiers[] = {NumericModel::kInterp, NumericModel::kOpt};
 
 TEST(NativeVsPlan, EveryGlobalArrayKindWorksInPlace) {
+  // The interp tier must match the plan VM bitwise; the opt tier within
+  // the default budget of its ulp comparator.
   if (!have_cc()) GTEST_SKIP() << "no system compiler";
   const Program p = array_kinds_program();
-  Machine pl(p, plan_opts());
-  Machine nat(p, native_opts());
-  require_native(nat);
-  for (Machine* m : {&pl, &nat}) {
-    ASSERT_TRUE(m->set_array("ext", {1, 2, 3, 4, 5}).is_ok());
-    ASSERT_TRUE(m->set_array("blk", {0.5, -1, 2, 0.25, 8}).is_ok());
-    ASSERT_TRUE(m->set_array("mem", {3, 3, -2, 1, 0}).is_ok());
-    ASSERT_TRUE(m->call("mix").is_ok());
-    ASSERT_TRUE(m->call("mix").is_ok());
+  for (const NumericModel model : kTiers) {
+    SCOPED_TRACE(to_string(model));
+    InterpOptions opts = native_opts();
+    opts.native_model = model;
+    Machine pl(p, plan_opts());
+    Machine nat(p, opts);
+    require_native(nat);
+    for (Machine* m : {&pl, &nat}) {
+      ASSERT_TRUE(m->set_array("ext", {1, 2, 3, 4, 5}).is_ok());
+      ASSERT_TRUE(m->set_array("blk", {0.5, -1, 2, 0.25, 8}).is_ok());
+      ASSERT_TRUE(m->set_array("mem", {3, 3, -2, 1, 0}).is_ok());
+      ASSERT_TRUE(m->call("mix").is_ok());
+      ASSERT_TRUE(m->call("mix").is_ok());
+    }
+    EXPECT_EQ(nat.native_report().native_calls, 2u);
+    if (model == NumericModel::kInterp) {
+      compare_all_globals(pl, nat);
+    } else {
+      testing::expect_globals_ulp(pl, nat, testing::kDefaultUlpBudget,
+                                  "array kinds");
+    }
   }
-  EXPECT_EQ(nat.native_report().native_calls, 2u);
-  compare_all_globals(pl, nat);
 }
 
-/// A loaded interp-tier engine for array_kinds_program, driven directly
-/// through the flat argument block.
-std::unique_ptr<jit::NativeEngine> array_kinds_engine(const std::string& tag) {
+/// A loaded engine of tier `model` for array_kinds_program, driven
+/// directly through the flat argument block.
+std::unique_ptr<jit::NativeEngine> array_kinds_engine(const std::string& tag,
+                                                      NumericModel model) {
   const Program p = array_kinds_program();
   jit::NativeEngine::Options options;
   options.cache_dir = fresh_cache_dir(tag);
+  options.model = model;
   StatusOr<std::unique_ptr<jit::NativeEngine>> engine =
       jit::NativeEngine::create(p, analyze_program(p), options);
   EXPECT_TRUE(engine.is_ok()) << engine.status().message();
@@ -630,80 +666,87 @@ TEST(NativeLoad, MisSizedBindingIsRefusedBeforeAnyWrite) {
   // Kernels write host buffers in place, so the copy-in extent check is
   // all that stands between a mis-sized binding and a heap overwrite.
   if (!have_cc()) GTEST_SKIP() << "no system compiler";
-  const std::unique_ptr<jit::NativeEngine> engine =
-      array_kinds_engine("extent_guard");
-  ASSERT_NE(engine, nullptr);
-  const jit::AbiFunction* mix = engine->find("mix");
-  ASSERT_NE(mix, nullptr);
-  const std::size_t slots = engine->slots().size();
-  for (std::size_t bad = 0; bad < slots; ++bad) {
+  for (const NumericModel model : kTiers) {
+    SCOPED_TRACE(to_string(model));
+    const std::unique_ptr<jit::NativeEngine> engine =
+        array_kinds_engine("extent_guard", model);
+    ASSERT_NE(engine, nullptr);
+    const jit::AbiFunction* mix = engine->find("mix");
+    ASSERT_NE(mix, nullptr);
+    const std::size_t slots = engine->slots().size();
+    for (std::size_t bad = 0; bad < slots; ++bad) {
+      std::vector<std::vector<double>> host = host_buffers(*engine);
+      // One element short of what the kernel expects, in an allocation
+      // of exactly that size, so an instrumented kernel that wrote past
+      // it would be reported.
+      host[bad] = std::vector<double>(host[bad].begin(), host[bad].end() - 1);
+      const std::vector<std::vector<double>> before = host;
+      for (std::size_t i = 0; i < slots; ++i) {
+        engine->bind_global(i, host[i].data(),
+                            static_cast<std::int64_t>(host[i].size()));
+      }
+      const StatusOr<double> result = engine->call(*mix);
+      ASSERT_FALSE(result.is_ok()) << "slot " << bad;
+      EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+      EXPECT_EQ(result.status().message(),
+                cat("native kernel rejected slot ", bad,
+                    " of 'mix' (extent mismatch)"));
+      EXPECT_EQ(host, before) << "a refused call wrote a host buffer";
+    }
+    // Rightly sized, the same engine runs and writes in place.
     std::vector<std::vector<double>> host = host_buffers(*engine);
-    // One element short of what the kernel expects, in an allocation of
-    // exactly that size, so an instrumented kernel that wrote past it
-    // would be reported.
-    host[bad] = std::vector<double>(host[bad].begin(), host[bad].end() - 1);
     const std::vector<std::vector<double>> before = host;
     for (std::size_t i = 0; i < slots; ++i) {
       engine->bind_global(i, host[i].data(),
                           static_cast<std::int64_t>(host[i].size()));
     }
-    const StatusOr<double> result = engine->call(*mix);
-    ASSERT_FALSE(result.is_ok()) << "slot " << bad;
-    EXPECT_EQ(result.status().code(), StatusCode::kInternal);
-    EXPECT_EQ(result.status().message(),
-              cat("native kernel rejected slot ", bad,
-                  " of 'mix' (extent mismatch)"));
-    EXPECT_EQ(host, before) << "a refused call wrote a host buffer";
+    ASSERT_TRUE(engine->call(*mix).is_ok());
+    EXPECT_NE(host, before);
   }
-  // Rightly sized, the same engine runs and writes in place.
-  std::vector<std::vector<double>> host = host_buffers(*engine);
-  const std::vector<std::vector<double>> before = host;
-  for (std::size_t i = 0; i < slots; ++i) {
-    engine->bind_global(i, host[i].data(),
-                        static_cast<std::int64_t>(host[i].size()));
-  }
-  ASSERT_TRUE(engine->call(*mix).is_ok());
-  EXPECT_NE(host, before);
 }
 
 TEST(NativeLoad, OverlappingBindingsAreRefused) {
-  // Interp-tier kernels declare every global array restrict and write it
-  // in place: sound only while distinct globals have distinct storage.
-  // The engine refuses bindings that break that before the kernel runs.
+  // Kernels of either tier declare every double global array restrict
+  // and write it in place: sound only while distinct globals have
+  // distinct storage. The engine refuses bindings that break that before
+  // the kernel runs.
   if (!have_cc()) GTEST_SKIP() << "no system compiler";
-  const std::unique_ptr<jit::NativeEngine> engine =
-      array_kinds_engine("overlap");
-  ASSERT_NE(engine, nullptr);
-  const jit::AbiFunction* mix = engine->find("mix");
-  ASSERT_NE(mix, nullptr);
-  const std::size_t slots = engine->slots().size();
-  ASSERT_EQ(slots, 5u);  // n, ext, blk, mem, own
-  std::vector<std::vector<double>> host = host_buffers(*engine);
-  for (std::size_t i = 0; i < slots; ++i) {
-    engine->bind_global(i, host[i].data(),
-                        static_cast<std::int64_t>(host[i].size()));
-  }
-  ASSERT_TRUE(engine->call(*mix).is_ok());
+  for (const NumericModel model : kTiers) {
+    SCOPED_TRACE(to_string(model));
+    const std::unique_ptr<jit::NativeEngine> engine =
+        array_kinds_engine("overlap", model);
+    ASSERT_NE(engine, nullptr);
+    const jit::AbiFunction* mix = engine->find("mix");
+    ASSERT_NE(mix, nullptr);
+    const std::size_t slots = engine->slots().size();
+    ASSERT_EQ(slots, 5u);  // n, ext, blk, mem, own
+    std::vector<std::vector<double>> host = host_buffers(*engine);
+    for (std::size_t i = 0; i < slots; ++i) {
+      engine->bind_global(i, host[i].data(),
+                          static_cast<std::int64_t>(host[i].size()));
+    }
+    ASSERT_TRUE(engine->call(*mix).is_ok());
 
-  // blk on ext's buffer, then blk two elements into ext's buffer.
-  std::vector<double> shared(7, 1.0);
-  for (const std::size_t offset : {0u, 2u}) {
-    engine->bind_global(1, shared.data(), 5);
-    engine->bind_global(2, shared.data() + offset, 5);
-    const std::vector<double> before = shared;
-    const StatusOr<double> result = engine->call(*mix);
-    ASSERT_FALSE(result.is_ok()) << "offset " << offset;
-    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(result.status().message().find("share storage"),
-              std::string::npos)
-        << result.status().message();
-    EXPECT_EQ(shared, before);
+    // blk on ext's buffer, then blk two elements into ext's buffer.
+    std::vector<double> shared(7, 1.0);
+    for (const std::size_t offset : {0u, 2u}) {
+      engine->bind_global(1, shared.data(), 5);
+      engine->bind_global(2, shared.data() + offset, 5);
+      const std::vector<double> before = shared;
+      const StatusOr<double> result = engine->call(*mix);
+      ASSERT_FALSE(result.is_ok()) << "offset " << offset;
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(result.status().message().find("share storage"),
+                std::string::npos)
+          << result.status().message();
+      EXPECT_EQ(shared, before);
+    }
+    // Adjacent but disjoint buffers are fine.
+    std::vector<double> pair(10, 1.0);
+    engine->bind_global(1, pair.data(), 5);
+    engine->bind_global(2, pair.data() + 5, 5);
+    EXPECT_TRUE(engine->call(*mix).is_ok());
   }
-  // Adjacent but disjoint buffers are fine.
-  std::vector<double> pair(10, 1.0);
-  engine->bind_global(1, pair.data(), 5);
-  engine->bind_global(2, pair.data() + 5, 5);
-  EXPECT_TRUE(engine->call(*mix).is_ok());
 }
 
 // ---- private kernel copy ----------------------------------------------------

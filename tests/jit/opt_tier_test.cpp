@@ -23,7 +23,7 @@
 #include "interp/machine.hpp"
 #include "support/strings.hpp"
 #include "support/subprocess.hpp"
-#include "support/ulp.hpp"
+#include "testing/cross_entry.hpp"
 
 namespace glaf {
 namespace {
@@ -52,7 +52,7 @@ void require_native(const Machine& m) {
 /// spectral integrations chain hundreds of multiply-adds per element, so
 /// contraction drift accumulates; the simple per-level loops sit at a
 /// handful of ulps. A kernel absent from the map gets the default.
-constexpr std::uint64_t kDefaultBudget = 64;
+constexpr std::uint64_t kDefaultBudget = testing::kDefaultUlpBudget;
 
 std::uint64_t sarb_budget(const std::string& name) {
   static const std::map<std::string, std::uint64_t> budgets = {
@@ -62,33 +62,6 @@ std::uint64_t sarb_budget(const std::string& name) {
   };
   const auto it = budgets.find(name);
   return it == budgets.end() ? kDefaultBudget : it->second;
-}
-
-/// Compare every non-struct global element-wise under the ulp budget and
-/// report the worst observed distance so budget regressions are visible.
-void compare_all_globals_ulp(Machine& reference, Machine& opt,
-                             std::uint64_t max_ulp, const std::string& tag) {
-  std::uint64_t worst = 0;
-  for (const GridId id : reference.program().global_grids) {
-    const Grid& g = reference.program().grid(id);
-    if (g.is_struct()) continue;
-    const std::vector<double> a = reference.array(g.name).value();
-    const std::vector<double> b = opt.array(g.name).value();
-    ASSERT_EQ(a.size(), b.size()) << tag << ": " << g.name;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      const std::uint64_t dist = ulp_distance(a[i], b[i]);
-      EXPECT_TRUE(ulp_close(a[i], b[i], max_ulp))
-          << tag << ": " << g.name << "[" << i << "]: plan " << a[i]
-          << " vs opt " << b[i] << " (" << dist << " ulps, budget "
-          << max_ulp << ")";
-      if (dist != kUlpIncomparable && dist > worst) worst = dist;
-    }
-  }
-  if (worst > 0) {
-    std::printf("[ ulp-wall ] %s: worst distance %llu (budget %llu)\n",
-                tag.c_str(), static_cast<unsigned long long>(worst),
-                static_cast<unsigned long long>(max_ulp));
-  }
 }
 
 TEST(OptTier, SarbTable1SubroutinesWithinUlpBudgets) {
@@ -107,7 +80,7 @@ TEST(OptTier, SarbTable1SubroutinesWithinUlpBudgets) {
       ASSERT_TRUE(m->call(name).is_ok()) << name;
     }
     EXPECT_GT(opt.native_report().native_calls, 0u) << name;
-    compare_all_globals_ulp(pl, opt, sarb_budget(name), name);
+    testing::expect_globals_ulp(pl, opt, sarb_budget(name), name);
   }
 }
 
@@ -142,7 +115,7 @@ TEST(OptTier, Fun3dKernelsWithinUlpBudgets) {
       ASSERT_TRUE(m->call(name).is_ok()) << name;
     }
     EXPECT_GT(opt.native_report().native_calls, 0u) << name;
-    compare_all_globals_ulp(pl, opt, kDefaultBudget, name);
+    testing::expect_globals_ulp(pl, opt, kDefaultBudget, name);
   }
 }
 

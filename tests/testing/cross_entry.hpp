@@ -6,11 +6,13 @@
 // kernel Machine through a sequence of entry points next to a plan-VM
 // reference; before each call they overwrite every floating global on the
 // host, and after every call they compare every global bitwise. Stale
-// kernel storage must never reach the host.
+// kernel storage must never reach the host. The opt tier's ulp
+// comparator lives here too, beside the bitwise one.
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <string>
 #include <vector>
@@ -22,6 +24,7 @@
 #include "fun3d/glaf_fun3d.hpp"
 #include "interp/machine.hpp"
 #include "support/strings.hpp"
+#include "support/ulp.hpp"
 
 namespace glaf::testing {
 
@@ -41,6 +44,38 @@ inline void expect_globals_bitwise(const Machine& reference,
           << tag << ": " << g.name << "[" << i << "] reference " << a[i]
           << " vs " << b[i];
     }
+  }
+}
+
+/// The opt tier's default ulp budget: short chains of typed, contracted
+/// arithmetic stay within it.
+inline constexpr std::uint64_t kDefaultUlpBudget = 64;
+
+/// The opt tier's comparator: every non-struct global of `reference` and
+/// `opt`, element-wise within `max_ulp` (support/ulp.hpp). Prints the
+/// worst observed distance so budget regressions are visible.
+inline void expect_globals_ulp(const Machine& reference, const Machine& opt,
+                               std::uint64_t max_ulp, const std::string& tag) {
+  std::uint64_t worst = 0;
+  for (const GridId id : reference.program().global_grids) {
+    const Grid& g = reference.program().grid(id);
+    if (g.is_struct()) continue;
+    const std::vector<double> a = reference.array(g.name).value();
+    const std::vector<double> b = opt.array(g.name).value();
+    ASSERT_EQ(a.size(), b.size()) << tag << ": " << g.name;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      const std::uint64_t dist = ulp_distance(a[i], b[i]);
+      EXPECT_TRUE(ulp_close(a[i], b[i], max_ulp))
+          << tag << ": " << g.name << "[" << i << "]: reference " << a[i]
+          << " vs opt " << b[i] << " (" << dist << " ulps, budget "
+          << max_ulp << ")";
+      if (dist != kUlpIncomparable && dist > worst) worst = dist;
+    }
+  }
+  if (worst > 0) {
+    std::printf("[ ulp-wall ] %s: worst distance %llu (budget %llu)\n",
+                tag.c_str(), static_cast<unsigned long long>(worst),
+                static_cast<unsigned long long>(max_ulp));
   }
 }
 
