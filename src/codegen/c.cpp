@@ -582,10 +582,6 @@ class CGen {
     return true;
   }
 
-  std::string range_stem(const Function& fn, std::size_t sidx) const {
-    return cat("glaf_rs_", fn.name, "_", sidx);
-  }
-
   /// Function-scope grids the range function reaches through its context
   /// block: referenced locals and parameters, minus private copies and
   /// reduction targets (those rebind to fresh storage / scratch). Globals
@@ -662,15 +658,12 @@ class CGen {
   };
 
   std::string region_stem(const Function& fn, const RegionInfo& info) const {
-    if (info.span.step_count == 1) {
-      return range_stem(fn, info.span.first_step);
-    }
     return cat("glaf_rg_", fn.name, "_", info.ordinal);
   }
 
-  /// Group every function's steps into dispatch regions: maximal fusable
-  /// runs when fuse_regions is on, singletons otherwise. Also records
-  /// the ranged regions as GeneratedCode metadata.
+  /// Group every function's steps into dispatch regions, maximal fusable
+  /// runs of ranged steps. Also records the ranged regions as
+  /// GeneratedCode metadata.
   void plan_regions() {
     static const std::vector<StepVerdict> kNoVerdicts;
     for (const Function& fn : p_.functions) {
@@ -682,14 +675,8 @@ class CGen {
            ++s) {
         ranged[s] = step_ranged(fn.steps[s], verdicts[s]);
       }
-      std::vector<FusedRegion> spans;
-      if (opt_.fuse_regions && !verdicts.empty()) {
-        spans = plan_fused_regions(p_, fn, verdicts, ranged, effects_);
-      } else {
-        for (std::size_t s = 0; s < fn.steps.size(); ++s) {
-          spans.push_back(FusedRegion{s, 1});
-        }
-      }
+      const std::vector<FusedRegion> spans =
+          plan_fused_regions(p_, fn, verdicts, ranged, effects_);
       std::vector<RegionInfo>& infos = plan_[fn.id];
       for (std::size_t r = 0; r < spans.size(); ++r) {
         RegionInfo info;
@@ -717,12 +704,9 @@ class CGen {
     }
   }
 
-  /// Context-struct field suffix for one member step: fused regions
-  /// prefix every per-step band array and scratch pointer with the step
-  /// index; singleton regions keep the unsuffixed ABI-v2 names.
-  static std::string band_suffix(const RegionInfo& info, std::size_t sidx) {
-    return info.span.step_count == 1 ? std::string() : cat(sidx, "_");
-  }
+  /// Context-struct field suffix for one member step: every per-step
+  /// band array and scratch pointer carries the step index.
+  static std::string band_suffix(std::size_t sidx) { return cat(sidx, "_"); }
 
   /// The region entry point: one context struct carrying every member
   /// step's band descriptors, the union of their shared grids, and
@@ -739,7 +723,7 @@ class CGen {
     for (std::size_t s = lo; s < hi; ++s) {
       const Step& step = fn.steps[s];
       const StepVerdict& v = verdicts[s];
-      const std::string bs = band_suffix(info, s);
+      const std::string bs = band_suffix(s);
       const std::size_t depth = band_depth(step, v);
       w_.raw(cat("  long glaf_b", bs, "[", depth, "]; long glaf_s", bs, "[",
                  depth, "]; long glaf_t", bs, "[", depth,
@@ -762,16 +746,11 @@ class CGen {
     w_.line(cat("struct ", stem, "_ctx* glaf_c = (struct ", stem,
                 "_ctx*)glaf_vctx;"));
     for (std::size_t s = lo; s < hi; ++s) {
-      const bool fused = info.span.step_count > 1;
-      if (fused) {
-        w_.line("{");
-        w_.indent();
-      }
-      emit_step_block(fn, fn.steps[s], verdicts[s], band_suffix(info, s));
-      if (fused) {
-        w_.dedent();
-        w_.line("}");
-      }
+      w_.line("{");
+      w_.indent();
+      emit_step_block(fn, fn.steps[s], verdicts[s], band_suffix(s));
+      w_.dedent();
+      w_.line("}");
     }
     w_.dedent();
     w_.raw("}");
@@ -956,7 +935,7 @@ class CGen {
     w_.line("(void)glaf_rk; (void)glaf_e;");
     const auto emit_bands = [&](std::size_t s) {
       const Step& step = fn.steps[s];
-      const std::string bs = band_suffix(info, s);
+      const std::string bs = band_suffix(s);
       const std::size_t depth = band_depth(step, verdicts[s]);
       for (std::size_t d = 0; d < depth; ++d) {
         const LoopSpec& loop = step.loops[d];
@@ -984,7 +963,7 @@ class CGen {
       // fusion precondition), so one range drives every block.
       const Step& first = fn.steps[lo];
       const StepVerdict& v = verdicts[lo];
-      const std::string bs = band_suffix(info, lo);
+      const std::string bs = band_suffix(lo);
       const int owner = v.exact_partition_dim;
       const std::size_t depth = band_depth(first, v);
       if (owner >= 0) {
@@ -1017,7 +996,7 @@ class CGen {
     }
     for (std::size_t s = lo; s < hi; ++s) {
       const StepVerdict& v = verdicts[s];
-      const std::string bs = band_suffix(info, s);
+      const std::string bs = band_suffix(s);
       for (std::size_t r = 0; r < v.reductions.size(); ++r) {
         const Grid& g = p_.grid(v.reductions[r].grid);
         const char* identity = v.reductions[r].op == ReduceOp::kMin
@@ -1041,7 +1020,7 @@ class CGen {
     // bit-identical to the serial kernel.
     for (std::size_t s = lo; s < hi; ++s) {
       const StepVerdict& v = verdicts[s];
-      const std::string bs = band_suffix(info, s);
+      const std::string bs = band_suffix(s);
       for (std::size_t r = 0; r < v.reductions.size(); ++r) {
         const ReductionClause& rc = v.reductions[r];
         const Grid& g = p_.grid(rc.grid);

@@ -137,15 +137,12 @@ struct CodegenOptions {
   /// runtime — partitions the work. Per-thread reduction scratch is
   /// combined in rank order, keeping results identical to the serial
   /// kernel. Steps that are not bit-exact run serially inside the unit.
+  /// Maximal runs of adjacent ranged steps that share a partition
+  /// dimension and carry no cross-step dependence (analysis/fuse.hpp)
+  /// fuse into one region entry point, so a call pays one fork/join per
+  /// region instead of per step.
   /// Set only by jit::emit_kernel_unit, which keeps opt units serial.
   bool host_parallel = false;
-
-  /// Fuse maximal runs of adjacent range-dispatched steps that share a
-  /// partition dimension and have no cross-step carried dependence
-  /// (analysis/fuse.hpp) into a single region entry point, so a function
-  /// call pays one fork/join per region instead of per step. Only
-  /// meaningful with host_parallel.
-  bool fuse_regions = true;
 
   /// Numeric model of the emitted C. kTyped is the standalone
   /// back-end's faithful typed C; kInterp is the JIT's bit-identical

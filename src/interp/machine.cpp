@@ -446,9 +446,6 @@ jit::NativeEngine::Options native_engine_options(const InterpOptions& options,
   nopts.parallel = options.parallel;
   nopts.policy = options.policy;
   nopts.save_temporaries = options.save_temporaries;
-  nopts.dynamic_schedule = options.dynamic_schedule;
-  nopts.schedule_chunk = options.schedule_chunk;
-  nopts.fuse_regions = options.fuse_regions;
   nopts.gate_always_dispatch = options.gate_always_dispatch;
   nopts.pool = pool;
   nopts.cc = options.native_cc;
@@ -464,7 +461,13 @@ Machine::Machine(Program program, InterpOptions options)
   // The tree-walk is the serial semantic reference: it has no parallel
   // path, so a parallel request runs it serially.
   if (options_.engine == ExecEngine::kTreeWalk) options_.parallel = false;
-  if (options_.parallel) {
+  // The pool serves the plan VM and interp-tier kernels. An opt-tier
+  // kernel is serial (KernelUnit::parallel), so that machine builds one
+  // below only if the kernel did not load and its plan fallback runs the
+  // parallel steps.
+  const bool serial_kernel = options_.engine == ExecEngine::kNative &&
+                             options_.native_model == NumericModel::kOpt;
+  if (options_.parallel && !serial_kernel) {
     pool_ = std::make_unique<ThreadPool>(options_.num_threads);
   }
   // Allocate global grids in declaration order: scalars that define other
@@ -531,6 +534,9 @@ Machine::Machine(Program program, InterpOptions options)
             std::string(engine.status().message());
       }
     }
+  }
+  if (options_.parallel && pool_ == nullptr && native_ == nullptr) {
+    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
   }
 }
 

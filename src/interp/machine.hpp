@@ -130,10 +130,6 @@ struct InterpOptions {
   /// Record a per-step execution trace (the GPI's debugging/visualization
   /// facility): which steps ran, in order, with iteration counts.
   bool trace = false;
-  /// Dynamic loop scheduling (OMP SCHEDULE(DYNAMIC, chunk)) instead of the
-  /// default static partition.
-  bool dynamic_schedule = false;
-  std::int64_t schedule_chunk = 4;
   /// Restrict parallel execution to steps the analysis proved bitwise
   /// deterministic (StepVerdict::bit_exact without an ownership-band
   /// constraint); everything else runs serially. Results are then
@@ -145,9 +141,6 @@ struct InterpOptions {
   /// kernel-cache directory ("" resolves $GLAF_KERNEL_CACHE / XDG).
   std::string native_cc;
   std::string native_cache_dir;
-  /// kNative parallel kernels: fuse adjacent fusable steps into single
-  /// region dispatches (one fork/join per region instead of per step).
-  bool fuse_regions = true;
   /// kNative parallel kernels: the profit gate measures by default. Each
   /// region call site times both branches over a probe window of
   /// 2 x kGateProbeRuns runs, then dispatches only where its fitted

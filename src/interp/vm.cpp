@@ -624,12 +624,7 @@ void PlanExecutor::run_step_parallel(CallScratch& cs, const FunctionPlan& plan,
       throw;
     }
   };
-  if (m_.options_.dynamic_schedule) {
-    m_.pool_->parallel_for_dynamic(iters, m_.options_.schedule_chunk,
-                                   chunk_body);
-  } else {
-    m_.pool_->parallel_for(iters, chunk_body);
-  }
+  m_.pool_->parallel_for(iters, chunk_body);
 }
 
 // ---- cold-path instance construction --------------------------------------

@@ -308,10 +308,9 @@ StatusOr<KernelUnit> emit_kernel_unit(const Program& program,
   copts.emit_comments = false;
   // Parallel units are host-driven: bit-exact steps become range
   // functions dispatched through glaf_set_pfor. No OpenMP pragmas are
-  // emitted — the schedule is the host pool's choice, not the kernel's.
+  // emitted — the host pool partitions the work, not the kernel.
   copts.enable_openmp = false;
   copts.host_parallel = unit.parallel;
-  copts.fuse_regions = options.fuse_regions;
   copts.policy = options.policy;
   copts.save_temporaries = options.save_temporaries;
   GeneratedCode code = generate_c(*prog, *anal, copts);

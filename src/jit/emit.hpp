@@ -81,12 +81,10 @@ struct EmitOptions {
   bool parallel = false;
   DirectivePolicy policy = DirectivePolicy::kV0;
   bool save_temporaries = false;
-  /// Fuse adjacent fusable ranged steps into single region entry points
-  /// (codegen fuse_regions); changes the emitted source, so the engine
-  /// also folds it into the cache key.
+  /// Unread: kept only because the benchmark harness still sets them.
+  /// Parallel units always fuse adjacent fusable ranged steps into one
+  /// region entry point, dispatched over a static partition.
   bool fuse_regions = true;
-  /// Host-side dispatch knobs (they do not change the emitted source —
-  /// the engine folds them into the cache-key config instead).
   bool dynamic_schedule = false;
   std::int64_t schedule_chunk = 4;
   /// Numeric model of the lowered unit. kInterp is the bit-identical

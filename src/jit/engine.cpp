@@ -44,25 +44,16 @@ using GateCloseFn = void (*)(void* hctx, GateSlot* slot);
 using SetPforFn = void (*)(PforFn pf, GateOpenFn open, GateCloseFn close,
                            void* hctx, long nranks);
 
-/// The trampoline the kernel calls for every ranged step: partitions
-/// [0, n) across the host pool. Static chunks match OMP's default
-/// schedule; dynamic drains chunk-sized pieces from a shared cursor.
-/// Either way each rank only ever touches its own reduction scratch
-/// row, and the kernel combines rows in rank order afterwards, so the
-/// result is identical to running the range serially.
+/// The trampoline the kernel calls for every dispatched region:
+/// partitions [0, n) across the host pool in static chunks, OMP's
+/// default schedule. Each rank only ever touches its own reduction
+/// scratch row, and the kernel combines rows in rank order afterwards,
+/// so the result is identical to running the range serially.
 void pfor_trampoline(void* hctx, RangeFn fn, void* ctx, long n) {
   auto* host = static_cast<PforHost*>(hctx);
   host->regions.fetch_add(1, std::memory_order_relaxed);
   if (host->pool == nullptr || n <= 1) {
     fn(ctx, 0, n, 0);
-    return;
-  }
-  if (host->dynamic_schedule) {
-    host->pool->parallel_for_dynamic(
-        n, host->schedule_chunk,
-        [&](int rank, std::int64_t begin, std::int64_t end) {
-          fn(ctx, begin, end, rank);
-        });
     return;
   }
   host->pool->parallel_for(n,
@@ -158,9 +149,6 @@ StatusOr<CompiledKernel> NativeEngine::compile_object(
   eopts.parallel = options.parallel;
   eopts.policy = options.policy;
   eopts.save_temporaries = options.save_temporaries;
-  eopts.dynamic_schedule = options.dynamic_schedule;
-  eopts.schedule_chunk = options.schedule_chunk;
-  eopts.fuse_regions = options.fuse_regions;
   eopts.model = options.model;
   StatusOr<KernelUnit> unit = emit_kernel_unit(program, analysis, eopts);
   if (!unit.is_ok()) return unit.status();
@@ -187,12 +175,12 @@ StatusOr<CompiledKernel> NativeEngine::compile_object(
           : "-shared -fPIC -O2 -ffp-contract=off -fno-builtin";
   // The emitted source already encodes the parallel partitioning, but
   // folding the engine configuration into the key as well keeps serial
-  // and parallel objects (and per-policy / per-schedule / per-tier
-  // variants) as distinct cache entries even when their sources
-  // coincide. -march=native objects additionally key the host CPU
-  // fingerprint, so a cache directory shared across hosts can never
-  // serve an incompatible object (the compiler identity is already part
-  // of every key via KernelCache::key).
+  // and parallel objects (and per-policy / per-tier variants) as
+  // distinct cache entries even when their sources coincide.
+  // -march=native objects additionally key the host CPU fingerprint, so
+  // a cache directory shared across hosts can never serve an
+  // incompatible object (the compiler identity is already part of every
+  // key via KernelCache::key).
   // The profit gate lives on the host, behind the callbacks installed
   // through glaf_set_pfor, and is deliberately NOT part of the key:
   // changing the gate must never recompile or split the cache.
@@ -200,11 +188,8 @@ StatusOr<CompiledKernel> NativeEngine::compile_object(
       opt_tier && !portable ? host_arch_fingerprint() : std::string();
   const std::string config =
       cat("parallel=", parallel ? 1 : 0, ";policy=",
-          to_string(options.policy), ";sched=",
-          options.dynamic_schedule ? "dynamic" : "static", ";chunk=",
-          options.schedule_chunk, ";fuse=", options.fuse_regions ? 1 : 0,
-          ";model=", to_string(options.model), ";host=", host_key,
-          ";emit=", kAbiVersion);
+          to_string(options.policy), ";model=", to_string(options.model),
+          ";host=", host_key, ";emit=", kAbiVersion);
 
   CompiledKernel compiled;
   compiled.unit = std::move(unit).value();
@@ -287,8 +272,6 @@ StatusOr<std::unique_ptr<NativeEngine>> NativeEngine::load_compiled(
     }
     engine->pfor_host_ = std::make_unique<PforHost>();
     engine->pfor_host_->pool = options.pool;
-    engine->pfor_host_->dynamic_schedule = options.dynamic_schedule;
-    engine->pfor_host_->schedule_chunk = options.schedule_chunk;
     const int ranks = options.pool != nullptr ? options.pool->size() : 1;
     engine->pfor_host_->ledger = GateLedger(ranks);
     engine->pfor_host_->gate =

@@ -28,15 +28,12 @@
 namespace glaf::jit {
 
 /// Host context behind the kernel's exported glaf_set_pfor hook: the
-/// thread pool and dispatch knobs the trampoline consults, the profit
-/// gate the kernel's call sites ask (jit/gate.hpp), and counts of
-/// parallel regions actually dispatched and of timed gate runs.
-/// Heap-held by the engine so its address stays stable for the kernel's
-/// whole lifetime.
+/// thread pool the trampoline partitions over, the profit gate the
+/// kernel's call sites ask (jit/gate.hpp), and counts of parallel
+/// regions actually dispatched and of timed gate runs. Heap-held by the
+/// engine so its address stays stable for the kernel's whole lifetime.
 struct PforHost {
   ThreadPool* pool = nullptr;
-  bool dynamic_schedule = false;
-  std::int64_t schedule_chunk = 4;
   GateMode gate = GateMode::kDispatch;
   GateLedger ledger;
   std::atomic<std::uint64_t> regions{0};
@@ -74,10 +71,11 @@ class NativeEngine {
     bool parallel = false;
     DirectivePolicy policy = DirectivePolicy::kV0;
     bool save_temporaries = false;
+    /// Unread: kept only because the benchmark harness still copies them
+    /// into EmitOptions. Parallel units always dispatch fused regions
+    /// over static partitions.
     bool dynamic_schedule = false;
     std::int64_t schedule_chunk = 4;
-    /// Fuse adjacent fusable ranged steps into one region entry point
-    /// (one fork/join per region instead of per step).
     bool fuse_regions = true;
     /// Profit gate. By default it measures: each region call site times
     /// its first 2 x kGateProbeRuns executions, alternating the serial
@@ -136,7 +134,7 @@ class NativeEngine {
   /// Load half: dlopen a compiled kernel (private copy) and wire the
   /// ABI. Recompiles once through the cache when the published object
   /// turns out stale or corrupt. `options` must be the ones the kernel
-  /// was compiled with (the dispatch knobs — pool, gate, schedule — are
+  /// was compiled with (the dispatch knobs — pool and gate — are
   /// consumed here; the emission knobs were consumed by compile_object).
   static StatusOr<std::unique_ptr<NativeEngine>> load_compiled(
       CompiledKernel compiled, const Options& options);

@@ -14,18 +14,17 @@
 // a hot pool is an active OpenMP runtime (about 1 us per empty
 // fork/join), an idle one costs no CPU once the budget runs out.
 //
-// The public entry points are templates over the callable: a job is
+// The public entry point is a template over the callable: a job is
 // published to the workers as a raw function pointer plus an opaque
 // context pointer (a function_ref, in effect), so dispatching a parallel
 // region never allocates or copies a std::function. The callable only has
 // to outlive the call, which it does — parallel_for blocks.
 //
 // Concurrency discipline (Core Guidelines CP.2/CP.3): workers share only
-// the immutable job descriptor and a per-job atomic cursor; user code is
-// responsible for the independence of its chunks, which in this project is
-// established by the auto-parallelization verdicts.
+// the immutable job descriptor and a per-job atomic completion count; user
+// code is responsible for the independence of its chunks, which in this
+// project is established by the auto-parallelization verdicts.
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -65,27 +64,6 @@ class ThreadPool {
           (*static_cast<std::remove_reference_t<F>*>(ctx))(rank, begin, end);
         },
         const_cast<void*>(static_cast<const void*>(&fn)));
-  }
-
-  /// OMP SCHEDULE(DYNAMIC, chunk): work is handed out in `chunk`-sized
-  /// pieces from a shared cursor, so uneven iteration costs balance.
-  /// Same calling convention and error behaviour as parallel_for.
-  template <typename F>
-  void parallel_for_dynamic(std::int64_t n, std::int64_t chunk, F&& fn) {
-    if (n <= 0) return;
-    chunk = std::max<std::int64_t>(1, chunk);
-    std::atomic<std::int64_t> cursor{0};
-    // One static slot per worker; each slot drains the shared cursor.
-    parallel_for(num_threads_,
-                 [&](int rank, std::int64_t /*begin*/, std::int64_t /*end*/) {
-                   while (true) {
-                     const std::int64_t start =
-                         cursor.fetch_add(chunk, std::memory_order_relaxed);
-                     if (start >= n) break;
-                     fn(rank, start,
-                        std::min<std::int64_t>(n, start + chunk));
-                   }
-                 });
   }
 
   /// Multi-thread dispatches issued so far (single-thread pools run

@@ -6,7 +6,8 @@
 // interaction with --engine/--strict-engine, and the machine-readable
 // --json run report (whose native_report object shares its schema with
 // the glaf_serve stats endpoint), and the run-mode usage errors for
-// unknown policies and a parallel tree-walk.
+// unknown policies, a parallel tree-walk and the codegen-only
+// --schedule/--schedule-chunk flags.
 // Runs the real binary (path injected by CMake) through the shell.
 
 #include <gtest/gtest.h>
@@ -199,6 +200,32 @@ TEST(GlafcEngine, TreeWalkRejectsParallel) {
                           " --engine=native"),
             std::string::npos)
       << r.output;
+}
+
+TEST(GlafcEngine, RunModeRejectsScheduleFlags) {
+  // --schedule/--schedule-chunk set the emitted OpenMP SCHEDULE clause;
+  // run mode partitions statically and must say so, not ignore them.
+  for (const char* flag :
+       {"--schedule=bogus", "--schedule=dynamic", "--schedule-chunk=4"}) {
+    const RunResult r = run_command(glafc() +
+                                    " --builtin=sarb --run --engine=plan"
+                                    " --parallel --threads 2 " +
+                                    flag + " 2>&1");
+    ASSERT_TRUE(r.started);
+    EXPECT_NE(r.exit_code, 0) << flag << ": " << r.output;
+    EXPECT_NE(r.output.find("emitted OpenMP SCHEDULE clause"),
+              std::string::npos)
+        << flag << ": " << r.output;
+  }
+}
+
+TEST(GlafcEmitTier, CodegenModeKeepsTheScheduleClause) {
+  const RunResult r = run_command(
+      glafc() + " --builtin=sarb --emit=c --schedule=dynamic"
+                " --schedule-chunk=4 2>&1");
+  ASSERT_TRUE(r.started);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("schedule(dynamic, 4)"), std::string::npos);
 }
 
 TEST(GlafcEmitTier, CodegenModeEmitStillSelectsLanguages) {

@@ -185,39 +185,6 @@ TEST(ParallelInterp, CollapsedDoubleLoopMatchesSerial) {
   EXPECT_EQ(run({}), run(parallel_opts(8)));
 }
 
-TEST(ParallelInterp, DynamicScheduleMatchesStatic) {
-  const Program p = testing::saxpy_program();
-  const auto run = [&](bool dynamic) {
-    InterpOptions o;
-    o.parallel = true;
-    o.num_threads = 4;
-    o.dynamic_schedule = dynamic;
-    o.schedule_chunk = 2;
-    Machine m(p, o);
-    EXPECT_TRUE(m.set_scalar("a", 2.5).is_ok());
-    EXPECT_TRUE(m.call("saxpy").is_ok());
-    return m.array("y").value();
-  };
-  EXPECT_EQ(run(false), run(true));
-}
-
-TEST(ParallelInterp, DynamicScheduleReductionWithinTolerance) {
-  const Program p = testing::reduce_program();
-  std::vector<double> x(16);
-  for (int i = 0; i < 16; ++i) x[i] = 1.0 / (3.0 + i);
-  InterpOptions o;
-  o.parallel = true;
-  o.num_threads = 4;
-  o.dynamic_schedule = true;
-  o.schedule_chunk = 3;
-  Machine m(p, o);
-  ASSERT_TRUE(m.set_array("x", x).is_ok());
-  ASSERT_TRUE(m.call("reduce_sum").is_ok());
-  double expect = 0.0;
-  for (const double v : x) expect += v;
-  EXPECT_NEAR(m.scalar("total").value(), expect, 1e-12);
-}
-
 TEST(ParallelInterp, CollapseDistributesFullIterationSpace) {
   // A 2x60 nest (the paper's complex-loop shape): with COLLAPSE the
   // interpreter distributes all 120 points, not just the 2 outer ones.

@@ -276,26 +276,22 @@ Program collapse_band_program() {
 }
 
 TEST(PlanVsTreeWalk, ParallelCollapseBandBitIdentical) {
-  // The parallel plan VM, statically and dynamically scheduled, against
-  // the serial tree-walk reference.
+  // The parallel plan VM against the serial tree-walk reference.
   const Program p = collapse_band_program();
-  for (const bool dynamic : {false, true}) {
-    InterpOptions pl_opts = with_engine(ExecEngine::kPlan);
-    pl_opts.parallel = true;
-    pl_opts.num_threads = 3;
-    pl_opts.policy = DirectivePolicy::kV0;
-    pl_opts.dynamic_schedule = dynamic;
-    Machine tw(p, with_engine(ExecEngine::kTreeWalk));
-    Machine pl(p, pl_opts);
-    ASSERT_TRUE(tw.call("f").is_ok());
-    ASSERT_TRUE(pl.call("f").is_ok());
-    EXPECT_GE(pl.stats().parallel_regions, 1u);
-    const auto va = tw.array("a").value();
-    const auto vb = pl.array("a").value();
-    ASSERT_EQ(va.size(), vb.size());
-    for (std::size_t i = 0; i < va.size(); ++i) {
-      expect_bit_equal(va[i], vb[i], "a[" + std::to_string(i) + "]");
-    }
+  InterpOptions pl_opts = with_engine(ExecEngine::kPlan);
+  pl_opts.parallel = true;
+  pl_opts.num_threads = 3;
+  pl_opts.policy = DirectivePolicy::kV0;
+  Machine tw(p, with_engine(ExecEngine::kTreeWalk));
+  Machine pl(p, pl_opts);
+  ASSERT_TRUE(tw.call("f").is_ok());
+  ASSERT_TRUE(pl.call("f").is_ok());
+  EXPECT_GE(pl.stats().parallel_regions, 1u);
+  const auto va = tw.array("a").value();
+  const auto vb = pl.array("a").value();
+  ASSERT_EQ(va.size(), vb.size());
+  for (std::size_t i = 0; i < va.size(); ++i) {
+    expect_bit_equal(va[i], vb[i], "a[" + std::to_string(i) + "]");
   }
 }
 

@@ -10,10 +10,13 @@
 //    dimensions split; a step consuming a reduction target splits while
 //    independent exact reductions fuse;
 //
-//  - *differential bit-identity*: fused, unfused and serial kernels must
-//    agree bitwise on the SARB Table-1 subroutines and the FUN3D
-//    decomposition under every directive policy, and at 1 == N threads —
-//    fusion is a pure dispatch-cost optimization, never a semantic one.
+//  - *region shape*: every region of a parallel unit, single step or
+//    fused run, is one glaf_rg_<fn>_<ordinal>_range entry point;
+//
+//  - *differential bit-identity*: fused and serial kernels must agree
+//    bitwise on the SARB Table-1 subroutines and the FUN3D decomposition
+//    under every directive policy, and at 1 == N threads — fusion is a
+//    pure dispatch-cost optimization, never a semantic one.
 
 #include <cmath>
 #include <cstdint>
@@ -76,14 +79,12 @@ InterpOptions serial_native() {
 
 /// Parallel native with the profit gate off: these tests compare the
 /// dispatch paths themselves, so nothing may be diverted to serial.
-InterpOptions parallel_native(DirectivePolicy policy, bool fuse,
-                              int threads = 4) {
+InterpOptions parallel_native(DirectivePolicy policy, int threads = 4) {
   InterpOptions o;
   o.engine = ExecEngine::kNative;
   o.parallel = true;
   o.num_threads = threads;
   o.policy = policy;
-  o.fuse_regions = fuse;
   o.gate_always_dispatch = true;
   return o;
 }
@@ -118,13 +119,11 @@ void compare_all_globals(Machine& reference, Machine& other,
 
 // ---- region-boundary unit tests ---------------------------------------------
 
-/// Emit `p` parallel (v0) and return the region list, optionally with
-/// fusion disabled.
-std::vector<ParallelRegion> regions_of(const Program& p, bool fuse = true,
+/// Emit `p` parallel (v0) and return the region list.
+std::vector<ParallelRegion> regions_of(const Program& p,
                                        std::string* source = nullptr) {
   jit::EmitOptions eo;
   eo.parallel = true;
-  eo.fuse_regions = fuse;
   StatusOr<jit::KernelUnit> unit =
       jit::emit_kernel_unit(p, analyze_program(p), eo);
   EXPECT_TRUE(unit.is_ok()) << unit.status().message();
@@ -150,17 +149,12 @@ TEST(FusedRegionPlan, ProducerConsumerElementwiseStepsFuse) {
   const Program p = pb.build().value();
 
   std::string source;
-  const std::vector<ParallelRegion> fused = regions_of(p, true, &source);
+  const std::vector<ParallelRegion> fused = regions_of(p, &source);
   ASSERT_EQ(fused.size(), 1u);
   EXPECT_EQ(fused[0].first_step, 0u);
   EXPECT_EQ(fused[0].step_count, 2u);
   EXPECT_NE(source.find("glaf_rg_f_0_range"), std::string::npos)
       << "fused regions use glaf_rg_* entry points";
-
-  const std::vector<ParallelRegion> unfused = regions_of(p, false);
-  ASSERT_EQ(unfused.size(), 2u);
-  EXPECT_EQ(unfused[0].step_count, 1u);
-  EXPECT_EQ(unfused[1].step_count, 1u);
 }
 
 TEST(FusedRegionPlan, CrossStepCarriedDependenceSplits) {
@@ -308,9 +302,51 @@ TEST(FusedRegionPlan, SerialStepBreaksARun) {
   EXPECT_EQ(regions[1].step_count, 1u);
 }
 
+// ---- region shape ------------------------------------------------------------
+
+TEST(FusedRegionShape, EverySarbRegionIsOneRgRangeFunction) {
+  // Single-step regions and fused runs share one shape: a region's
+  // ordinal counts the function's dispatch regions before it, ranged or
+  // serial, and names its glaf_rg_<fn>_<ordinal>_range entry point.
+  const Program sarb = fuliou::build_sarb_program();
+  for (const DirectivePolicy policy : kAllPolicies) {
+    jit::EmitOptions eo;
+    eo.parallel = true;
+    eo.policy = policy;
+    StatusOr<jit::KernelUnit> unit =
+        jit::emit_kernel_unit(sarb, analyze_program(sarb), eo);
+    ASSERT_TRUE(unit.is_ok()) << unit.status().message();
+    const std::string& source = unit.value().source;
+    const std::vector<ParallelRegion>& regions = unit.value().regions;
+    const std::string tag = to_string(policy);
+    ASSERT_FALSE(regions.empty()) << tag;
+    EXPECT_EQ(source.find("glaf_rs_"), std::string::npos) << tag;
+    std::string function;
+    std::size_t merged = 0;  ///< steps folded into earlier fused regions
+    for (const ParallelRegion& r : regions) {
+      if (r.function != function) {
+        function = r.function;
+        merged = 0;
+      }
+      const std::string stem =
+          cat("static void glaf_rg_", r.function, "_", r.first_step - merged,
+              "_range(");
+      EXPECT_NE(source.find(stem), std::string::npos) << tag << ": " << stem;
+      merged += r.step_count - 1;
+    }
+    std::size_t range_functions = 0;
+    for (std::size_t at = source.find("_range(void* glaf_vctx");
+         at != std::string::npos;
+         at = source.find("_range(void* glaf_vctx", at + 1)) {
+      ++range_functions;
+    }
+    EXPECT_EQ(range_functions, regions.size()) << tag;
+  }
+}
+
 // ---- differential bit-identity ----------------------------------------------
 
-TEST(FusedRegionDifferential, SarbTable1BitIdenticalFusedUnfusedSerial) {
+TEST(FusedRegionDifferential, SarbTable1FusedBitIdenticalToSerial) {
   if (!have_cc()) GTEST_SKIP() << "no system compiler";
   const ScopedEnv env("GLAF_KERNEL_CACHE", fresh_cache_dir("sarb"));
   const Program sarb = fuliou::build_sarb_program();
@@ -321,23 +357,20 @@ TEST(FusedRegionDifferential, SarbTable1BitIdenticalFusedUnfusedSerial) {
       if (fn == nullptr || !fn->params.empty()) continue;
       const std::string tag = cat(name, "/", to_string(policy));
       Machine serial(sarb, serial_native());
-      Machine fused(sarb, parallel_native(policy, true));
-      Machine unfused(sarb, parallel_native(policy, false));
+      Machine fused(sarb, parallel_native(policy));
       require_native(serial);
       require_native(fused);
-      require_native(unfused);
-      for (Machine* m : {&serial, &fused, &unfused}) {
+      for (Machine* m : {&serial, &fused}) {
         ASSERT_TRUE(fuliou::load_profile(*m, profile).is_ok()) << tag;
         ASSERT_TRUE(m->call(name).is_ok()) << tag;
       }
       EXPECT_EQ(fused.native_report().gated_serial_regions, 0u) << tag;
       compare_all_globals(serial, fused, cat(tag, " fused"));
-      compare_all_globals(serial, unfused, cat(tag, " unfused"));
     }
   }
 }
 
-TEST(FusedRegionDifferential, Fun3dEdgejpBitIdenticalFusedUnfusedSerial) {
+TEST(FusedRegionDifferential, Fun3dEdgejpFusedBitIdenticalToSerial) {
   if (!have_cc()) GTEST_SKIP() << "no system compiler";
   const ScopedEnv env("GLAF_KERNEL_CACHE", fresh_cache_dir("fun3d"));
   const fun3d::Mesh mesh = fun3d::make_mesh(60, 3);
@@ -345,17 +378,14 @@ TEST(FusedRegionDifferential, Fun3dEdgejpBitIdenticalFusedUnfusedSerial) {
   for (const DirectivePolicy policy : kAllPolicies) {
     const std::string tag = cat("edgejp/", to_string(policy));
     Machine serial(p, serial_native());
-    Machine fused(p, parallel_native(policy, true));
-    Machine unfused(p, parallel_native(policy, false));
+    Machine fused(p, parallel_native(policy));
     require_native(serial);
     require_native(fused);
-    require_native(unfused);
-    for (Machine* m : {&serial, &fused, &unfused}) {
+    for (Machine* m : {&serial, &fused}) {
       ASSERT_TRUE(fun3d::load_mesh(*m, mesh).is_ok()) << tag;
       ASSERT_TRUE(m->call("edgejp").is_ok()) << tag;
     }
     compare_all_globals(serial, fused, cat(tag, " fused"));
-    compare_all_globals(serial, unfused, cat(tag, " unfused"));
   }
 }
 
@@ -364,8 +394,8 @@ TEST(FusedRegionDifferential, OneThreadEqualsEightThreadsFused) {
   const ScopedEnv env("GLAF_KERNEL_CACHE", fresh_cache_dir("threads"));
   const Program sarb = fuliou::build_sarb_program();
   const fuliou::AtmosphereProfile profile = fuliou::make_profile(11);
-  Machine one(sarb, parallel_native(DirectivePolicy::kV0, true, 1));
-  Machine eight(sarb, parallel_native(DirectivePolicy::kV0, true, 8));
+  Machine one(sarb, parallel_native(DirectivePolicy::kV0, 1));
+  Machine eight(sarb, parallel_native(DirectivePolicy::kV0, 8));
   for (Machine* m : {&one, &eight}) {
     require_native(*m);
     ASSERT_TRUE(fuliou::load_profile(*m, profile).is_ok());
@@ -399,12 +429,10 @@ TEST(FusedRegionDifferential, FusedKernelReportsRegionMetadata) {
   for (int i = 0; i < 32; ++i) x_in[static_cast<std::size_t>(i)] = 0.5 * i;
 
   Machine serial(p, serial_native());
-  Machine fused(p, parallel_native(DirectivePolicy::kV0, true));
-  Machine unfused(p, parallel_native(DirectivePolicy::kV0, false));
+  Machine fused(p, parallel_native(DirectivePolicy::kV0));
   require_native(serial);
   require_native(fused);
-  require_native(unfused);
-  for (Machine* m : {&serial, &fused, &unfused}) {
+  for (Machine* m : {&serial, &fused}) {
     ASSERT_TRUE(m->set_scalar("a", 1.5).is_ok());
     ASSERT_TRUE(m->set_array("x", x_in).is_ok());
     ASSERT_TRUE(m->call("f").is_ok());
@@ -413,11 +441,7 @@ TEST(FusedRegionDifferential, FusedKernelReportsRegionMetadata) {
   EXPECT_EQ(fused.native_report().regions_fused, 1u);
   EXPECT_EQ(fused.native_report().parallel_regions, 1u)
       << "one fork/join for the fused pair";
-  EXPECT_EQ(unfused.native_report().regions_total, 2u);
-  EXPECT_EQ(unfused.native_report().regions_fused, 0u);
-  EXPECT_EQ(unfused.native_report().parallel_regions, 2u);
   compare_all_globals(serial, fused, "fused");
-  compare_all_globals(serial, unfused, "unfused");
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 // ulp budget. The interp tier's wall stays bitwise (native_test.cpp);
 // this file is the tolerance fork of that wall, plus checks that the
 // tier's provenance (model, flags, host key) is reported and that the
-// two tiers cache independently.
+// two tiers cache independently. A parallel request builds a thread pool
+// only where something runs on it: the serial opt kernel reports one
+// thread, and its plan fallback still runs the parallel steps.
 //
 // Every test that needs the system compiler GTEST_SKIPs without one.
 
@@ -165,6 +167,35 @@ TEST(OptTier, InterpTierProvenanceIsUnchanged) {
   EXPECT_NE(nr.compile_flags.find("-ffp-contract=off"), std::string::npos)
       << nr.compile_flags;
   EXPECT_TRUE(nr.host_key.empty()) << nr.host_key;
+}
+
+TEST(OptTier, ParallelRequestStartsNoWorkers) {
+  if (!have_cc()) GTEST_SKIP() << "no system compiler";
+  const Program sarb = fuliou::build_sarb_program();
+  InterpOptions o = opt_opts();
+  o.parallel = true;
+  o.num_threads = 4;
+  Machine opt(sarb, o);
+  require_native(opt);
+  ASSERT_TRUE(fuliou::load_profile(opt, fuliou::make_profile(1)).is_ok());
+  ASSERT_TRUE(opt.call("lw_spectral_integration").is_ok());
+  EXPECT_EQ(opt.native_report().num_threads, 1);
+  EXPECT_EQ(opt.native_report().parallel_regions, 0u);
+  EXPECT_EQ(opt.native_report().fallback_calls, 0u);
+}
+
+TEST(OptTier, FailedKernelFallsBackToParallelPlans) {
+  const Program sarb = fuliou::build_sarb_program();
+  InterpOptions o = opt_opts();
+  o.parallel = true;
+  o.num_threads = 4;
+  o.native_cc = "/nonexistent/compiler";
+  Machine opt(sarb, o);
+  EXPECT_FALSE(opt.native_report().available);
+  ASSERT_TRUE(fuliou::load_profile(opt, fuliou::make_profile(1)).is_ok());
+  ASSERT_TRUE(opt.call("lw_spectral_integration").is_ok());
+  EXPECT_GT(opt.native_report().fallback_calls, 0u);
+  EXPECT_GT(opt.stats().parallel_regions, 0u);
 }
 
 }  // namespace

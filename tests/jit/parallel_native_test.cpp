@@ -8,7 +8,7 @@
 // decomposition (edgejp drives all five §4.2 sub-functions) under
 // v0..v3; integer sum/min/max reduction ordering; ownership-banded
 // float accumulation; float reductions staying serial; 1-thread ==
-// N-thread; dynamic scheduling; serial/parallel cache coexistence; and
+// N-thread; serial/parallel cache coexistence; and
 // the forced-fallback path without a compiler; and the cross-entry
 // boundary wall (masked copies never expose stale kernel storage) at 1
 // and 4 threads, which compares bitwise against the plan VM: no -0.0
@@ -83,14 +83,12 @@ InterpOptions serial_native() {
   return o;
 }
 
-InterpOptions parallel_native(DirectivePolicy policy, int threads = 4,
-                              bool dynamic = false) {
+InterpOptions parallel_native(DirectivePolicy policy, int threads = 4) {
   InterpOptions o;
   o.engine = ExecEngine::kNative;
   o.parallel = true;
   o.num_threads = threads;
   o.policy = policy;
-  o.dynamic_schedule = dynamic;
   // These tests exercise the dispatch machinery itself, so the profit
   // gate must not divert small regions to the serial path (the measured
   // default keeps most of them serial, and a single-core host all).
@@ -565,41 +563,6 @@ TEST(ParallelNativeOwnership, BandedFloatAccumulationBitwise) {
       expect_value_equal(serial[i], par[i],
                          cat("acc[", i, "]@", threads, " threads"));
     }
-  }
-}
-
-TEST(ParallelNativeOwnership, DynamicScheduleStaysBitwise) {
-  if (!have_cc()) GTEST_SKIP() << "no system compiler";
-  const ScopedEnv env("GLAF_KERNEL_CACHE", fresh_cache_dir("dyn"));
-  // Dynamic chunks still partition the banded dimension, so ownership
-  // holds; per-rank scratch and rank-ordered combine keep reductions
-  // deterministic even though chunk assignment is racy.
-  for (const Program& p : {ownership_program(), int_reduce_program(64)}) {
-    Machine serial(p, serial_native());
-    require_native(serial);
-    InterpOptions dyn = parallel_native(DirectivePolicy::kV0, 8, true);
-    dyn.schedule_chunk = 3;
-    Machine par(p, dyn);
-    require_native(par);
-    const bool owner = p.grid(p.global_grids[0]).name == "w";
-    for (Machine* m : {&serial, &par}) {
-      if (owner) {
-        std::vector<double> w_in(8 * 16);
-        for (std::size_t i = 0; i < w_in.size(); ++i) {
-          w_in[i] = 1.0 / (5.0 + static_cast<double>(i));
-        }
-        ASSERT_TRUE(m->set_array("w", w_in).is_ok());
-      } else {
-        std::vector<double> a(64);
-        for (int i = 0; i < 64; ++i) {
-          a[static_cast<std::size_t>(i)] = (i * 7) % 23 - 11;
-        }
-        ASSERT_TRUE(m->set_array("a", a).is_ok());
-      }
-      ASSERT_TRUE(m->call("f").is_ok());
-    }
-    EXPECT_GT(par.native_report().parallel_regions, 0u);
-    compare_all_globals(serial, par, owner ? "ownership" : "int-reduce");
   }
 }
 

@@ -207,22 +207,6 @@ TEST(PersistentWorkers, SingleThreadPoolRunsInline) {
   EXPECT_EQ(pool.parks(), 0u);
 }
 
-TEST(PersistentWorkers, DynamicScheduleDrainsEverything) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(200);
-  for (auto& h : hits) h.store(0);
-  pool.parallel_for_dynamic(200, 7, [&](int, std::int64_t begin,
-                                        std::int64_t end) {
-    for (std::int64_t i = begin; i < end; ++i) {
-      hits[static_cast<std::size_t>(i)].fetch_add(
-          1, std::memory_order_relaxed);
-    }
-  });
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << i;
-  }
-}
-
 TEST(PersistentWorkers, ConcurrentCallersFromDifferentPoolsDoNotInterfere) {
   // Two pools side by side: each keeps its own generation protocol.
   ThreadPool a(2);

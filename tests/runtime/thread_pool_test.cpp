@@ -98,63 +98,5 @@ TEST(ThreadPool, ManySequentialRegions) {
   EXPECT_EQ(total.load(), 200 * 64);
 }
 
-TEST(ThreadPoolDynamic, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  constexpr std::int64_t kN = 5000;
-  std::vector<std::atomic<int>> hits(kN);
-  pool.parallel_for_dynamic(kN, 7, [&](int, std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) hits[i].fetch_add(1);
-  });
-  for (std::int64_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1);
-}
-
-TEST(ThreadPoolDynamic, ChunkSizesRespected) {
-  ThreadPool pool(2);
-  std::vector<std::int64_t> sizes;
-  std::mutex m;
-  pool.parallel_for_dynamic(100, 8, [&](int, std::int64_t b, std::int64_t e) {
-    const std::lock_guard<std::mutex> lock(m);
-    sizes.push_back(e - b);
-  });
-  std::int64_t total = 0;
-  for (const std::int64_t s : sizes) {
-    EXPECT_LE(s, 8);
-    EXPECT_GE(s, 1);
-    total += s;
-  }
-  EXPECT_EQ(total, 100);
-}
-
-TEST(ThreadPoolDynamic, DegenerateChunkClamped) {
-  ThreadPool pool(2);
-  std::atomic<std::int64_t> total{0};
-  pool.parallel_for_dynamic(10, 0, [&](int, std::int64_t b, std::int64_t e) {
-    total.fetch_add(e - b);
-  });
-  EXPECT_EQ(total.load(), 10);
-}
-
-TEST(ThreadPoolDynamic, EmptyRangeIsNoop) {
-  ThreadPool pool(2);
-  bool called = false;
-  pool.parallel_for_dynamic(0, 4,
-                            [&](int, std::int64_t, std::int64_t) {
-                              called = true;
-                            });
-  EXPECT_FALSE(called);
-}
-
-TEST(ThreadPoolDynamic, ReductionViaPartialsMatchesStatic) {
-  ThreadPool pool(4);
-  constexpr std::int64_t kN = 20000;
-  std::atomic<std::int64_t> dynamic_sum{0};
-  pool.parallel_for_dynamic(kN, 16, [&](int, std::int64_t b, std::int64_t e) {
-    std::int64_t local = 0;
-    for (std::int64_t i = b; i < e; ++i) local += i;
-    dynamic_sum.fetch_add(local);
-  });
-  EXPECT_EQ(dynamic_sum.load(), kN * (kN - 1) / 2);
-}
-
 }  // namespace
 }  // namespace glaf

@@ -15,7 +15,8 @@
 //          alias), --serial, --soa,
 //          --save-temporaries, --no-collapse, --out=FILE,
 //          --opt=inline,fold (IR passes applied in order before analysis),
-//          --schedule=default|static|dynamic [--schedule-chunk=N].
+//          --schedule=default|static|dynamic [--schedule-chunk=N] (the
+//          emitted OpenMP SCHEDULE clause; run mode refuses both).
 // Run mode: --run[=ENTRY] executes the program on the interpreter
 //          (ENTRY defaults to the first zero-parameter subroutine);
 //          --engine=plan|treewalk|native selects the execution engine
@@ -24,7 +25,8 @@
 //          JIT-compiles the program to a shared object and runs it
 //          in-process, falling back to plans when it cannot), --parallel
 //          enables the auto-parallelized path under --policy (plan and
-//          native only), --threads=N sizes it.
+//          native only), --threads=N sizes it; parallel steps are
+//          partitioned statically, like OpenMP's default schedule.
 //          --strict-engine turns any native-engine fallback — whole-engine
 //          unavailability or per-call plan routing — into a non-zero exit
 //          instead of a warning. --json prints a machine-readable run
@@ -126,9 +128,10 @@ int run_program(const CliArgs& args, Program program) {
   }
   iopts.num_threads = static_cast<int>(args.get_int("threads", 4));
   iopts.save_temporaries = args.get_bool("save-temporaries", false);
-  iopts.dynamic_schedule = args.get("schedule", "default") == "dynamic";
-  if (args.has("schedule-chunk")) {
-    iopts.schedule_chunk = args.get_int("schedule-chunk", 4);
+  if (args.has("schedule") || args.has("schedule-chunk")) {
+    return fail(
+        "--schedule and --schedule-chunk set the emitted OpenMP SCHEDULE"
+        " clause (--emit=fortran|c); run mode always partitions statically");
   }
 
   // In run mode --emit selects the native emission tier, not a target
