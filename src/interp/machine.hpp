@@ -55,11 +55,6 @@ struct Instance {
   [[nodiscard]] std::int64_t element_count() const;
   /// Flat row-major offset (bounds-checked).
   [[nodiscard]] std::int64_t offset(const std::vector<std::int64_t>& idx) const;
-  /// Flat row-major offset without bounds checks — for the plan engine,
-  /// whose compiled accesses are guarded once per access instead of once
-  /// per dimension (see interp/vm.cpp).
-  [[nodiscard]] std::int64_t offset_unchecked(
-      const std::vector<std::int64_t>& idx) const;
 };
 
 /// Which execution engine runs function calls.
@@ -176,6 +171,15 @@ struct InterpStats {
   std::uint64_t local_allocations = 0;  ///< local-array materializations
   std::uint64_t parallel_regions = 0;
   std::uint64_t function_calls = 0;
+
+  InterpStats& operator+=(const InterpStats& o) {
+    steps_executed += o.steps_executed;
+    loop_iterations += o.loop_iterations;
+    local_allocations += o.local_allocations;
+    parallel_regions += o.parallel_regions;
+    function_calls += o.function_calls;
+    return *this;
+  }
 };
 
 /// A host-side call argument: a literal scalar, or the name of a Global
@@ -240,11 +244,13 @@ class Machine {
   /// GridId -> storage for globals; save-cache for SAVE'd locals.
   std::map<GridId, std::shared_ptr<Instance>> globals_;
   std::map<GridId, std::shared_ptr<Instance>> saved_locals_;
+  /// The slot prototype every call frame of either engine starts from:
+  /// raw global-instance pointers indexed by GridId (null elsewhere).
+  /// Global instances live as long as the machine.
+  std::vector<Instance*> global_slots_;
 
-  /// Plan-engine state: compiled plans plus the slot prototype (raw
-  /// global-instance pointers, indexed by GridId) each call frame copies.
+  /// Plan-engine state: the compiled plans.
   std::unique_ptr<interp::ProgramPlan> plans_;
-  std::vector<Instance*> plan_slots_proto_;
 
   /// Native-engine state (kNative): the loaded kernel, or null when the
   /// machine fell back to plans (see native_report_.fallback_reason).

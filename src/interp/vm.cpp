@@ -7,8 +7,6 @@
 
 #include "codegen/directive_policy.hpp"
 #include "core/libfuncs.hpp"
-#include "core/typecheck.hpp"
-#include "interp/exec_common.hpp"
 #include "runtime/thread_pool.hpp"
 #include "support/strings.hpp"
 
@@ -277,8 +275,8 @@ void PlanExecutor::run_range(Ctx& C, std::uint32_t begin, std::uint32_t end) {
           args[i] = regs[arg_regs[lc.args_begin + i]];
         }
         double result = lc.lib->eval(args, static_cast<int>(lc.argc));
-        // Mirror the tree-walk's INTEGER-result rule: truncate, with NINT
-        // overriding to round-to-nearest on the raw argument.
+        // The INTEGER-result rule (exec_common.hpp), as compiled into the
+        // flags: truncate, or NINT's round-to-nearest on the raw argument.
         if ((in.flags & kFlagTruncResult) != 0) result = std::trunc(result);
         if ((in.flags & kFlagNint) != 0) result = std::nearbyint(args[0]);
         regs[in.dst] = result;
@@ -390,13 +388,18 @@ void PlanExecutor::run_loops(Ctx& C, const StepPlan& sp, std::size_t depth) {
   }
 }
 
+double PlanExecutor::call_user(const Function& fn, Instance* const* args,
+                               std::size_t nargs) {
+  return call_function(m_.plans_->functions[fn.id], args, nargs);
+}
+
 double PlanExecutor::call_function(const FunctionPlan& plan,
                                    Instance* const* args, std::size_t nargs) {
   ++stats.function_calls;
   const Function& fn = *plan.fn;
   CallScratch& cs = acquire_scratch();
   PlanFrame& f = cs.frame;
-  f.slots.assign(m_.plan_slots_proto_.begin(), m_.plan_slots_proto_.end());
+  f.slots.assign(m_.global_slots_.begin(), m_.global_slots_.end());
   for (const auto& [id, inst] : global_overrides) f.slots[id] = inst;
 
   if (nargs != fn.params.size()) {
@@ -405,27 +408,11 @@ double PlanExecutor::call_function(const FunctionPlan& plan,
   }
   for (std::size_t i = 0; i < nargs; ++i) f.slots[fn.params[i]] = args[i];
 
-  // Materialize locals (mirrors Executor::call_function, including the
-  // SAVE caches and allocation counting).
-  for (const GridId id : fn.locals) {
-    const Grid& g = m_.program_.grid(id);
-    const bool save = g.save_attr || m_.options_.save_temporaries;
-    if (save) {
-      auto& cache =
-          in_parallel_region ? saved_locals_local_ : m_.saved_locals_;
-      auto it = cache.find(id);
-      if (it == cache.end()) {
-        it = cache.emplace(id, make_instance(g, f)).first;
-        if (!g.dims.empty()) ++stats.local_allocations;
-      }
-      f.slots[id] = it->second.get();
-    } else {
-      auto inst = make_instance(g, f);
-      f.slots[id] = inst.get();
-      cs.keepalive.push_back(std::move(inst));
-      if (!g.dims.empty()) ++stats.local_allocations;
-    }
-  }
+  materialize_locals(m_.program_, fn, m_.options_.save_temporaries,
+                     f.slots.data(), cs.keepalive,
+                     in_parallel_region ? saved_locals_local_
+                                        : m_.saved_locals_,
+                     stats, *this);
 
   f.regs.resize(plan.num_regs);
   f.idx.resize(plan.num_idx);
@@ -552,7 +539,8 @@ void PlanExecutor::run_step_parallel(CallScratch& cs, const FunctionPlan& plan,
       // Private grids: recycled per-thread instances, re-zeroed in place.
       for (const GridId id : verdict.private_grids) {
         auto copy = w.cached_copy(id);
-        w.reinit_into(*copy, m_.program_.grid(id), cs.frame);
+        build_instance(m_.program_, *copy, m_.program_.grid(id),
+                       cs.frame.slots.data(), w);
         thread_local_copy(id, std::move(copy));
       }
       // Firstprivate: full value copies (buffers recycled).
@@ -610,10 +598,7 @@ void PlanExecutor::run_step_parallel(CallScratch& cs, const FunctionPlan& plan,
             sbuf[i] = reduction_combine(r.op, sbuf[i], lbuf[i]);
           }
         }
-        stats.loop_iterations += w.stats.loop_iterations;
-        stats.function_calls += w.stats.function_calls;
-        stats.local_allocations += w.stats.local_allocations;
-        stats.steps_executed += w.stats.steps_executed;
+        stats += w.stats;
       }
       w.release_scratch(wcs);
     } catch (...) {
@@ -625,175 +610,6 @@ void PlanExecutor::run_step_parallel(CallScratch& cs, const FunctionPlan& plan,
     }
   };
   m_.pool_->parallel_for(iters, chunk_body);
-}
-
-// ---- cold-path instance construction --------------------------------------
-
-void PlanExecutor::init_instance(Instance& inst, const Grid& g) {
-  const std::size_t n = static_cast<std::size_t>(inst.element_count());
-  if (g.is_struct()) {
-    for (const Field& fd : g.fields) inst.fields[fd.name].assign(n, 0.0);
-  } else {
-    inst.data.assign(n, 0.0);
-    for (std::size_t i = 0; i < g.init_data.size() && i < n; ++i) {
-      inst.data[i] = value_as_double(g.init_data[i]);
-    }
-  }
-}
-
-std::shared_ptr<Instance> PlanExecutor::make_instance(const Grid& g,
-                                                      PlanFrame& f) {
-  auto inst = std::make_shared<Instance>();
-  inst->grid = &g;
-  for (const Dim& d : g.dims) {
-    const std::int64_t e = to_index(eval_slow(f, *d.extent));
-    if (e < 1) {
-      fail(cat("non-positive extent ", e, " for grid '", g.name, "'"));
-    }
-    inst->extents.push_back(e);
-  }
-  init_instance(*inst, g);
-  return inst;
-}
-
-void PlanExecutor::reinit_into(Instance& inst, const Grid& g, PlanFrame& f) {
-  inst.grid = &g;
-  inst.extents.clear();
-  for (const Dim& d : g.dims) {
-    const std::int64_t e = to_index(eval_slow(f, *d.extent));
-    if (e < 1) {
-      fail(cat("non-positive extent ", e, " for grid '", g.name, "'"));
-    }
-    inst.extents.push_back(e);
-  }
-  init_instance(inst, g);
-}
-
-/// Extent expressions run outside any loop, so kIndex always fails —
-/// mirroring the tree-walk's empty IndexEnv in make_instance.
-double PlanExecutor::eval_slow(PlanFrame& f, const Expr& e) {
-  switch (e.kind) {
-    case Expr::Kind::kLiteral:
-      return value_as_double(e.literal);
-    case Expr::Kind::kIndex:
-      fail(cat("index variable '", e.index_name, "' not bound"));
-    case Expr::Kind::kGridRead: {
-      Instance* inst = f.slots[e.grid];
-      if (inst == nullptr) {
-        fail(cat("grid '", m_.program_.grid(e.grid).name,
-                 "' has no storage here"));
-      }
-      if (e.args.empty() && !inst->grid->dims.empty()) {
-        fail(cat("whole-grid read of '", inst->grid->name,
-                 "' outside a call argument"));
-      }
-      std::vector<std::int64_t> idx;
-      idx.reserve(e.args.size());
-      for (const ExprPtr& s : e.args) idx.push_back(to_index(eval_slow(f, *s)));
-      const std::int64_t off = inst->offset(idx);
-      const std::vector<double>* buf = &inst->data;
-      if (!e.field.empty()) {
-        const auto it = inst->fields.find(e.field);
-        if (it == inst->fields.end()) {
-          fail(cat("no field '", e.field, "' in grid '", inst->grid->name,
-                   "'"));
-        }
-        buf = &it->second;
-      }
-      return (*buf)[static_cast<std::size_t>(off)];
-    }
-    case Expr::Kind::kBinary: {
-      const double a = eval_slow(f, *e.args[0]);
-      const double b = eval_slow(f, *e.args[1]);
-      switch (e.bop) {
-        case BinOp::kAdd: return a + b;
-        case BinOp::kSub: return a - b;
-        case BinOp::kMul: return a * b;
-        case BinOp::kDiv: {
-          if (infer_type(m_.program_, *e.args[0]) == DataType::kInt &&
-              infer_type(m_.program_, *e.args[1]) == DataType::kInt) {
-            if (b == 0.0) fail("integer division by zero");
-            return std::trunc(a / b);
-          }
-          return a / b;
-        }
-        case BinOp::kPow: return std::pow(a, b);
-        case BinOp::kMod: return std::fmod(a, b);
-        case BinOp::kLt: return a < b ? 1.0 : 0.0;
-        case BinOp::kLe: return a <= b ? 1.0 : 0.0;
-        case BinOp::kGt: return a > b ? 1.0 : 0.0;
-        case BinOp::kGe: return a >= b ? 1.0 : 0.0;
-        case BinOp::kEq: return a == b ? 1.0 : 0.0;
-        case BinOp::kNe: return a != b ? 1.0 : 0.0;
-        case BinOp::kAnd: return (a != 0.0 && b != 0.0) ? 1.0 : 0.0;
-        case BinOp::kOr: return (a != 0.0 || b != 0.0) ? 1.0 : 0.0;
-      }
-      return 0.0;
-    }
-    case Expr::Kind::kUnary: {
-      const double a = eval_slow(f, *e.args[0]);
-      return e.uop == UnOp::kNeg ? -a : (a == 0.0 ? 1.0 : 0.0);
-    }
-    case Expr::Kind::kCall:
-      return eval_call_slow(f, e);
-  }
-  return 0.0;
-}
-
-double PlanExecutor::eval_call_slow(PlanFrame& f, const Expr& e) {
-  if (const LibFunc* lib = find_lib_func(e.callee)) {
-    if (lib->whole_grid) {
-      const Expr& arg = *e.args[0];
-      if (arg.kind != Expr::Kind::kGridRead || !arg.args.empty()) {
-        fail(cat(lib->name, " expects a whole-grid argument"));
-      }
-      Instance* inst = f.slots[arg.grid];
-      if (inst == nullptr) fail(cat("grid has no storage for ", lib->name));
-      const std::vector<double>& buf =
-          arg.field.empty() ? inst->data : inst->fields.at(arg.field);
-      return lib->eval(buf.data(), static_cast<int>(buf.size()));
-    }
-    double stack_args[8];
-    std::vector<double> heap_args;
-    double* args = stack_args;
-    if (e.args.size() > 8) {
-      heap_args.resize(e.args.size());
-      args = heap_args.data();
-    }
-    for (std::size_t i = 0; i < e.args.size(); ++i) {
-      args[i] = eval_slow(f, *e.args[i]);
-    }
-    double result = lib->eval(args, static_cast<int>(e.args.size()));
-    if (lib->result == LibResult::kInt ||
-        (lib->result == LibResult::kSameAsArg &&
-         infer_type(m_.program_, e) == DataType::kInt)) {
-      result = std::trunc(result);
-      if (lib->name == "NINT") result = std::nearbyint(args[0]);
-    }
-    return result;
-  }
-  const Function* target = m_.program_.find_function(e.callee);
-  if (target == nullptr) fail(cat("unknown function ", e.callee));
-  std::vector<Instance*> argv;
-  std::vector<std::shared_ptr<Instance>> temps;
-  argv.reserve(e.args.size());
-  for (const ExprPtr& a : e.args) {
-    if (a->kind == Expr::Kind::kGridRead && a->args.empty()) {
-      argv.push_back(f.slots[a->grid]);
-    } else {
-      if (argv.size() >= target->params.size()) {
-        fail(cat("call to '", target->name, "': expected ",
-                 target->params.size(), " arguments, got ", e.args.size()));
-      }
-      auto tmp = std::make_shared<Instance>();
-      tmp->grid = &m_.program_.grid(target->params[argv.size()]);
-      tmp->data.assign(1, eval_slow(f, *a));
-      argv.push_back(tmp.get());
-      temps.push_back(std::move(tmp));
-    }
-  }
-  return call_function(m_.plans_->functions[target->id], argv.data(),
-                       argv.size());
 }
 
 }  // namespace glaf::interp

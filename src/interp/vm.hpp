@@ -10,7 +10,9 @@
 // trace entries, same failure messages. Where it is deliberately cheaper
 // (flat offset guard instead of per-dimension subscript checks), the
 // GLAF_CHECKED_PLANS build option restores the full checks. Its parallel
-// path is the interpreter's only one.
+// path is the interpreter's only one. Outside the plans it evaluates
+// nothing itself: locals, SAVE'd locals and private copies are built by
+// the routines the tree-walk uses (exec_common.hpp).
 
 #include <cstdint>
 #include <map>
@@ -18,6 +20,7 @@
 #include <mutex>
 #include <vector>
 
+#include "interp/exec_common.hpp"
 #include "interp/machine.hpp"
 #include "interp/plan.hpp"
 
@@ -71,7 +74,7 @@ struct CallScratch {
   std::size_t temps_used = 0;
 };
 
-class PlanExecutor {
+class PlanExecutor final : public UserCalls {
  public:
   explicit PlanExecutor(Machine& m);
   ~PlanExecutor();
@@ -82,6 +85,10 @@ class PlanExecutor {
   /// Execute one function; `args` are the bound parameter instances.
   double call_function(const FunctionPlan& plan, Instance* const* args,
                        std::size_t nargs);
+  /// A user function called from an extent expression: runs on this
+  /// executor, under its global overrides and into its stats.
+  double call_user(const Function& fn, Instance* const* args,
+                   std::size_t nargs) override;
 
   InterpStats stats;
 
@@ -121,17 +128,7 @@ class PlanExecutor {
 
   void run_call_site(Ctx& C, const PlanInstr& in, double* result);
 
-  /// Cold-path recursive evaluator for local-grid extents (mirrors the
-  /// tree-walk's make_instance semantics, including failure messages).
-  double eval_slow(PlanFrame& f, const Expr& e);
-  double eval_call_slow(PlanFrame& f, const Expr& e);
-  std::shared_ptr<Instance> make_instance(const Grid& g, PlanFrame& f);
-  void init_instance(Instance& inst, const Grid& g);
-  /// Rebuild a recycled private-copy instance in place (extents re-derived
-  /// from the enclosing frame, buffers reused when shapes match).
-  void reinit_into(Instance& inst, const Grid& g, PlanFrame& f);
-
-  /// Parallel-region copy cache (the reusable scratch of the tentpole):
+  /// Parallel-region copy cache:
   /// private/firstprivate/reduction instances recycled across chunks.
   std::shared_ptr<Instance> cached_copy(GridId id);
   PlanExecutor& worker(int rank);
@@ -149,8 +146,6 @@ class PlanExecutor {
 
   std::unique_lock<std::mutex> atomic_lock_;
   int atomic_depth_ = 0;
-
-  friend class ::glaf::Machine;
 };
 
 }  // namespace glaf::interp
