@@ -1,7 +1,7 @@
-// Execution-engine comparison: tree-walk interpreter (serial only) vs the
-// compiled flat-plan VM vs the native JIT engine (both emission tiers),
-// serial and parallel, over the Fu-Liou SARB kernels (Table 1) and the
-// FUN3D kernel program.
+// Execution-engine comparison: tree-walk interpreter vs the compiled
+// flat-plan VM (both serial only) vs the native JIT engine (both
+// emission tiers; the interp tier serial and parallel), over the Fu-Liou
+// SARB kernels (Table 1) and the FUN3D kernel program.
 //
 // Prints a table and writes BENCH_interp.json with per-kernel wall
 // times and speedups plus the serial geometric-mean speedups over the
@@ -82,7 +82,6 @@ namespace {
 enum Column {
   kTreeWalk,
   kPlan,
-  kParallelPlan,
   kOpt,
   kNative,
   kGated,
@@ -130,10 +129,10 @@ struct KernelResult {
 
 InterpOptions column_opts(Column c, int threads) {
   InterpOptions o;
-  o.engine = c == kTreeWalk                     ? ExecEngine::kTreeWalk
-             : c == kPlan || c == kParallelPlan ? ExecEngine::kPlan
-                                                : ExecEngine::kNative;
-  o.parallel = c == kParallelPlan || c == kGated || c == kUngated;
+  o.engine = c == kTreeWalk ? ExecEngine::kTreeWalk
+             : c == kPlan   ? ExecEngine::kPlan
+                            : ExecEngine::kNative;
+  o.parallel = c == kGated || c == kUngated;
   o.num_threads = threads;
   o.gate_always_dispatch = c == kUngated;
   if (c == kOpt) o.native_model = NumericModel::kOpt;
@@ -340,51 +339,50 @@ int main(int argc, char** argv) {
   // --- report
   TextTable table({"kernel", "serial treewalk", "serial plan",
                    "serial native", "serial opt", "plan x", "native x",
-                   "opt x", "parallel plan", "par plan x",
-                   "par native gated", "gated x",
+                   "opt x", "par native gated", "gated x",
                    "par native ungated", "ungated x", "regions",
                    "fused", "gated"});
-  std::vector<Align> align(17, Align::kRight);
+  std::vector<Align> align(15, Align::kRight);
   align[0] = Align::kLeft;
   table.set_alignment(align);
   // Per-kernel speedups: plan over tree-walk; native and opt over the
   // *plan* engine (what the compile round-trip has to win, and the typed
-  // tier's gain on the same denominator); parallel plan over serial plan;
-  // gated and ungated parallel native over *serial native* (what
+  // tier's gain on the same denominator); gated and ungated parallel
+  // native over *serial native* (what
   // threading the kernel buys on this host — the gap between the two is
   // what the gate saved by keeping regions that do not pay serial).
   const auto speedups = [](const KernelResult& r) {
-    return std::array<double, 6>{
+    return std::array<double, 5>{
         r.speedup(kTreeWalk, kPlan), r.speedup(kPlan, kNative),
-        r.speedup(kPlan, kOpt),      r.speedup(kPlan, kParallelPlan),
-        r.speedup(kNative, kGated),  r.speedup(kNative, kUngated)};
+        r.speedup(kPlan, kOpt), r.speedup(kNative, kGated),
+        r.speedup(kNative, kUngated)};
   };
-  std::array<std::vector<double>, 6> sarb_speedups;
+  std::array<std::vector<double>, 5> sarb_speedups;
   int gate_violations = 0;
   for (const KernelResult& r : results) {
-    const std::array<double, 6> x = speedups(r);
+    const std::array<double, 5> x = speedups(r);
     if (r.suite == "sarb") {
       for (std::size_t i = 0; i < x.size(); ++i) sarb_speedups[i].push_back(x[i]);
     }
-    if (check_gate > 0.0 && x[4] > 0.0 && x[4] < check_gate) {
+    if (check_gate > 0.0 && x[3] > 0.0 && x[3] < check_gate) {
       std::fprintf(stderr,
                    "interp_engine: GATE CHECK FAILED: %s/%s gated parallel"
                    " native is %.3fx serial native (< %.2fx; medians of %d"
                    " interleaved repetitions)\n",
-                   r.suite.c_str(), r.name.c_str(), x[4], check_gate, kReps);
+                   r.suite.c_str(), r.name.c_str(), x[3], check_gate, kReps);
       ++gate_violations;
     }
     const auto us = [&](Column c) { return fmt(r.s(c) * 1e6) + " us"; };
     const auto times = [](double v) { return fmt(v, "%.2f") + "x"; };
     table.add_row({r.suite + "/" + r.name, us(kTreeWalk), us(kPlan),
                    us(kNative), us(kOpt), times(x[0]), times(x[1]),
-                   times(x[2]), us(kParallelPlan), times(x[3]), us(kGated),
-                   times(x[4]), us(kUngated), times(x[5]),
+                   times(x[2]), us(kGated), times(x[3]), us(kUngated),
+                   times(x[4]),
                    std::to_string(r.regions_total),
                    std::to_string(r.regions_fused),
                    std::to_string(r.gated_regions)});
   }
-  std::array<double, 6> geo{};
+  std::array<double, 5> geo{};
   for (std::size_t i = 0; i < geo.size(); ++i) geo[i] = geomean(sarb_speedups[i]);
   const unsigned host_cores = std::thread::hardware_concurrency();
   std::printf("== execution engines: tree-walk vs flat plans vs native JIT "
@@ -398,9 +396,9 @@ int main(int argc, char** argv) {
   std::printf("SARB serial geomean speedup (opt vs plan):            %.2fx\n",
               geo[2]);
   std::printf("SARB parallel geomean speedup (gated vs ser-native):  %.2fx\n",
-              geo[4]);
+              geo[3]);
   std::printf("SARB parallel geomean speedup (ungated vs ser-nat):   %.2fx\n",
-              geo[5]);
+              geo[4]);
   for (const ForkJoin& f : fork_joins) {
     std::printf("empty fork/join, %d ranks: median %.2f us, p90 %.2f us, "
                 "%.3f parks per dispatch\n",
@@ -437,13 +435,12 @@ int main(int argc, char** argv) {
   }
   out << "  ],\n  \"kernels\": [\n";
   const char* names[kColumns] = {
-      "serial_treewalk", "serial_plan",   "parallel_plan",
-      "serial_opt",      "serial_native", "parallel_native",
-      "parallel_native_ungated"};
-  const char* speedup_names[6] = {
+      "serial_treewalk", "serial_plan",     "serial_opt",
+      "serial_native",   "parallel_native", "parallel_native_ungated"};
+  const char* speedup_names[5] = {
       "serial_speedup",          "serial_native_speedup",
-      "serial_opt_speedup",      "parallel_plan_speedup",
-      "parallel_native_speedup", "parallel_native_ungated_speedup"};
+      "serial_opt_speedup",      "parallel_native_speedup",
+      "parallel_native_ungated_speedup"};
   for (std::size_t i = 0; i < results.size(); ++i) {
     const KernelResult& r = results[i];
     out << "    {\"suite\": \"" << r.suite << "\", \"name\": \"" << r.name
@@ -453,7 +450,7 @@ int main(int argc, char** argv) {
       out << ", \"" << names[c] << "_s\": " << fmt(r.s(col), "%.6g")
           << ", \"" << names[c] << "_iqr_s\": " << fmt(r.iqr_s(col), "%.3g");
     }
-    const std::array<double, 6> x = speedups(r);
+    const std::array<double, 5> x = speedups(r);
     for (std::size_t k = 0; k < x.size(); ++k) {
       out << ", \"" << speedup_names[k] << "\": " << fmt(x[k], "%.3f");
     }
@@ -467,9 +464,9 @@ int main(int argc, char** argv) {
       << fmt(geo[1], "%.3f")
       << ",\n  \"sarb_serial_opt_geomean_speedup\": " << fmt(geo[2], "%.3f")
       << ",\n  \"sarb_parallel_native_geomean_speedup\": "
-      << fmt(geo[4], "%.3f")
+      << fmt(geo[3], "%.3f")
       << ",\n  \"sarb_parallel_native_ungated_geomean_speedup\": "
-      << fmt(geo[5], "%.3f") << "\n}\n";
+      << fmt(geo[4], "%.3f") << "\n}\n";
   std::printf("wrote %s\n", out_path.c_str());
   if (gate_violations > 0) {
     std::fprintf(stderr, "interp_engine: %d kernel(s) failed the"

@@ -1,8 +1,8 @@
 // The Synoptic SARB case study end to end (paper §4.1): author the six
 // Table 1 subroutines in GLAF, generate integrable FORTRAN, and run the
 // §4.1.1 functional-correctness methodology — a side-by-side comparison
-// of the GLAF execution (serial and parallel) against the original serial
-// implementation across multiple zones.
+// of the GLAF execution (serial plans, and the parallel native kernel)
+// against the original serial implementation across multiple zones.
 //
 //   ./sarb_integration [--zones=N] [--show-fortran]
 
@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
   // Side-by-side comparison, zone by zone, for serial and parallel GLAF.
   std::printf("\n== functional correctness (vs original serial) ==\n");
   InterpOptions parallel;
+  parallel.engine = ExecEngine::kNative;
   parallel.parallel = true;
   parallel.num_threads = 4;
   Machine serial_machine(program);
@@ -85,8 +86,18 @@ int main(int argc, char** argv) {
                   serial_machine.stats().steps_executed),
               static_cast<unsigned long long>(
                   serial_machine.stats().loop_iterations));
-  std::printf("parallel: %llu parallel regions entered\n",
-              static_cast<unsigned long long>(
-                  parallel_machine.stats().parallel_regions));
+  const NativeReport& report = parallel_machine.native_report();
+  if (report.available) {
+    std::printf("parallel: %llu native calls, %llu parallel regions"
+                " dispatched, %llu kept serial by the gate (%d threads)\n",
+                static_cast<unsigned long long>(report.native_calls),
+                static_cast<unsigned long long>(report.parallel_regions),
+                static_cast<unsigned long long>(report.gated_serial_regions),
+                report.num_threads);
+  } else {
+    std::printf("parallel: native kernel unavailable (%s), ran serial"
+                " plans\n",
+                report.fallback_reason.c_str());
+  }
   return worst_serial == 0.0 && worst_parallel < 1e-7 ? 0 : 1;
 }

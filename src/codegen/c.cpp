@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 
+#include "analysis/access.hpp"
 #include "analysis/fuse.hpp"
 #include "codegen/directive_policy.hpp"
 #include "codegen/emitter.hpp"
@@ -116,8 +117,10 @@ class CGen {
       plan_regions();
       emit_range_units();
     }
+    if (opt_.enable_openmp) find_region_callees();
     for (const Function& fn : p_.functions) {
       const std::size_t mark = w_.mark();
+      current_fn_ = &fn;
       emit_function(fn);
       out.per_function[fn.name] = w_.text_since(mark);
       w_.blank();
@@ -207,17 +210,31 @@ class CGen {
       w_.raw(cat("} ", block, "_;"));
     }
     // Existing-module variables: storage provided by the legacy objects.
+    // TYPE elements are members of one extern struct per parent variable,
+    // declared where its first element is.
+    std::map<std::string, std::vector<const Grid*>> type_members;
+    for (const GridId id : p_.global_grids) {
+      const Grid& g = p_.grid(id);
+      if (g.external == ExternalKind::kModule && !g.type_parent.empty()) {
+        type_members[g.type_parent].push_back(&g);
+      }
+    }
     for (const GridId id : p_.global_grids) {
       const Grid& g = p_.grid(id);
       if (g.external != ExternalKind::kModule) continue;
-      if (!g.type_parent.empty()) {
-        w_.raw(cat("/* ", g.type_parent, ".", g.name,
-                   " is an element of a TYPE variable from module ",
+      if (g.type_parent.empty()) {
+        w_.raw(cat("extern ", global_decl(g), "; /* from module ",
                    g.external_module, " */"));
         continue;
       }
-      w_.raw(cat("extern ", global_decl(g), "; /* from module ",
+      auto& members = type_members[g.type_parent];
+      if (members.empty()) continue;  // declared with an earlier element
+      w_.raw(cat("/* TYPE variable ", g.type_parent, " from module ",
                  g.external_module, " */"));
+      w_.raw(cat("extern struct ", g.type_parent, "_type {"));
+      for (const Grid* m : members) w_.raw(cat("  ", global_decl(*m), ";"));
+      w_.raw(cat("} ", g.type_parent, ";"));
+      members.clear();
     }
     // Owned globals: static file-scope definitions (§3.3 module scope).
     for (const GridId id : p_.global_grids) {
@@ -232,7 +249,85 @@ class CGen {
         emit_definition(g, /*file_scope=*/true);
       }
     }
+    if (opt_.enable_openmp) {
+      std::vector<std::string> names;
+      for (const GridId id : p_.global_grids) {
+        if (threadprivate(id)) names.push_back(p_.grid(id).name);
+      }
+      if (!names.empty()) {
+        w_.raw(cat("#pragma omp threadprivate(", join(names, ", "), ")"));
+      }
+    }
     w_.blank();
+  }
+
+  /// Subprograms a kept directive's loop calls, at any depth, run on
+  /// every thread of the region; the grids that loop updates atomically
+  /// are updated atomically in them too (OpenMP emission only).
+  void find_region_callees() {
+    std::vector<std::string> pending;
+    const auto calls_of = [&](const Step& step) {
+      const std::vector<std::string> callees =
+          collect_step_accesses(p_, step, analysis_.effects).callees;
+      for (const std::string& callee : callees) {
+        if (region_callees_.insert(callee).second) {
+          pending.push_back(callee);
+        }
+      }
+      return !callees.empty();
+    };
+    for (const Function& fn : p_.functions) {
+      const auto it = analysis_.verdicts.find(fn.id);
+      if (it == analysis_.verdicts.end()) continue;
+      for (std::size_t s = 0; s < fn.steps.size() && s < it->second.size();
+           ++s) {
+        const StepVerdict& v = it->second[s];
+        if (keep_directive(opt_.policy, v) && calls_of(fn.steps[s])) {
+          region_atomics_.insert(v.atomic_grids.begin(),
+                                 v.atomic_grids.end());
+        }
+      }
+    }
+    while (!pending.empty()) {
+      const Function* fn = p_.find_function(pending.back());
+      pending.pop_back();
+      if (fn == nullptr) continue;
+      for (const Step& step : fn->steps) calls_of(step);
+    }
+  }
+
+  /// A SAVE'd local of a subprogram that runs inside a parallel region
+  /// is per thread (§4.2.1 pairs the SAVE attribute with thread-private
+  /// declarations): a shared static would race between the calls.
+  void emit_threadprivate_save(const Grid& g) {
+    if (in_region_callee()) {
+      w_.raw(cat("#pragma omp threadprivate(", g.name, ")"));
+    }
+  }
+
+  bool in_region_callee() const {
+    return current_fn_ != nullptr && region_callees_.count(current_fn_->name);
+  }
+
+  /// Whether `id` is an owned global that a kept directive privatizes
+  /// (the §4.2.1 tweaks make module-scope intermediates private). The
+  /// loop's callees name such a grid too, and a PRIVATE clause does not
+  /// reach them, so every thread gets its own copy through THREADPRIVATE
+  /// instead, and emit_omp_pragma leaves it out of the clause.
+  bool threadprivate(GridId id) const {
+    if (p_.grid(id).external != ExternalKind::kNone ||
+        std::find(p_.global_grids.begin(), p_.global_grids.end(), id) ==
+            p_.global_grids.end()) {
+      return false;
+    }
+    for (const auto& [fn, verdicts] : analysis_.verdicts) {
+      for (const StepVerdict& v : verdicts) {
+        if (keep_directive(opt_.policy, v) && id_in(v.private_grids, id)) {
+          return true;
+        }
+      }
+    }
+    return false;
   }
 
   /// Whether `g` is a global array the caller binds (binds_global_array).
@@ -315,6 +410,7 @@ class CGen {
                               : cat(" = ", c_literal(g.init_data[0]));
       w_.line(cat(storage, save && !file_scope ? "static " : "",
                   ctype(g.elem_type), " ", g.name, init, ";"));
+      if (save && !file_scope) emit_threadprivate_save(g);
       return;
     }
     if (has_constant_extents(g)) {
@@ -330,6 +426,7 @@ class CGen {
       w_.line(cat(storage, save && !file_scope ? "static " : "",
                   ctype(g.elem_type), " ", g.name, flat_array_suffix(g),
                   init, ";"));
+      if (save && !file_scope) emit_threadprivate_save(g);
       return;
     }
     // Symbolic extents.
@@ -346,6 +443,7 @@ class CGen {
     if (save) {
       // No-reallocation pattern.
       w_.line(cat("static ", ptr_decl(ctype(g.elem_type)), g.name, " = 0;"));
+      emit_threadprivate_save(g);
       w_.line(cat("if (!", g.name, ") ", g.name, " = (", ctype(g.elem_type),
                   "*)calloc(", elem_count_expr(g), ", sizeof(",
                   ctype(g.elem_type), "));"));
@@ -377,11 +475,7 @@ class CGen {
   std::string base_name(const Grid& g) const {
     const auto it = name_overrides_.find(g.id);
     if (it != name_overrides_.end()) return it->second;
-    if (g.external == ExternalKind::kCommon) {
-      return cat(g.common_block, "_.", g.name);
-    }
-    if (!g.type_parent.empty()) return cat(g.type_parent, ".", g.name);
-    return g.name;
+    return c_storage_name(g);
   }
 
   std::string access_text(GridId id, const std::string& field,
@@ -1194,7 +1288,7 @@ class CGen {
       privates.push_back(step.loops[i].index_var);
     }
     for (const GridId g : verdict.private_grids) {
-      privates.push_back(p_.grid(g).name);
+      if (!threadprivate(g)) privates.push_back(p_.grid(g).name);
     }
     if (!privates.empty()) d += cat(" private(", join(privates, ", "), ")");
     if (!verdict.firstprivate_grids.empty()) {
@@ -1225,11 +1319,13 @@ class CGen {
   void emit_stmt(const Stmt& s, const Function& fn, const StepVerdict* omp) {
     switch (s.kind) {
       case Stmt::Kind::kAssign: {
-        const bool atomic =
-            omp != nullptr &&
-            std::find(omp->atomic_grids.begin(), omp->atomic_grids.end(),
-                      s.lhs.grid) != omp->atomic_grids.end();
-        if (atomic) w_.raw("#pragma omp atomic");
+        const bool atomic = omp != nullptr && id_in(omp->atomic_grids,
+                                                    s.lhs.grid);
+        // A subprogram's store to a grid its caller's loop updates
+        // atomically (an orphaned ATOMIC) is atomic as well: an update of
+        // the element, or else a plain atomic write.
+        const bool orphaned =
+            !atomic && in_region_callee() && region_atomics_.count(s.lhs.grid);
         std::string rhs = expr(*s.rhs);
         // Interpreter-exact mode: INTEGER stores truncate explicitly (the
         // typed back-end gets the same effect from the long lvalue).
@@ -1237,8 +1333,15 @@ class CGen {
             p_.grid(s.lhs.grid).field_type(s.lhs.field) == DataType::kInt) {
           rhs = cat("trunc(", rhs, ")");
         }
-        w_.line(cat(access_text(s.lhs.grid, s.lhs.field, s.lhs.subscripts),
-                    " = ", rhs, ";"));
+        const std::string lhs =
+            access_text(s.lhs.grid, s.lhs.field, s.lhs.subscripts);
+        if (atomic) w_.raw("#pragma omp atomic");
+        if (orphaned) {
+          w_.raw(rhs.find(lhs) != std::string::npos
+                     ? "#pragma omp atomic"
+                     : "#pragma omp atomic write");
+        }
+        w_.line(cat(lhs, " = ", rhs, ";"));
         break;
       }
       case Stmt::Kind::kIf: {
@@ -1290,6 +1393,12 @@ class CGen {
   CodeWriter w_;
   std::vector<std::string> frees_;
   std::set<GridId> lazy_globals_;
+  /// Functions called from the loop of a kept directive (OpenMP only),
+  /// the grids those loops update atomically, and the function being
+  /// emitted.
+  std::set<std::string> region_callees_;
+  std::set<GridId> region_atomics_;
+  const Function* current_fn_ = nullptr;
   /// Host-parallel dispatch plan (host_parallel only): every function's
   /// steps grouped into regions, plus the emitted-region metadata
   /// returned through GeneratedCode.
@@ -1302,6 +1411,14 @@ class CGen {
 };
 
 }  // namespace
+
+std::string c_storage_name(const Grid& g) {
+  if (g.external == ExternalKind::kCommon) {
+    return cat(g.common_block, "_.", g.name);
+  }
+  if (!g.type_parent.empty()) return cat(g.type_parent, ".", g.name);
+  return g.name;
+}
 
 GeneratedCode generate_c(const Program& program,
                          const ProgramAnalysis& analysis,

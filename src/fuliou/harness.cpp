@@ -4,45 +4,78 @@ namespace glaf::fuliou {
 
 namespace {
 
-Status set_field(Machine& m, const std::string& name,
-                 const std::vector<double>& data) {
-  return m.set_array(name, data);
+/// The profile's fields, by the name of the global that holds each.
+std::vector<std::pair<std::string, std::vector<double>>> profile_fields(
+    const AtmosphereProfile& profile) {
+  return {{"pressure", profile.pressure},
+          {"temperature", profile.temperature},
+          {"humidity", profile.humidity},
+          {"o3", profile.o3},
+          {"cloud_frac", profile.cloud_frac},
+          {"tau", profile.tau},
+          {"tsfc", {profile.tsfc}},
+          {"albedo", {profile.albedo}},
+          {"cosz", {profile.cosz}}};
+}
+
+/// Every output array, by the name of the global that holds it.
+std::vector<std::pair<std::string, std::vector<double>*>> output_fields(
+    SarbOutputs& out) {
+  return {{"planck", &out.planck},
+          {"lw_flux", &out.lw_flux},
+          {"lw_entropy", &out.lw_entropy},
+          {"sw_flux", &out.sw_flux},
+          {"sw_entropy", &out.sw_entropy},
+          {"adjusted_flux", &out.adjusted_flux},
+          {"baseline", &out.baseline},
+          {"wc_flux", &out.wc_flux}};
 }
 
 }  // namespace
 
 Status load_profile(Machine& machine, const AtmosphereProfile& profile) {
-  if (Status s = set_field(machine, "pressure", profile.pressure); !s) return s;
-  if (Status s = set_field(machine, "temperature", profile.temperature); !s) {
-    return s;
+  for (const auto& [name, values] : profile_fields(profile)) {
+    if (Status s = machine.set_array(name, values); !s) return s;
   }
-  if (Status s = set_field(machine, "humidity", profile.humidity); !s) return s;
-  if (Status s = set_field(machine, "o3", profile.o3); !s) return s;
-  if (Status s = set_field(machine, "cloud_frac", profile.cloud_frac); !s) {
-    return s;
-  }
-  if (Status s = set_field(machine, "tau", profile.tau); !s) return s;
-  if (Status s = machine.set_scalar("tsfc", profile.tsfc); !s) return s;
-  if (Status s = machine.set_scalar("albedo", profile.albedo); !s) return s;
-  return machine.set_scalar("cosz", profile.cosz);
+  return Status::ok();
 }
 
 SarbOutputs extract_outputs(const Machine& machine) {
   SarbOutputs out;
-  const auto grab = [&](const std::string& name, std::vector<double>* dst) {
+  for (const auto& [name, dst] : output_fields(out)) {
     const auto v = machine.array(name);
     if (v.is_ok()) *dst = v.value();
-  };
-  grab("planck", &out.planck);
-  grab("lw_flux", &out.lw_flux);
-  grab("lw_entropy", &out.lw_entropy);
-  grab("sw_flux", &out.sw_flux);
-  grab("sw_entropy", &out.sw_entropy);
-  grab("adjusted_flux", &out.adjusted_flux);
-  grab("baseline", &out.baseline);
-  grab("wc_flux", &out.wc_flux);
+  }
   const auto et = machine.scalar("entropy_total");
   out.entropy_total = et.is_ok() ? et.value() : 0.0;
+  return out;
+}
+
+GlobalValues profile_values(const Program& program,
+                            const AtmosphereProfile& profile) {
+  GlobalValues values;
+  for (auto& [name, data] : profile_fields(profile)) {
+    if (const Grid* g = program.find_grid(name)) {
+      values[g->id] = std::move(data);
+    }
+  }
+  return values;
+}
+
+SarbOutputs outputs_from(const Program& program, const GlobalValues& values) {
+  SarbOutputs out;
+  const auto find = [&](const std::string& name) -> const std::vector<double>* {
+    const Grid* g = program.find_grid(name);
+    if (g == nullptr) return nullptr;
+    const auto it = values.find(g->id);
+    return it != values.end() ? &it->second : nullptr;
+  };
+  for (const auto& [name, dst] : output_fields(out)) {
+    if (const auto* v = find(name)) *dst = *v;
+  }
+  if (const auto* v = find("entropy_total"); v != nullptr && !v->empty()) {
+    out.entropy_total = (*v)[0];
+  }
   return out;
 }
 

@@ -4,11 +4,14 @@
 // legacy FORTRAN modules / COMMON blocks providing real data), runs the
 // driver through the interpreter, and extracts the outputs for the
 // side-by-side comparison against the hand-written reference (§4.1.1).
+// The same bindings, as values by grid id, feed the compiled C back-end
+// (codegen/c_run.hpp).
 
 #include <string>
 #include <vector>
 
 #include "analysis/parallelize.hpp"
+#include "codegen/c_run.hpp"
 #include "fuliou/profile.hpp"
 #include "interp/machine.hpp"
 
@@ -20,6 +23,13 @@ Status load_profile(Machine& machine, const AtmosphereProfile& profile);
 
 /// Read every output grid back out.
 SarbOutputs extract_outputs(const Machine& machine);
+
+/// The profile as values of `program`'s input globals, by grid id.
+GlobalValues profile_values(const Program& program,
+                            const AtmosphereProfile& profile);
+
+/// The outputs held in `values` (every global of `program`, by grid id).
+SarbOutputs outputs_from(const Program& program, const GlobalValues& values);
 
 /// load_profile + CALL entropy_interface + extract. Status-bearing.
 StatusOr<SarbOutputs> run_glaf_sarb(Machine& machine,

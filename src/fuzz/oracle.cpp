@@ -1,18 +1,10 @@
 #include "fuzz/oracle.hpp"
 
-#include <unistd.h>
-
-#include <atomic>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <exception>
-#include <fstream>
-#include <map>
 #include <optional>
 
 #include "analysis/parallelize.hpp"
-#include "codegen/c.hpp"
 #include "fuzz/generator.hpp"
 #include "interp/machine.hpp"
 #include "support/hash.hpp"
@@ -25,12 +17,6 @@ namespace glaf::fuzz {
 namespace {
 
 constexpr int kMaxDivergencesPerBackend = 16;
-
-std::string fmt17(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 /// One comparable global: its grid and folded element count.
 struct GlobalSpec {
@@ -135,142 +121,30 @@ StatusOr<Snapshot> run_machine(const Program& program,
   }
 }
 
-std::string c_elem_type(DataType t) {
-  switch (t) {
-    case DataType::kInt: return "long";
-    case DataType::kReal: return "float";
-    case DataType::kLogical: return "int";
-    default: return "double";
-  }
-}
-
-std::string c_base_name(const Grid& g) {
-  if (g.external == ExternalKind::kCommon) {
-    return cat(g.common_block, "_.", g.name);
-  }
-  return g.name;
-}
-
-/// The appended driver: defines storage for external grids (the role the
-/// legacy FORTRAN objects play in the paper), feeds the deterministic
-/// inputs, calls the entry point and prints every global element-wise.
-std::string harness_text(const std::string& entry,
-                         const std::vector<GlobalSpec>& specs) {
-  std::vector<std::string> out;
-  out.push_back("");
-  out.push_back("/* ---- differential-oracle harness ---- */");
-  out.push_back("#include <stdio.h>");
-  // Storage definitions for imported-module variables and COMMON blocks.
-  std::map<std::string, bool> common_defined;
-  for (const GlobalSpec& spec : specs) {
-    const Grid& g = *spec.grid;
-    if (g.external == ExternalKind::kModule) {
-      const std::string suffix =
-          g.dims.empty() ? "" : cat("[", spec.elements, "]");
-      out.push_back(cat(c_elem_type(g.elem_type), " ", g.name, suffix, ";"));
-    } else if (g.external == ExternalKind::kCommon &&
-               !common_defined[g.common_block]) {
-      common_defined[g.common_block] = true;
-      out.push_back(cat("struct ", g.common_block, "_common ",
-                        g.common_block, "_;"));
-    }
-  }
-  out.push_back("int main(void) {");
-  for (const GlobalSpec& spec : specs) {
-    const Grid& g = *spec.grid;
-    if (g.external == ExternalKind::kNone) continue;
-    const std::vector<double> inputs = external_inputs(g, spec.elements);
-    for (std::int64_t i = 0; i < spec.elements; ++i) {
-      const std::string lhs =
-          g.dims.empty() ? c_base_name(g) : cat(c_base_name(g), "[", i, "]");
-      out.push_back(cat("  ", lhs, " = (", c_elem_type(g.elem_type), ")",
-                        fmt17(inputs[static_cast<std::size_t>(i)]), ";"));
-    }
-  }
-  out.push_back(cat("  ", entry, "();"));
-  for (const GlobalSpec& spec : specs) {
-    const Grid& g = *spec.grid;
-    if (g.dims.empty()) {
-      out.push_back(cat("  printf(\"%.17g\\n\", (double)", c_base_name(g),
-                        ");"));
-    } else {
-      out.push_back(cat("  { long i; for (i = 0; i < ", spec.elements,
-                        "; ++i) printf(\"%.17g\\n\", (double)", c_base_name(g),
-                        "[i]); }"));
-    }
-  }
-  out.push_back("  return 0;");
-  out.push_back("}");
-  return join(out, "\n");
-}
-
+/// The compiled-C leg: the OpenMP build under `policy` run at `threads`,
+/// or, without a policy, the serial build of §4.1.1.
 StatusOr<Snapshot> run_compiled_c(const Program& program,
                                   const std::string& entry,
                                   const std::vector<GlobalSpec>& specs,
-                                  const OracleOptions& opts) {
-  const ProgramAnalysis analysis = analyze_program(program);
-  CodegenOptions copts;
-  copts.language = Language::kC;
-  copts.enable_openmp = false;  // the serial C build of §4.1.1
-  copts.emit_comments = false;
-  std::string source = generate_c(program, analysis, copts).source;
-  if (opts.c_source_transform) source = opts.c_source_transform(source);
-  source += harness_text(entry, specs);
-
-  static std::atomic<int> counter{0};
-  const std::string stem = cat(opts.work_dir, "/glaf_fuzz_", getpid(), "_",
-                               counter.fetch_add(1));
-  const std::string src_path = cat(stem, ".c");
-  const std::string bin_path = cat(stem, ".bin");
-  {
-    std::ofstream out(src_path);
-    if (!out) return internal_error(cat("cannot write ", src_path));
-    out << source;
-  }
-  // -ffp-contract=off: FMA contraction would produce differently-rounded
-  // results than the interpreter's plain double arithmetic.
-  const RunResult compile = run_command(cat(
-      opts.cc, " -O1 -ffp-contract=off -o ", bin_path, " ", src_path, " -lm"));
-  if (!compile.ok()) {
-    std::remove(src_path.c_str());
-    if (!compile.started) {
-      return internal_error("C compilation failed: compiler did not start");
-    }
-    return internal_error(
-        cat("C compilation failed: ", compile.output.substr(0, 2000)));
-  }
-  const RunResult run = run_command(bin_path);
-  std::remove(src_path.c_str());
-  std::remove(bin_path.c_str());
-  if (!run.ok()) {
-    if (!run.started) {
-      return internal_error("compiled program did not start");
-    }
-    return internal_error(cat("compiled program exited with status ",
-                                run.exit_code));
-  }
-
-  std::vector<double> values;
-  const char* cursor = run.output.c_str();
-  char* end = nullptr;
-  for (double v = std::strtod(cursor, &end); end != cursor;
-       v = std::strtod(cursor, &end)) {
-    values.push_back(v);
-    cursor = end;
-  }
-  std::int64_t expected = 0;
-  for (const GlobalSpec& spec : specs) expected += spec.elements;
-  if (static_cast<std::int64_t>(values.size()) != expected) {
-    return internal_error(cat("compiled program printed ", values.size(),
-                                " values, expected ", expected));
-  }
-  Snapshot snap;
-  std::size_t at = 0;
+                                  const OracleOptions& opts,
+                                  std::optional<DirectivePolicy> policy,
+                                  int threads) {
+  GlobalValues inputs;
   for (const GlobalSpec& spec : specs) {
-    snap.emplace_back(values.begin() + static_cast<std::ptrdiff_t>(at),
-                      values.begin() +
-                          static_cast<std::ptrdiff_t>(at + spec.elements));
-    at += static_cast<std::size_t>(spec.elements);
+    if (spec.grid->external == ExternalKind::kNone) continue;
+    inputs[spec.grid->id] = external_inputs(*spec.grid, spec.elements);
+  }
+  CodegenOptions copts;
+  copts.enable_openmp = policy.has_value();
+  copts.policy = policy.value_or(DirectivePolicy::kV0);
+  copts.emit_comments = false;
+  StatusOr<GlobalValues> out = run_generated_c(
+      program, analyze_program(program), copts, entry, inputs, threads,
+      opts.cc, opts.work_dir, opts.c_source_transform);
+  if (!out.is_ok()) return out.status();
+  Snapshot snap;
+  for (const GlobalSpec& spec : specs) {
+    snap.push_back(std::move(out.value()[spec.grid->id]));
   }
   return snap;
 }
@@ -357,26 +231,17 @@ OracleReport run_oracle(const Program& program, const std::string& entry,
     return report;
   }
 
-  // Interpreter-family and subprocess-C legs merge parallel reductions
-  // within the configured tolerance. interp_math emission promises
-  // bit-identical arithmetic, so the interp-tier native legs (serial and
-  // parallel alike) and the deterministic plan legs are exact (NaN==NaN).
-  // The opt tier rounds differently by design (-O3, contraction on, typed
-  // storage), so its leg forks to the ulp budget that tier advertises.
+  // The plan leg and the subprocess-C legs (typed storage, and OpenMP
+  // reductions that reassociate) are held within the configured
+  // tolerance. interp_math emission promises bit-identical arithmetic, so
+  // the interp-tier native legs (serial and parallel alike) are exact
+  // (NaN==NaN). The opt tier rounds differently by design (-O3,
+  // contraction on, typed storage), so its leg forks to the ulp budget
+  // that tier advertises.
   const Comparator tol{opts.rtol, opts.atol, false, 0};
   const Comparator exact{};
   const Comparator ulp{opts.opt_rtol, opts.opt_atol, true, opts.opt_max_ulp};
 
-  const auto plan = [&](bool parallel, DirectivePolicy policy,
-                        bool deterministic) {
-    InterpOptions o;
-    o.engine = ExecEngine::kPlan;
-    o.parallel = parallel;
-    o.num_threads = opts.num_threads;
-    o.policy = policy;
-    o.deterministic_parallel = deterministic;
-    return o;
-  };
   // Native legs run the kernels that ship (the engine's defaults) with
   // one deviation: the oracle exists to exercise the dispatch paths, so
   // the profit gate must not divert regions to serial (the measured gate
@@ -400,13 +265,9 @@ OracleReport run_oracle(const Program& program, const std::string& entry,
 
   std::vector<Leg> legs;
   if (opts.run_plan) {
-    legs.push_back({"plan", plan(false, DirectivePolicy::kV0, false), tol});
-    if (opts.run_parallel) {
-      for (const DirectivePolicy policy : opts.policies) {
-        legs.push_back({cat("parallel-", to_string(policy), "-plan"),
-                        plan(true, policy, false), tol});
-      }
-    }
+    InterpOptions o;
+    o.engine = ExecEngine::kPlan;
+    legs.push_back({"plan", o, tol});
   }
   if (opts.run_native && cc_available(opts.cc)) {
     legs.push_back({"native",
@@ -416,15 +277,11 @@ OracleReport run_oracle(const Program& program, const std::string& entry,
   if (opts.run_native_parallel && cc_available(opts.cc)) {
     // Each parallel kernel threads bit-exact steps and runs everything
     // else serially, so it is bitwise equal to the serial reference by
-    // construction. The plan engine under the same deterministic contract
-    // closes the triangle: parallel-native == reference ==
-    // parallel-plan-det.
+    // construction.
     for (const DirectivePolicy policy : opts.policies) {
       legs.push_back({cat("parallel-", to_string(policy), "-native"),
                       native(true, policy, NumericModel::kInterp), exact,
                       &OracleReport::native_backend_ran});
-      legs.push_back({cat("parallel-", to_string(policy), "-plan-det"),
-                      plan(true, policy, true), exact});
     }
   }
   if (opts.run_native_opt && cc_available(opts.cc)) {
@@ -449,8 +306,20 @@ OracleReport run_oracle(const Program& program, const std::string& entry,
            leg.cmp, leg.ran);
   }
   if (opts.run_compiled_c && cc_available(opts.cc)) {
-    record("c", run_compiled_c(program, entry, specs.value(), opts), tol,
-           &OracleReport::c_backend_ran);
+    record("c",
+           run_compiled_c(program, entry, specs.value(), opts, std::nullopt,
+                          1),
+           tol, &OracleReport::c_backend_ran);
+    // The OpenMP builds run every kept directive, the ones the parallel
+    // kernels keep serial (reductions, atomics, private copies) included.
+    if (opts.run_native_parallel && openmp_available(opts.cc)) {
+      for (const DirectivePolicy policy : opts.policies) {
+        record(cat("parallel-", to_string(policy), "-c"),
+               run_compiled_c(program, entry, specs.value(), opts, policy,
+                              opts.num_threads),
+               tol, &OracleReport::c_backend_ran);
+      }
+    }
   }
   return report;
 }

@@ -5,23 +5,24 @@
 //
 //   1. the serial tree-walk interpreter (the reference),
 //   2. the serial plan engine (compiled flat plans on the VM),
-//   3. the parallel plan engine under each directive policy v0..v3,
-//   4. the native JIT engine (src/jit) running the kernel in-process —
+//   3. the native JIT engine (src/jit) running the kernel in-process —
 //      compared *bitwise* against the reference, since interp_math
 //      emission promises bit-identical arithmetic,
-//   5. (opt-in) the *parallel* native kernel that ships (fused regions,
-//      every region dispatched) under each policy, plus the plan engine
-//      in deterministic-parallel mode — also compared bitwise: threaded
-//      bit-exact steps must not change a single bit,
-//   6. the generated C translation unit compiled with the system
-//      compiler and run in a subprocess,
-//   7. (opt-in) the opt-tier native kernel — typed storage, restrict,
+//   4. (opt-in) under each directive policy v0..v3, the *parallel*
+//      native kernel that ships (fused regions, every region dispatched),
+//      compared bitwise: threaded bit-exact steps must not change a
+//      single bit; and the C back-end's OpenMP build run at
+//      `num_threads`, which executes every kept directive's clauses
+//      (private copies, reductions, atomics) for real,
+//   5. the generated C translation unit (the serial build) compiled with
+//      the system compiler and run in a subprocess,
+//   6. (opt-in) the opt-tier native kernel — typed storage, restrict,
 //      -O3 with contraction — compared under a per-element ulp budget
 //      instead of bitwise, the numeric contract that tier advertises,
 //
 // and every Global Scope grid is compared element-wise afterwards.
 // Agreement is |a-b| <= atol + rtol*max(|a|,|b|), with NaN==NaN; exact
-// backends match bitwise, while parallel reduction merges may
+// backends match bitwise, while the OpenMP builds' reductions may
 // reassociate within the tolerance.
 //
 // External (imported-module / COMMON) grids receive deterministic
@@ -33,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "codegen/c_run.hpp"  // openmp_available, for backend gating
 #include "codegen/options.hpp"
 #include "core/program.hpp"
 #include "support/status.hpp"
@@ -44,18 +46,20 @@ struct OracleOptions {
   double rtol = 1e-9;
   double atol = 1e-9;
   int num_threads = 4;
-  bool run_parallel = true;   ///< parallel plan-engine backends
-  bool run_compiled_c = true; ///< compile-and-execute C backend
+  /// Compile-and-execute C backends: the serial build, and with
+  /// run_native_parallel the OpenMP builds.
+  bool run_compiled_c = true;
   /// In-process native JIT leg (gated on cc availability, like the C
   /// backend, but with no subprocess round-trip). Compared bitwise.
   bool run_native = true;
-  /// Parallel native legs ("parallel-vK-native"), one per policy, plus
-  /// deterministic parallel plan legs ("parallel-vK-plan-det") — every
-  /// one held to bitwise equality against the serial reference (and so,
-  /// transitively, against the serial native kernel and each other).
-  /// The native legs run the kernels that ship (fused regions, ABI v3)
-  /// with every region dispatched. Off by default: each policy costs an
-  /// extra kernel compile.
+  /// Parallel legs, one pair per policy. "parallel-vK-native" runs the
+  /// kernel that ships (fused regions, ABI v3) with every region
+  /// dispatched, held to bitwise equality against the serial reference
+  /// (and so, transitively, against the serial native kernel).
+  /// "parallel-vK-c" (also gated on run_compiled_c, and skipped when
+  /// `cc -fopenmp` does not link) runs the C back-end's OpenMP build at
+  /// num_threads, within the tolerance. Off by default: each policy
+  /// costs a kernel compile and an OpenMP compile.
   bool run_native_parallel = false;
   /// Opt-tier native leg ("native-opt"): the same program JIT-compiled
   /// under NumericModel::kOpt — typed storage, restrict pointers,
@@ -68,8 +72,7 @@ struct OracleOptions {
   std::uint64_t opt_max_ulp = 64;  ///< per-element budget for the opt leg
   double opt_rtol = 0.0;           ///< optional relative band on top
   double opt_atol = 0.0;           ///< optional absolute band on top
-  /// Plan-engine legs: serial "plan" plus "parallel-vK-plan" per policy
-  /// (the latter also gated on run_parallel).
+  /// The serial plan-engine leg ("plan").
   bool run_plan = true;
   std::vector<DirectivePolicy> policies = {
       DirectivePolicy::kV0, DirectivePolicy::kV1, DirectivePolicy::kV2,
@@ -80,14 +83,15 @@ struct OracleOptions {
   /// directory under work_dir, so one-off fuzz kernels never pollute the
   /// user's ~/.cache/glaf/kernels.
   std::string native_cache_dir;
-  /// Test hook: rewrite the generated C source before compiling (used to
-  /// inject semantic bugs and prove the oracle catches them).
+  /// Test hook: rewrite the generated C source of every C leg before
+  /// compiling (used to inject semantic bugs and prove the oracle catches
+  /// them).
   std::function<std::string(const std::string&)> c_source_transform;
 };
 
 /// One element-level disagreement against the serial reference.
 struct Divergence {
-  std::string backend;  ///< "plan", "parallel-v2-plan", ..., "native", "c"
+  std::string backend;  ///< "plan", "native", "parallel-v2-c", ..., "c"
   std::string grid;
   std::int64_t index = 0;  ///< flat element index
   double expected = 0.0;   ///< serial reference value

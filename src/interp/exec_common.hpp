@@ -2,8 +2,7 @@
 // Semantics shared by the two execution engines (the tree-walk Executor in
 // machine.cpp and the plan VM in vm.cpp), written down once: error
 // unwinding, operator and library-result rules, and the routines that
-// build every grid instance (globals, locals, SAVE'd locals and
-// parallel-region private copies).
+// build every grid instance (globals, locals and SAVE'd locals).
 
 #include <cmath>
 #include <cstdint>
@@ -78,8 +77,8 @@ inline double apply_int_result(IntResult rule, double value,
 }
 
 /// Runs a user function met inside an extent expression. The engine that
-/// builds the storage passes its own call path, so plan-VM frames keep
-/// their global overrides and their stats.
+/// builds the storage passes its own call path, so the call counts in
+/// that engine's stats.
 class UserCalls {
  public:
   virtual double call_user(const Function& fn, Instance* const* args,
@@ -91,7 +90,7 @@ class UserCalls {
 
 /// (Re)builds `inst` in place as storage for `g`: extents evaluated over
 /// `slots` (indexed by GridId, no loop index bound), every element zero,
-/// then the grid's initial data. A recycled instance keeps its buffers.
+/// then the grid's initial data.
 void build_instance(const Program& program, Instance& inst, const Grid& g,
                     Instance* const* slots, UserCalls& calls);
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
-#include <set>
 
 #include "core/libfuncs.hpp"
 #include "core/typecheck.hpp"
@@ -327,10 +325,8 @@ double Executor::call_user(const Function& fn, Instance* const* args,
     IndexEnv env;
     exec_loops(slots.data(), step, 0, env, &returned, &ret_value);
     if (m_.options_.trace) {
-      const std::lock_guard<std::mutex> lock(m_.trace_mutex_);
       m_.trace_.push_back(TraceEntry{
-          fn.name, step.name, stats.loop_iterations - iterations_before,
-          false});
+          fn.name, step.name, stats.loop_iterations - iterations_before});
     }
     if (returned) break;
   }
@@ -428,16 +424,12 @@ jit::NativeEngine::Options native_engine_options(const InterpOptions& options,
 Machine::Machine(Program program, InterpOptions options)
     : program_(std::move(program)), options_(std::move(options)),
       analysis_(analyze_program(program_, options_.tweaks)) {
-  // The tree-walk is the serial semantic reference: it has no parallel
-  // path, so a parallel request runs it serially.
-  if (options_.engine == ExecEngine::kTreeWalk) options_.parallel = false;
-  // The pool serves the plan VM and interp-tier kernels. An opt-tier
-  // kernel is serial (KernelUnit::parallel), so that machine builds one
-  // below only if the kernel did not load and its plan fallback runs the
-  // parallel steps.
-  const bool serial_kernel = options_.engine == ExecEngine::kNative &&
-                             options_.native_model == NumericModel::kOpt;
-  if (options_.parallel && !serial_kernel) {
+  // Only an interp-tier kernel runs in parallel. The tree-walk and the
+  // plan VM are serial engines, and an opt-tier kernel is serial
+  // (KernelUnit::parallel), so a parallel request to any of them runs
+  // serially.
+  if (options_.parallel && options_.engine == ExecEngine::kNative &&
+      options_.native_model != NumericModel::kOpt) {
     pool_ = std::make_unique<ThreadPool>(options_.num_threads);
   }
   // Allocate global grids in declaration order: scalars that define other
@@ -456,20 +448,8 @@ Machine::Machine(Program program, InterpOptions options)
   // Plan engine: compile once per machine. kNative compiles plans too —
   // they are its per-call fallback path.
   if (options_.engine != ExecEngine::kTreeWalk) {
-    // Union of atomic-update targets across all verdicts and tweaks: these
-    // are serialized anywhere inside a parallel region (orphaned ATOMIC).
-    std::set<GridId> atomic_grids;
-    for (const auto& [fn_id, verdicts] : analysis_.verdicts) {
-      for (const StepVerdict& v : verdicts) {
-        atomic_grids.insert(v.atomic_grids.begin(), v.atomic_grids.end());
-      }
-    }
-    for (const auto& [fn_name, tweaks] : options_.tweaks) {
-      atomic_grids.insert(tweaks.force_atomic.begin(),
-                          tweaks.force_atomic.end());
-    }
     plans_ = std::make_unique<interp::ProgramPlan>(
-        interp::compile_plans(program_, analysis_, atomic_grids));
+        interp::compile_plans(program_, analysis_, {}));
   }
   if (options_.engine == ExecEngine::kNative) {
     if (options_.trace) {
@@ -503,9 +483,8 @@ Machine::Machine(Program program, InterpOptions options)
       }
     }
   }
-  if (options_.parallel && pool_ == nullptr && native_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  }
+  // A kernel that did not load leaves its calls to the serial plans.
+  if (native_ == nullptr) pool_.reset();
 }
 
 Machine::~Machine() = default;

@@ -2,24 +2,25 @@
 // Direct execution of GLAF programs — the reproduction's substitute for
 // compiling the generated FORTRAN with gfortran/ifort (no Fortran compiler
 // is available offline). The interpreter implements the same semantics the
-// generators emit, serially or in parallel:
+// generators emit:
 //
-//  - serial mode mirrors the "GLAF serial" build;
-//  - parallel mode (plan and native engines) honours the
-//    auto-parallelization verdicts and a directive policy (v0..v3),
-//    running directive-kept steps on the thread pool with private copies,
-//    reduction merging and atomic updates — mirroring the OpenMP builds
-//    of §4.
+//  - every engine mirrors the "GLAF serial" build;
+//  - the native engine's parallel mode honours the auto-parallelization
+//    verdicts and a directive policy (v0..v3), running the directive-kept
+//    steps it can thread without changing a bit on a thread pool behind
+//    a profit gate. The tree-walk and the plan VM are serial only.
 //
 // This is what enables the paper's §4.1.1 methodology: "a code-wide
 // side-by-side comparison of the results from the execution using the GLAF
 // auto-generated subroutines, against the results from executing the
-// original code ... for both the serial and parallel versions".
+// original code ... for both the serial and parallel versions". The
+// parallel versions' OpenMP clauses (private copies, reductions, atomic
+// updates) are checked on the C back-end's OpenMP output, compiled and
+// run at several thread counts (codegen/c_run.hpp).
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <variant>
 #include <vector>
@@ -63,8 +64,10 @@ enum class ExecEngine {
   /// only, the semantic definition the other engines are checked
   /// against. A machine built with `parallel` set runs it serially.
   kTreeWalk,
-  kPlan,      ///< compiled flat plans (plan.cpp) on the VM (vm.cpp)
-  kNative,    ///< JIT-compiled shared object (src/jit), plan fallback
+  /// Compiled flat plans (plan.cpp) on the VM (vm.cpp); serial only,
+  /// like the tree-walk.
+  kPlan,
+  kNative,    ///< JIT-compiled shared object (src/jit), serial plan fallback
 };
 
 /// Native (JIT) engine status for one machine (see native_report()).
@@ -114,7 +117,9 @@ struct InterpOptions {
   /// Execution engine; plans are the default, the tree-walk remains as the
   /// serial semantic reference (the fuzz oracle cross-checks them).
   ExecEngine engine = ExecEngine::kPlan;
-  /// Run directive-kept steps in parallel (plan and native engines).
+  /// kNative: thread the directive-kept bit-exact steps of the kernel on
+  /// a pool of num_threads. Every other engine, and the plan fallback of
+  /// a kernel that did not load, runs serially.
   bool parallel = false;
   int num_threads = 4;
   DirectivePolicy policy = DirectivePolicy::kV0;
@@ -125,13 +130,6 @@ struct InterpOptions {
   /// Record a per-step execution trace (the GPI's debugging/visualization
   /// facility): which steps ran, in order, with iteration counts.
   bool trace = false;
-  /// Restrict parallel execution to steps the analysis proved bitwise
-  /// deterministic (StepVerdict::bit_exact without an ownership-band
-  /// constraint); everything else runs serially. Results are then
-  /// bit-identical to a serial run at any thread count — the contract
-  /// the parallel native engine provides by construction, surfaced here
-  /// so plan legs can be held to exact equality too.
-  bool deterministic_parallel = false;
   /// kNative: compiler command ("" resolves $GLAF_CC, then "cc") and
   /// kernel-cache directory ("" resolves $GLAF_KERNEL_CACHE / XDG).
   std::string native_cc;
@@ -161,22 +159,21 @@ struct TraceEntry {
   std::string function;
   std::string step;
   std::uint64_t iterations = 0;  ///< innermost-loop iterations executed
-  bool parallel = false;         ///< ran as a parallel region
 };
 
-/// Execution statistics (drive the reallocation/parallel-region analyses).
+/// Execution statistics of the interpreter engines (drive the
+/// reallocation analysis). A native call counts in function_calls only;
+/// its regions are in NativeReport.
 struct InterpStats {
   std::uint64_t steps_executed = 0;
   std::uint64_t loop_iterations = 0;
   std::uint64_t local_allocations = 0;  ///< local-array materializations
-  std::uint64_t parallel_regions = 0;
   std::uint64_t function_calls = 0;
 
   InterpStats& operator+=(const InterpStats& o) {
     steps_executed += o.steps_executed;
     loop_iterations += o.loop_iterations;
     local_allocations += o.local_allocations;
-    parallel_regions += o.parallel_regions;
     function_calls += o.function_calls;
     return *this;
   }
@@ -239,6 +236,7 @@ class Machine {
   const Program program_;
   InterpOptions options_;
   ProgramAnalysis analysis_;
+  /// The parallel interp-tier kernel's pool (null otherwise).
   std::unique_ptr<ThreadPool> pool_;
 
   /// GridId -> storage for globals; save-cache for SAVE'd locals.
@@ -265,11 +263,6 @@ class Machine {
 
   InterpStats stats_;
   std::vector<TraceEntry> trace_;
-  mutable std::mutex trace_mutex_;
-
-  /// Serializes the plan VM's atomic updates inside parallel regions
-  /// (step ATOMIC clauses and "orphaned" ATOMIC directives in callees).
-  std::mutex atomic_mutex_;
 };
 
 }  // namespace glaf

@@ -38,25 +38,15 @@ struct Affine {
 /// actually executed.
 class PlanCompiler {
  public:
-  PlanCompiler(const Program& program, const ProgramAnalysis& analysis,
-               const std::set<GridId>& atomic_grids)
-      : program_(program), analysis_(analysis), atomic_grids_(atomic_grids) {}
+  explicit PlanCompiler(const Program& program) : program_(program) {}
 
   FunctionPlan compile(const Function& fn) {
     out_ = FunctionPlan{};
     out_.fn = &fn;
     const_pool_.clear();
     ref_pool_.clear();
-    const auto verdict_it = analysis_.verdicts.find(fn.id);
     out_.steps.reserve(fn.steps.size());
-    for (std::size_t s = 0; s < fn.steps.size(); ++s) {
-      const StepVerdict* verdict =
-          verdict_it != analysis_.verdicts.end() &&
-                  s < verdict_it->second.size()
-              ? &verdict_it->second[s]
-              : nullptr;
-      compile_step(fn.steps[s], verdict);
-    }
+    for (const Step& step : fn.steps) compile_step(step);
     return std::move(out_);
   }
 
@@ -121,11 +111,6 @@ class PlanCompiler {
       if (*it->first == name) return it->second;
     }
     return std::nullopt;
-  }
-
-  void note_idx_use(std::uint16_t slot) {
-    if (cur_mask_ == 0) cur_first_idx_ = slot;
-    cur_mask_ |= slot < 32 ? (1u << slot) : 0;
   }
 
   // ---- interpreter-exact constant folding --------------------------------
@@ -225,7 +210,6 @@ class PlanCompiler {
           return emit_trap(
               cat("index variable '", e.index_name, "' not bound"));
         }
-        note_idx_use(*slot);
         const std::uint16_t r = alloc_reg();
         emit({POp::kLoadIdx, 0, r, *slot, 0, 0});
         return r;
@@ -312,7 +296,6 @@ class PlanCompiler {
         dp.coeff = forms[d]->coeff;
         dp.constant = forms[d]->constant;
         dp.slot = forms[d]->slot;
-        note_idx_use(dp.slot);
       } else {
         dp.kind = DimPlan::Kind::kDyn;
         dp.reg = compile_expr(*subs[d]);
@@ -400,11 +383,11 @@ class PlanCompiler {
 
   // ---- statements --------------------------------------------------------
 
-  void compile_stmt(const Stmt& stmt, const StepVerdict* verdict) {
+  void compile_stmt(const Stmt& stmt) {
     next_reg_ = 0;  // registers are statement-scoped
     switch (stmt.kind) {
       case Stmt::Kind::kAssign:
-        compile_assign(stmt, verdict);
+        compile_assign(stmt);
         return;
       case Stmt::Kind::kIf: {
         std::vector<std::uint32_t> end_jumps;
@@ -412,11 +395,11 @@ class PlanCompiler {
           next_reg_ = 0;
           const std::uint16_t c = compile_expr(*arm.cond);
           const std::uint32_t jz = emit({POp::kJumpIfZero, 0, 0, c, 0, 0});
-          for (const Stmt& s : arm.body) compile_stmt(s, verdict);
+          for (const Stmt& s : arm.body) compile_stmt(s);
           end_jumps.push_back(emit({POp::kJump, 0, 0, 0, 0, 0}));
           out_.code[jz].c = static_cast<std::uint32_t>(out_.code.size());
         }
-        for (const Stmt& s : stmt.else_body) compile_stmt(s, verdict);
+        for (const Stmt& s : stmt.else_body) compile_stmt(s);
         for (const std::uint32_t j : end_jumps) {
           out_.code[j].c = static_cast<std::uint32_t>(out_.code.size());
         }
@@ -450,49 +433,14 @@ class PlanCompiler {
     }
   }
 
-  void compile_assign(const Stmt& stmt, const StepVerdict* verdict) {
+  void compile_assign(const Stmt& stmt) {
     const Grid& g = program_.grid(stmt.lhs.grid);
     const bool trunc = g.field_type(stmt.lhs.field) == DataType::kInt;
-    const bool step_atomic =
-        verdict != nullptr &&
-        std::find(verdict->atomic_grids.begin(), verdict->atomic_grids.end(),
-                  stmt.lhs.grid) != verdict->atomic_grids.end();
-    const bool machine_atomic = atomic_grids_.count(stmt.lhs.grid) != 0;
-    if (!step_atomic && !machine_atomic) {
-      const std::uint16_t rhs = compile_expr(*stmt.rhs);
-      const std::uint32_t acc =
-          compile_access(stmt.lhs.grid, stmt.lhs.field, stmt.lhs.subscripts);
-      emit({POp::kStoreGrid, static_cast<std::uint8_t>(trunc ? kFlagTruncStore : 0),
-            0, rhs, 0, acc});
-      return;
-    }
-    // Dual lowering: the store site may or may not be atomic depending on
-    // run-time context (step parallel-active / inside any parallel
-    // region). The two sequences mirror the tree-walk's differing
-    // evaluation orders: rhs-then-subscripts without truncation is the
-    // atomic path; rhs-then-subscripts WITH truncation is the normal path.
-    std::uint8_t jflags = 0;
-    if (step_atomic) jflags |= kFlagStepAtomic;
-    if (machine_atomic) jflags |= kFlagMachineAtomic;
-    const std::uint32_t branch = emit({POp::kJumpIfAtomic, jflags, 0, 0, 0, 0});
-    {
-      const std::uint16_t rhs = compile_expr(*stmt.rhs);
-      const std::uint32_t acc =
-          compile_access(stmt.lhs.grid, stmt.lhs.field, stmt.lhs.subscripts);
-      emit({POp::kStoreGrid, static_cast<std::uint8_t>(trunc ? kFlagTruncStore : 0),
-            0, rhs, 0, acc});
-    }
-    const std::uint32_t skip = emit({POp::kJump, 0, 0, 0, 0, 0});
-    out_.code[branch].c = static_cast<std::uint32_t>(out_.code.size());
-    {
-      // Atomic path: subscripts before rhs (the tree-walk re-reads the
-      // target under the lock), and no INTEGER truncation.
-      const std::uint32_t acc =
-          compile_access(stmt.lhs.grid, stmt.lhs.field, stmt.lhs.subscripts);
-      const std::uint16_t rhs = compile_expr(*stmt.rhs);
-      emit({POp::kStoreAtomic, 0, 0, rhs, 0, acc});
-    }
-    out_.code[skip].c = static_cast<std::uint32_t>(out_.code.size());
+    const std::uint16_t rhs = compile_expr(*stmt.rhs);
+    const std::uint32_t acc =
+        compile_access(stmt.lhs.grid, stmt.lhs.field, stmt.lhs.subscripts);
+    emit({POp::kStoreGrid, static_cast<std::uint8_t>(trunc ? kFlagTruncStore : 0),
+          0, rhs, 0, acc});
   }
 
   // ---- steps -------------------------------------------------------------
@@ -500,13 +448,9 @@ class PlanCompiler {
   ExprProg compile_prog(const Expr& e) {
     ExprProg p;
     next_reg_ = 0;
-    cur_mask_ = 0;
-    cur_first_idx_ = 0;
     p.begin = static_cast<std::uint32_t>(out_.code.size());
     p.reg = compile_expr(e);
     p.end = static_cast<std::uint32_t>(out_.code.size());
-    p.idx_mask = cur_mask_;
-    p.first_idx = cur_first_idx_;
     if (p.end == p.begin + 1 && out_.code[p.begin].op == POp::kConst) {
       p.is_const = true;
       p.const_value = out_.consts[out_.code[p.begin].c];
@@ -514,7 +458,7 @@ class PlanCompiler {
     return p;
   }
 
-  void compile_step(const Step& step, const StepVerdict* verdict) {
+  void compile_step(const Step& step) {
     StepPlan sp;
     const std::size_t base = idx_names_.size();
     sp.loops.reserve(step.loops.size());
@@ -537,8 +481,7 @@ class PlanCompiler {
       out_.num_idx = static_cast<std::uint16_t>(step.loops.size());
     }
     sp.body_begin = static_cast<std::uint32_t>(out_.code.size());
-    cur_mask_ = 0;
-    for (const Stmt& s : step.body) compile_stmt(s, verdict);
+    for (const Stmt& s : step.body) compile_stmt(s);
     sp.body_end = static_cast<std::uint32_t>(out_.code.size());
     idx_names_.resize(base);
     out_.steps.push_back(std::move(sp));
@@ -559,27 +502,23 @@ class PlanCompiler {
   }
 
   const Program& program_;
-  const ProgramAnalysis& analysis_;
-  const std::set<GridId>& atomic_grids_;
 
   FunctionPlan out_;
   std::map<std::uint64_t, std::uint32_t> const_pool_;
   std::map<std::pair<GridId, std::string>, std::uint32_t> ref_pool_;
   std::vector<std::pair<const std::string*, std::uint16_t>> idx_names_;
   std::uint16_t next_reg_ = 0;
-  std::uint32_t cur_mask_ = 0;
-  std::uint16_t cur_first_idx_ = 0;
   std::map<const Expr*, DataType> type_cache_;
 };
 
 }  // namespace
 
 ProgramPlan compile_plans(const Program& program,
-                          const ProgramAnalysis& analysis,
-                          const std::set<GridId>& atomic_grids) {
+                          const ProgramAnalysis& /*analysis*/,
+                          const std::set<GridId>& /*atomic_grids*/) {
   ProgramPlan plans;
   plans.functions.resize(program.functions.size());
-  PlanCompiler compiler(program, analysis, atomic_grids);
+  PlanCompiler compiler(program);
   for (const Function& fn : program.functions) {
     plans.functions[fn.id] = compiler.compile(fn);
   }

@@ -38,7 +38,6 @@ enum class POp : std::uint8_t {
   kLoadIdx,      ///< regs[dst] = idx[a]
   kLoadGrid,     ///< regs[dst] = *element(accesses[c])
   kStoreGrid,    ///< *element(accesses[c]) = regs[a] (flags: trunc-to-int)
-  kStoreAtomic,  ///< like kStoreGrid but under the machine atomic lock
   kAdd, kSub, kMul, kDiv, kIntDiv, kPow, kMod,
   kLt, kLe, kGt, kGe, kEq, kNe, kAnd, kOr,
   kNeg, kNot,
@@ -48,7 +47,6 @@ enum class POp : std::uint8_t {
   kCallSub,      ///< CALL statement (call_sites[c]); no result
   kJump,         ///< pc = c
   kJumpIfZero,   ///< if (regs[a] == 0) pc = c
-  kJumpIfAtomic, ///< if this store site is atomic right now, pc = c
   kGuardRef,     ///< fail "has no storage" now if refs[c] is unbound
   kReturnValue,  ///< function RETURN expr (regs[a])
   kReturnVoid,   ///< function RETURN
@@ -59,8 +57,6 @@ enum class POp : std::uint8_t {
 inline constexpr std::uint8_t kFlagTruncStore = 1;  ///< INTEGER lhs truncation
 inline constexpr std::uint8_t kFlagTruncResult = 2; ///< INTEGER lib result
 inline constexpr std::uint8_t kFlagNint = 4;        ///< NINT rounding override
-inline constexpr std::uint8_t kFlagStepAtomic = 8;  ///< lhs in step atomic set
-inline constexpr std::uint8_t kFlagMachineAtomic = 16; ///< lhs machine-atomic
 
 struct PlanInstr {
   POp op = POp::kTrap;
@@ -130,8 +126,6 @@ struct ExprProg {
   std::uint16_t reg = 0;
   bool is_const = false;
   double const_value = 0.0;
-  std::uint32_t idx_mask = 0;   ///< bit d set if the program reads idx[d]
-  std::uint16_t first_idx = 0;  ///< first idx slot read (when idx_mask != 0)
 };
 
 struct LoopPlan {
@@ -169,9 +163,10 @@ struct ProgramPlan {
   std::vector<FunctionPlan> functions;
 };
 
-/// Compile every function. `atomic_grids` is the machine-wide orphaned
-/// ATOMIC set (verdict unions + force_atomic tweaks): stores to those
-/// grids get a dual checked/atomic lowering selected at run time.
+/// Compile every function. The plans run serially, so they read neither
+/// the analysis nor the ATOMIC grid set; both parameters stay for the
+/// callers that already pass them (the benchmark harness replays this
+/// stage with them).
 ProgramPlan compile_plans(const Program& program,
                           const ProgramAnalysis& analysis,
                           const std::set<GridId>& atomic_grids);

@@ -58,8 +58,6 @@ std::string interp_stats_json(const InterpStats& stats) {
   w.value(stats.loop_iterations);
   w.key("local_allocations");
   w.value(stats.local_allocations);
-  w.key("parallel_regions");
-  w.value(stats.parallel_regions);
   w.key("function_calls");
   w.value(stats.function_calls);
   w.end_object();

@@ -1,13 +1,8 @@
 #include "interp/vm.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
-#include <utility>
 
-#include "codegen/directive_policy.hpp"
 #include "core/libfuncs.hpp"
-#include "runtime/thread_pool.hpp"
 #include "support/strings.hpp"
 
 namespace glaf::interp {
@@ -16,30 +11,9 @@ namespace {
 std::int64_t to_index(double v) {
   return static_cast<std::int64_t>(std::llround(v));
 }
-
-double reduction_identity(ReduceOp op) {
-  switch (op) {
-    case ReduceOp::kSum: return 0.0;
-    case ReduceOp::kProd: return 1.0;
-    case ReduceOp::kMin: return std::numeric_limits<double>::infinity();
-    case ReduceOp::kMax: return -std::numeric_limits<double>::infinity();
-  }
-  return 0.0;
-}
-
-double reduction_combine(ReduceOp op, double a, double b) {
-  switch (op) {
-    case ReduceOp::kSum: return a + b;
-    case ReduceOp::kProd: return a * b;
-    case ReduceOp::kMin: return std::min(a, b);
-    case ReduceOp::kMax: return std::max(a, b);
-  }
-  return a;
-}
 }  // namespace
 
-PlanExecutor::PlanExecutor(Machine& m)
-    : m_(m), atomic_lock_(m.atomic_mutex_, std::defer_lock) {}
+PlanExecutor::PlanExecutor(Machine& m) : m_(m) {}
 
 PlanExecutor::~PlanExecutor() = default;
 
@@ -56,16 +30,6 @@ void PlanExecutor::release_scratch(CallScratch& cs) {
   cs.keepalive.clear();
   cs.temps_used = 0;
   --depth_;
-}
-
-void PlanExecutor::reset_after_error() {
-  depth_ = 0;
-  atomic_depth_ = 0;
-  if (atomic_lock_.owns_lock()) atomic_lock_.unlock();
-  for (const auto& s : scratch_) {
-    s->keepalive.clear();
-    s->temps_used = 0;
-  }
 }
 
 // ---- binding ---------------------------------------------------------------
@@ -222,11 +186,6 @@ void PlanExecutor::run_range(Ctx& C, std::uint32_t begin, std::uint32_t end) {
         *p = (in.flags & kFlagTruncStore) != 0 ? std::trunc(v) : v;
         break;
       }
-      case POp::kStoreAtomic: {
-        *elem_addr(C, in.c) = regs[in.a];
-        if (--atomic_depth_ == 0) atomic_lock_.unlock();
-        break;
-      }
       case POp::kAdd: regs[in.dst] = regs[in.a] + regs[in.b]; break;
       case POp::kSub: regs[in.dst] = regs[in.a] - regs[in.b]; break;
       case POp::kMul: regs[in.dst] = regs[in.a] * regs[in.b]; break;
@@ -306,18 +265,6 @@ void PlanExecutor::run_range(Ctx& C, std::uint32_t begin, std::uint32_t end) {
       case POp::kJumpIfZero:
         if (regs[in.a] == 0.0) pc = in.c;
         break;
-      case POp::kJumpIfAtomic: {
-        const bool hit =
-            ((in.flags & kFlagStepAtomic) != 0 && C.parallel_active) ||
-            ((in.flags & kFlagMachineAtomic) != 0 && in_parallel_region);
-        if (hit) {
-          // Re-entrant on the same executor; the store releases at
-          // depth zero.
-          if (atomic_depth_++ == 0) atomic_lock_.lock();
-          pc = in.c;
-        }
-        break;
-      }
       case POp::kGuardRef:
         if (C.cs->refs[in.c].err == 1) ref_fail(C, in.c);
         break;
@@ -400,7 +347,6 @@ double PlanExecutor::call_function(const FunctionPlan& plan,
   CallScratch& cs = acquire_scratch();
   PlanFrame& f = cs.frame;
   f.slots.assign(m_.global_slots_.begin(), m_.global_slots_.end());
-  for (const auto& [id, inst] : global_overrides) f.slots[id] = inst;
 
   if (nargs != fn.params.size()) {
     fail(cat("call to '", fn.name, "': expected ", fn.params.size(),
@@ -409,207 +355,30 @@ double PlanExecutor::call_function(const FunctionPlan& plan,
   for (std::size_t i = 0; i < nargs; ++i) f.slots[fn.params[i]] = args[i];
 
   materialize_locals(m_.program_, fn, m_.options_.save_temporaries,
-                     f.slots.data(), cs.keepalive,
-                     in_parallel_region ? saved_locals_local_
-                                        : m_.saved_locals_,
-                     stats, *this);
+                     f.slots.data(), cs.keepalive, m_.saved_locals_, stats,
+                     *this);
 
   f.regs.resize(plan.num_regs);
   f.idx.resize(plan.num_idx);
   f.ret_value = 0.0;
   bind(cs, plan);
 
-  const auto verdict_it = m_.analysis_.verdicts.find(fn.id);
+  Ctx C{&plan, &cs};
   for (std::size_t s = 0; s < plan.steps.size(); ++s) {
-    const StepVerdict* verdict =
-        verdict_it != m_.analysis_.verdicts.end() &&
-                s < verdict_it->second.size()
-            ? &verdict_it->second[s]
-            : nullptr;
     ++stats.steps_executed;
     f.returned = false;
-    const StepPlan& sp = plan.steps[s];
-    const bool parallel =
-        m_.options_.parallel && !in_parallel_region && verdict != nullptr &&
-        verdict->has_loop && !verdict->needs_critical &&
-        keep_directive(m_.options_.policy, *verdict) && m_.pool_ != nullptr &&
-        // Deterministic mode: thread only steps proved bitwise identical
-        // to serial under a flat partition (see InterpOptions).
-        (!m_.options_.deterministic_parallel ||
-         (verdict->bit_exact && verdict->exact_partition_dim < 0));
     const std::uint64_t iterations_before = stats.loop_iterations;
-    if (parallel) {
-      ++stats.parallel_regions;
-      run_step_parallel(cs, plan, sp, fn.steps[s], *verdict);
-    } else {
-      Ctx C{&plan, &cs, verdict, false};
-      run_loops(C, sp, 0);
-    }
+    run_loops(C, plan.steps[s], 0);
     if (m_.options_.trace) {
-      const std::lock_guard<std::mutex> lock(m_.trace_mutex_);
-      m_.trace_.push_back(TraceEntry{
-          fn.name, fn.steps[s].name,
-          stats.loop_iterations - iterations_before, parallel});
+      m_.trace_.push_back(TraceEntry{fn.name, fn.steps[s].name,
+                                     stats.loop_iterations -
+                                         iterations_before});
     }
     if (f.returned) break;
   }
   const double ret = f.ret_value;
   release_scratch(cs);
   return ret;
-}
-
-// ---- parallel execution ----------------------------------------------------
-
-PlanExecutor& PlanExecutor::worker(int rank) {
-  auto& slot = workers_[static_cast<std::size_t>(rank)];
-  if (!slot) {
-    slot = std::unique_ptr<PlanExecutor>(new PlanExecutor(m_));
-    slot->in_parallel_region = true;
-  }
-  return *slot;
-}
-
-std::shared_ptr<Instance> PlanExecutor::cached_copy(GridId id) {
-  auto& slot = copy_cache_[id];
-  if (!slot) slot = std::make_shared<Instance>();
-  return slot;
-}
-
-void PlanExecutor::run_step_parallel(CallScratch& cs, const FunctionPlan& plan,
-                                     const StepPlan& sp, const Step& step,
-                                     const StepVerdict& verdict) {
-  struct CollapsedLoop {
-    std::int64_t begin = 0;
-    std::int64_t stride = 1;
-    std::int64_t trips = 0;
-  };
-  const std::size_t depth = std::min<std::size_t>(
-      std::max(verdict.collapse, 1), sp.loops.size());
-  Ctx C{&plan, &cs, nullptr, false};
-  // Band bounds are loop-invariant by the collapse legality rule; a bound
-  // that does reference an index fails with the unbound-index message.
-  const auto band_eval = [&](const ExprProg& p) -> std::int64_t {
-    if (p.idx_mask != 0) {
-      fail(cat("index variable '", step.loops[p.first_idx].index_var,
-               "' not bound"));
-    }
-    return eval_prog_int(C, p);
-  };
-  std::vector<CollapsedLoop> band;
-  std::int64_t iters = 1;
-  for (std::size_t d = 0; d < depth; ++d) {
-    const LoopPlan& lp = sp.loops[d];
-    CollapsedLoop cl;
-    cl.begin = band_eval(lp.begin);
-    const std::int64_t end = band_eval(lp.end);
-    cl.stride = lp.has_stride ? band_eval(lp.stride) : 1;
-    if (cl.stride == 0) fail("zero loop stride");
-    const std::int64_t span =
-        cl.stride > 0 ? end - cl.begin : cl.begin - end;
-    cl.trips = span < 0 ? 0 : span / std::llabs(cl.stride) + 1;
-    band.push_back(cl);
-    iters *= cl.trips;
-  }
-  if (iters <= 0) return;
-
-  if (workers_.empty()) {
-    workers_.resize(static_cast<std::size_t>(m_.pool_->size()));
-  }
-  std::mutex merge_mutex;
-
-  const auto chunk_body = [&](int rank, std::int64_t chunk_begin,
-                              std::int64_t chunk_end) {
-    PlanExecutor& w = worker(rank);
-    w.stats = {};
-    w.global_overrides = global_overrides;
-    // SAVE'd locals are per-chunk threadprivate.
-    w.saved_locals_local_.clear();
-    CallScratch& wcs = w.acquire_scratch();
-    try {
-      PlanFrame& tf = wcs.frame;
-      tf.slots.assign(cs.frame.slots.begin(), cs.frame.slots.end());
-      const auto thread_local_copy = [&](GridId id,
-                                         std::shared_ptr<Instance> inst) {
-        tf.slots[id] = inst.get();
-        if (m_.program_.grid(id).is_global) {
-          w.global_overrides[id] = inst.get();
-        }
-        wcs.keepalive.push_back(std::move(inst));
-      };
-      // Private grids: recycled per-thread instances, re-zeroed in place.
-      for (const GridId id : verdict.private_grids) {
-        auto copy = w.cached_copy(id);
-        build_instance(m_.program_, *copy, m_.program_.grid(id),
-                       cs.frame.slots.data(), w);
-        thread_local_copy(id, std::move(copy));
-      }
-      // Firstprivate: full value copies (buffers recycled).
-      for (const GridId id : verdict.firstprivate_grids) {
-        auto copy = w.cached_copy(id);
-        *copy = *cs.frame.slots[id];
-        thread_local_copy(id, std::move(copy));
-      }
-      // Reductions: identity-initialized copies of the shared instances.
-      // Snapshot under the merge mutex: a faster rank may already be
-      // combining its results into the shared instance while this rank
-      // is still setting up (the racing buffer is refilled with the
-      // identity below, but the copy itself must not race the writes).
-      for (const ReductionClause& r : verdict.reductions) {
-        auto copy = w.cached_copy(r.grid);
-        {
-          const std::lock_guard<std::mutex> lock(merge_mutex);
-          *copy = *cs.frame.slots[r.grid];
-        }
-        auto& buf = copy->grid->is_struct() ? copy->fields.at(r.field)
-                                            : copy->data;
-        std::fill(buf.begin(), buf.end(), reduction_identity(r.op));
-        thread_local_copy(r.grid, std::move(copy));
-      }
-
-      tf.regs.resize(plan.num_regs);
-      tf.idx.resize(plan.num_idx);
-      tf.returned = false;
-      tf.ret_value = 0.0;
-      w.bind(wcs, plan);
-      Ctx WC{&plan, &wcs, &verdict, true};
-      for (std::int64_t k = chunk_begin; k < chunk_end && !tf.returned;
-           ++k) {
-        // Unflatten k into the collapsed band (row-major, as OMP does).
-        std::int64_t rest = k;
-        for (std::size_t d = depth; d-- > 0;) {
-          const std::int64_t trip = rest % band[d].trips;
-          rest /= band[d].trips;
-          tf.idx[d] = band[d].begin + trip * band[d].stride;
-        }
-        if (depth == sp.loops.size()) ++w.stats.loop_iterations;
-        w.run_loops(WC, sp, depth);
-      }
-
-      {
-        const std::lock_guard<std::mutex> lock(merge_mutex);
-        for (const ReductionClause& r : verdict.reductions) {
-          Instance& shared = *cs.frame.slots[r.grid];
-          Instance& local = *tf.slots[r.grid];
-          auto& sbuf = shared.grid->is_struct() ? shared.fields.at(r.field)
-                                                : shared.data;
-          auto& lbuf = local.grid->is_struct() ? local.fields.at(r.field)
-                                               : local.data;
-          for (std::size_t i = 0; i < sbuf.size(); ++i) {
-            sbuf[i] = reduction_combine(r.op, sbuf[i], lbuf[i]);
-          }
-        }
-        stats += w.stats;
-      }
-      w.release_scratch(wcs);
-    } catch (...) {
-      // Leave the worker reusable and never exit a chunk holding the
-      // machine atomic lock (other chunks would deadlock before the pool
-      // rethrows).
-      w.reset_after_error();
-      throw;
-    }
-  };
-  m_.pool_->parallel_for(iters, chunk_body);
 }
 
 }  // namespace glaf::interp

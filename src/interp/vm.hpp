@@ -1,23 +1,20 @@
 #pragma once
 // The plan VM: executes FunctionPlans compiled by plan.cpp. One
-// PlanExecutor runs one top-level call tree; parallel regions reuse a
-// persistent per-rank worker PlanExecutor whose frames, bindings and
-// private-copy instances are recycled across chunks and steps — parallel
-// dispatch stops copying shared_ptr maps entirely.
+// PlanExecutor runs one top-level call tree, serially.
 //
-// Run serially, the VM must be observably identical to the tree-walk
-// Executor (machine.cpp): same results bit for bit, same stats, same
-// trace entries, same failure messages. Where it is deliberately cheaper
-// (flat offset guard instead of per-dimension subscript checks), the
-// GLAF_CHECKED_PLANS build option restores the full checks. Its parallel
-// path is the interpreter's only one. Outside the plans it evaluates
-// nothing itself: locals, SAVE'd locals and private copies are built by
-// the routines the tree-walk uses (exec_common.hpp).
+// The VM must be observably identical to the tree-walk Executor
+// (machine.cpp): same results bit for bit, same stats, same trace
+// entries, same failure messages. Where it is deliberately cheaper (flat
+// offset guard instead of per-dimension subscript checks), the
+// GLAF_CHECKED_PLANS build option restores the full checks. Outside the
+// plans it evaluates nothing itself: locals and SAVE'd locals are built
+// by the routines the tree-walk uses (exec_common.hpp). The OpenMP
+// directives are checked on the C back-end's output instead
+// (codegen/c_run.hpp), and the gated native kernels are the only
+// in-process parallel engine.
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "interp/exec_common.hpp"
@@ -65,7 +62,7 @@ struct CallScratch {
   std::vector<BoundRef> refs;
   std::vector<BoundAccess> accesses;
   std::vector<BoundTerm> terms;
-  /// Owners for per-call instances (locals, thread copies); the frame's
+  /// Owners for per-call instances (locals); the frame's
   /// raw pointers stay valid exactly as long as these do.
   std::vector<std::shared_ptr<Instance>> keepalive;
   std::vector<Instance*> call_args;
@@ -92,28 +89,14 @@ class PlanExecutor final : public UserCalls {
 
   InterpStats stats;
 
-  /// Per-rank replacements for global grids (private/firstprivate/
-  /// reduction copies inside a parallel region), threaded into every
-  /// callee frame so subprograms called from the region see the rank's
-  /// copies, mirroring OpenMP's threadprivate semantics. Raw pointers,
-  /// owned by the worker's caches.
-  std::map<GridId, Instance*> global_overrides;
-  /// True on the per-rank workers of a parallel region: updates to
-  /// machine-level atomic grids are then serialized (orphaned OMP
-  /// ATOMIC directives in callees), and nested regions run serially.
-  bool in_parallel_region = false;
-
  private:
   struct Ctx {
     const FunctionPlan* plan = nullptr;
     CallScratch* cs = nullptr;
-    const StepVerdict* verdict = nullptr;
-    bool parallel_active = false;
   };
 
   CallScratch& acquire_scratch();
   void release_scratch(CallScratch& cs);
-  void reset_after_error();
 
   void bind(CallScratch& cs, const FunctionPlan& plan);
   double* elem_addr(Ctx& C, std::uint32_t access);
@@ -122,30 +105,12 @@ class PlanExecutor final : public UserCalls {
   void run_range(Ctx& C, std::uint32_t begin, std::uint32_t end);
   std::int64_t eval_prog_int(Ctx& C, const ExprProg& p);
   void run_loops(Ctx& C, const StepPlan& sp, std::size_t depth);
-  void run_step_parallel(CallScratch& cs, const FunctionPlan& plan,
-                         const StepPlan& sp, const Step& step,
-                         const StepVerdict& verdict);
 
   void run_call_site(Ctx& C, const PlanInstr& in, double* result);
-
-  /// Parallel-region copy cache:
-  /// private/firstprivate/reduction instances recycled across chunks.
-  std::shared_ptr<Instance> cached_copy(GridId id);
-  PlanExecutor& worker(int rank);
 
   Machine& m_;
   std::vector<std::unique_ptr<CallScratch>> scratch_;
   std::size_t depth_ = 0;
-
-  std::vector<std::unique_ptr<PlanExecutor>> workers_;
-  std::map<GridId, std::shared_ptr<Instance>> copy_cache_;
-  /// Per-rank SAVE'd-locals cache inside parallel regions: SAVE'd
-  /// temporaries become threadprivate there (§4.2.1 pairs the SAVE
-  /// attribute with private/thread-private declarations).
-  std::map<GridId, std::shared_ptr<Instance>> saved_locals_local_;
-
-  std::unique_lock<std::mutex> atomic_lock_;
-  int atomic_depth_ = 0;
 };
 
 }  // namespace glaf::interp

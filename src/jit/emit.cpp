@@ -1,6 +1,6 @@
 #include "jit/emit.hpp"
 
-#include <map>
+#include <set>
 #include <vector>
 
 #include "analysis/access.hpp"
@@ -10,17 +10,6 @@
 
 namespace glaf::jit {
 namespace {
-
-/// The C spelling of a slot's storage inside the unit (mirrors the C
-/// back-end's base_name): COMMON members live in the interop struct,
-/// TYPE elements in their parent variable.
-std::string storage_name(const Grid& g) {
-  if (g.external == ExternalKind::kCommon) {
-    return cat(g.common_block, "_.", g.name);
-  }
-  if (!g.type_parent.empty()) return cat(g.type_parent, ".", g.name);
-  return g.name;
-}
 
 /// Declarator of one slot's storage in the unit: "long a[16]", or a
 /// bound array's "double* restrict a" (binds_global_array).
@@ -33,36 +22,6 @@ std::string slot_decl(const Grid& g, const AbiSlot& slot, NumericModel model) {
   return cat(ty, " ", g.name, "[", slot.elements, "]");
 }
 
-/// Definitions the generated TU leaves to "the legacy objects": TYPE
-/// parent variables (prepended — functions access parent.member), plus
-/// storage for module externs and COMMON blocks (appended).
-std::string prelude_text(const Program& p, const std::vector<AbiSlot>& slots,
-                         NumericModel model) {
-  // Group TYPE elements by parent variable, in global_grids order.
-  std::vector<std::string> parents;
-  std::map<std::string, std::vector<const AbiSlot*>> members;
-  for (const AbiSlot& slot : slots) {
-    const Grid& g = p.grid(slot.grid);
-    if (g.type_parent.empty()) continue;
-    if (members[g.type_parent].empty()) parents.push_back(g.type_parent);
-    members[g.type_parent].push_back(&slot);
-  }
-  if (parents.empty()) return "";
-  std::vector<std::string> out;
-  out.push_back("/* TYPE parent variables (storage the legacy module"
-                " would provide) */");
-  for (const std::string& parent : parents) {
-    out.push_back(cat("static struct {"));
-    for (const AbiSlot* slot : members[parent]) {
-      out.push_back(
-          cat("  ", slot_decl(p.grid(slot->grid), *slot, model), ";"));
-    }
-    out.push_back(cat("} ", parent, ";"));
-  }
-  out.push_back("");
-  return join(out, "\n") + "\n";
-}
-
 std::string wrapper_text(const Program& p, const std::vector<AbiSlot>& slots,
                          const std::vector<AbiFunction>& functions,
                          bool parallel, NumericModel model,
@@ -71,17 +30,24 @@ std::string wrapper_text(const Program& p, const std::vector<AbiSlot>& slots,
   out.push_back("");
   out.push_back("/* ---- native-engine ABI wrapper ---- */");
   out.push_back("");
-  // Storage for module externs and COMMON blocks (harness role).
-  std::map<std::string, bool> common_defined;
+  // Storage for module externs, TYPE parent variables and COMMON blocks
+  // (harness role). Each struct variable is defined once, by its tag
+  // (c_storage_name); `defined` holds the variables' names.
+  std::set<std::string> defined;
   for (const AbiSlot& slot : slots) {
     const Grid& g = p.grid(slot.grid);
-    if (g.external == ExternalKind::kModule && g.type_parent.empty()) {
+    if (g.external == ExternalKind::kCommon) {
+      if (defined.insert(cat(g.common_block, "_")).second) {
+        out.push_back(cat("struct ", g.common_block, "_common ",
+                          g.common_block, "_;"));
+      }
+    } else if (!g.type_parent.empty()) {
+      if (defined.insert(g.type_parent).second) {
+        out.push_back(cat("struct ", g.type_parent, "_type ", g.type_parent,
+                          ";"));
+      }
+    } else if (g.external == ExternalKind::kModule) {
       out.push_back(cat(slot_decl(g, slot, model), ";"));
-    } else if (g.external == ExternalKind::kCommon &&
-               !common_defined[g.common_block]) {
-      common_defined[g.common_block] = true;
-      out.push_back(cat("struct ", g.common_block, "_common ",
-                        g.common_block, "_;"));
     }
   }
   out.push_back("");
@@ -139,7 +105,7 @@ std::string wrapper_text(const Program& p, const std::vector<AbiSlot>& slots,
   }
   for (std::size_t i = 0; i < slots.size(); ++i) {
     const Grid& g = p.grid(slots[i].grid);
-    const std::string name = storage_name(g);
+    const std::string name = c_storage_name(g);
     const std::string ty = storage_ctype(g.elem_type, model);
     if (g.dims.empty()) {
       out.push_back(guard(i, cat("  ", name, " = (", ty,
@@ -163,7 +129,7 @@ std::string wrapper_text(const Program& p, const std::vector<AbiSlot>& slots,
                     "glaf_nat_a, ", mask_param, ") {"));
   for (std::size_t i = 0; i < slots.size(); ++i) {
     const Grid& g = p.grid(slots[i].grid);
-    const std::string name = storage_name(g);
+    const std::string name = c_storage_name(g);
     const std::string ty = storage_ctype(g.elem_type, model);
     if (g.dims.empty()) {
       out.push_back(guard(i, cat("  glaf_nat_a->grids[", i, "][0] = (double)",
@@ -315,8 +281,7 @@ StatusOr<KernelUnit> emit_kernel_unit(const Program& program,
   copts.save_temporaries = options.save_temporaries;
   GeneratedCode code = generate_c(*prog, *anal, copts);
   unit.regions = code.regions;
-  unit.source = cat(prelude_text(*prog, unit.slots, options.model),
-                    code.source,
+  unit.source = cat(code.source,
                     wrapper_text(*prog, unit.slots, unit.functions,
                                  unit.parallel, options.model, anal->effects));
   return unit;

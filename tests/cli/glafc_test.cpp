@@ -181,7 +181,7 @@ TEST(GlafcPolicies, RejectsV4) {
   // The directive policies are the paper's Table 2, v0..v3; there is no
   // speculative v4.
   const RunResult r = run_command(
-      glafc() + " --builtin=sarb --run --engine=plan --policy=v4"
+      glafc() + " --builtin=sarb --run --engine=native --policy=v4"
                 " --parallel --threads 2 2>&1");
   ASSERT_TRUE(r.started);
   EXPECT_NE(r.exit_code, 0) << r.output;
@@ -189,17 +189,19 @@ TEST(GlafcPolicies, RejectsV4) {
       << r.output;
 }
 
-TEST(GlafcEngine, TreeWalkRejectsParallel) {
-  // The tree-walk is the serial reference: asking it for a parallel run
-  // is a usage error, not a silent serial run.
-  const RunResult r = run_command(
-      glafc() + " --builtin=sarb --run --engine=treewalk --parallel 2>&1");
-  ASSERT_TRUE(r.started);
-  EXPECT_NE(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("--parallel requires --engine=plan or"
-                          " --engine=native"),
-            std::string::npos)
-      << r.output;
+TEST(GlafcEngine, SerialEnginesRejectParallel) {
+  // The tree-walk and the plan VM are serial engines: asking either for a
+  // parallel run is a usage error, not a silent serial run.
+  for (const std::string engine : {"treewalk", "plan"}) {
+    const RunResult r = run_command(glafc() + " --builtin=sarb --run --engine=" +
+                                    engine + " --parallel 2>&1");
+    ASSERT_TRUE(r.started);
+    EXPECT_NE(r.exit_code, 0) << engine << ": " << r.output;
+    EXPECT_NE(r.output.find("--parallel requires --engine=native (" + engine +
+                            " is a serial engine)"),
+              std::string::npos)
+        << r.output;
+  }
 }
 
 TEST(GlafcEngine, RunModeRejectsScheduleFlags) {
@@ -208,7 +210,7 @@ TEST(GlafcEngine, RunModeRejectsScheduleFlags) {
   for (const char* flag :
        {"--schedule=bogus", "--schedule=dynamic", "--schedule-chunk=4"}) {
     const RunResult r = run_command(glafc() +
-                                    " --builtin=sarb --run --engine=plan"
+                                    " --builtin=sarb --run --engine=native"
                                     " --parallel --threads 2 " +
                                     flag + " 2>&1");
     ASSERT_TRUE(r.started);

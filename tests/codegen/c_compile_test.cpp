@@ -14,6 +14,7 @@
 
 #include "codegen/c.hpp"
 #include "core/builder.hpp"
+#include "fuliou/glaf_kernels.hpp"
 #include "interp/machine.hpp"
 #include "testing/programs.hpp"
 
@@ -221,6 +222,24 @@ TEST(CCompile, SubroutineCallsAndLocals) {
   const std::vector<double> got = parse_numbers(*output);
   ASSERT_EQ(got.size(), 6u);
   for (int i = 0; i < 6; ++i) EXPECT_DOUBLE_EQ(got[i], i * 3.0 + 1.0) << i;
+}
+
+TEST(CCompile, SarbTranslationUnitCompilesWithOpenMp) {
+  if (!have_cc()) GTEST_SKIP() << "no system C compiler";
+  // Every §3 integration feature at once, TYPE element included: the TU
+  // must compile as the paper ships it, with its OpenMP pragmas on.
+  const Program p = fuliou::build_sarb_program();
+  const std::string dir = ::testing::TempDir();
+  const std::string c_path = dir + "/glaf_sarb.c";
+  const std::string obj_path = dir + "/glaf_sarb.o";
+  {
+    std::ofstream out(c_path);
+    out << generate_c(p, analyze_program(p)).source;
+  }
+  EXPECT_EQ(std::system(("cc -fopenmp -c -o " + obj_path + " " + c_path +
+                         " > /dev/null 2>&1")
+                            .c_str()),
+            0);
 }
 
 }  // namespace

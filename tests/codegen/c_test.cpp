@@ -59,6 +59,10 @@ TEST(CGen, ExternForExistingModuleVariable) {
 TEST(CGen, TypeElementMemberAccess) {
   const std::string src = gen(testing::integration_program());
   EXPECT_TRUE(contains(src, "atom1.charge"));
+  // The parent is declared like a COMMON block: an extern struct the
+  // legacy module defines.
+  EXPECT_TRUE(contains(src, "extern struct atom1_type {\n  double charge;\n"
+                            "} atom1;"));
 }
 
 TEST(CGen, ModuleScopeStaticDefinition) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "codegen/c_run.hpp"
 #include "fuliou/glaf_kernels.hpp"
 #include "fuliou/harness.hpp"
 #include "fuliou/reference.hpp"
@@ -48,21 +49,28 @@ TEST(WindowChannel, CloudMaskingReducesFlux) {
   }
 }
 
-TEST(WindowChannel, ParallelInterpWithinTolerance) {
+TEST(WindowChannel, OpenMpCWithinTolerance) {
+  if (!openmp_available("cc")) GTEST_SKIP() << "cc -fopenmp does not link";
   const Program p = build_sarb_program();
   const AtmosphereProfile profile = make_profile(33);
   Workspace ws;
   entropy_interface(profile, ws);
   window_channel_model(profile, ws);
 
-  InterpOptions opts;
-  opts.parallel = true;
-  opts.num_threads = 4;
-  Machine m(p, opts);
+  // The generated OpenMP C runs the window channel at four threads from
+  // the state entropy_interface leaves (computed by the interpreter).
+  Machine m(p);
   ASSERT_TRUE(load_profile(m, profile).is_ok());
   ASSERT_TRUE(m.call("entropy_interface").is_ok());
-  ASSERT_TRUE(m.call("window_channel_model").is_ok());
-  const auto got = m.array("wc_flux").value();
+  GlobalValues state;
+  for (const GridId id : p.global_grids) {
+    state[id] = m.array(p.grid(id).name).value();
+  }
+  const StatusOr<GlobalValues> out = run_generated_c(
+      p, analyze_program(p), CodegenOptions{}, "window_channel_model", state,
+      4);
+  ASSERT_TRUE(out.is_ok()) << out.status().message();
+  const std::vector<double>& got = out.value().at(p.find_grid("wc_flux")->id);
   for (int k = 0; k < kNumLevels; ++k) {
     EXPECT_NEAR(got[k], ws.out.wc_flux[k], 1e-7) << k;
   }

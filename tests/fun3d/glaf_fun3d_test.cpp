@@ -1,12 +1,13 @@
 // The FUN3D patterns through the GLAF framework itself: indirect atomic
 // scatter, the early-return search with the CRITICAL manual tweak, and
-// SAVE'd temporaries — executed by the interpreter serially and in
-// parallel, and generated as FORTRAN.
+// SAVE'd temporaries — executed by the interpreter serially, by the
+// generated OpenMP C in parallel, and generated as FORTRAN.
 
 #include "fun3d/glaf_fun3d.hpp"
 
 #include <gtest/gtest.h>
 
+#include "codegen/c_run.hpp"
 #include "codegen/fortran.hpp"
 #include "fun3d/mesh.hpp"
 #include "interp/machine.hpp"
@@ -83,25 +84,24 @@ TEST(GlafFun3d, FindOffsetNeedsCriticalTweak) {
 }
 
 TEST(GlafFun3d, ParallelScatterMatchesSerial) {
+  if (!openmp_available("cc")) GTEST_SKIP() << "cc -fopenmp does not link";
   const Program p = build_fun3d_glaf_program();
   SplitMix64 rng(77);
-
   Machine serial(p);
-  {
-    SplitMix64 r2(77);
-    load_edges(serial, r2);
+  load_edges(serial, rng);
+  // The inputs, as the harness of the generated C sets them.
+  GlobalValues inputs;
+  for (const GridId id : p.global_grids) {
+    inputs[id] = serial.array(p.grid(id).name).value();
   }
   ASSERT_TRUE(serial.call("edge_scatter").is_ok());
   const auto expected = serial.array("jac").value();
 
-  InterpOptions opts;
-  opts.parallel = true;
-  opts.num_threads = 4;
-  Machine parallel(p, opts);
-  load_edges(parallel, rng);
-  ASSERT_TRUE(parallel.call("edge_scatter").is_ok());
-  EXPECT_GE(parallel.stats().parallel_regions, 1u);
-  const auto got = parallel.array("jac").value();
+  // The OpenMP build's atomic scatter, at four threads.
+  const StatusOr<GlobalValues> out = run_generated_c(
+      p, analyze_program(p), CodegenOptions{}, "edge_scatter", inputs, 4);
+  ASSERT_TRUE(out.is_ok()) << out.status().message();
+  const auto& got = out.value().at(p.find_grid("jac")->id);
   ASSERT_EQ(expected.size(), got.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_NEAR(expected[i], got[i], 1e-9) << i;

@@ -1,9 +1,9 @@
 // Regression corpus replay: every tests/fuzz/corpus/*.glaf file is a
 // previously-diverging (now fixed) or structurally interesting case.
 // Each file is registered as its own parameterized test case, must
-// load, validate, and agree across all available backends — including
-// the parallel native JIT legs under every directive policy, held to
-// bitwise equality.
+// load, validate, and agree across all available backends — including,
+// under every directive policy, the parallel native JIT legs held to
+// bitwise equality and the OpenMP C builds.
 
 #include <gtest/gtest.h>
 
@@ -49,10 +49,11 @@ TEST_P(CorpusReplay, LoadsAndValidates) {
 TEST_P(CorpusReplay, AgreesAcrossBackends) {
   OracleOptions opts;
   opts.run_compiled_c = cc_available(opts.cc);
-  // Replay each repro through the parallel native legs too: every
-  // directive policy, the fused kernels that ship held bitwise to serial
-  // native and to the deterministic parallel plan engine.
+  // Replay each repro through the parallel legs too: every directive
+  // policy, the fused kernels that ship held bitwise to serial native,
+  // and the OpenMP C build run at four threads.
   opts.run_native_parallel = opts.run_compiled_c;
+  const bool openmp = opts.run_compiled_c && openmp_available(opts.cc);
   auto loaded = load_repro(GetParam());
   ASSERT_TRUE(loaded.is_ok()) << GetParam();
   auto entry = find_entry(loaded.value());
@@ -66,11 +67,11 @@ TEST_P(CorpusReplay, AgreesAcrossBackends) {
                      : report.divergences[0].backend + " diverged on " +
                            report.divergences[0].grid)
               : report.errors[0]);
-  // Serial plan + 4 policies x parallel plan = 5 interpreter legs; with
-  // a system compiler (the other legs gate on the same cc probe) add the
-  // native-JIT and compiled-C backends and 4 policies x
-  // {parallel-native, parallel-plan-det}: 15 in all.
-  EXPECT_EQ(report.backends_compared, opts.run_compiled_c ? 15 : 5);
+  // The serial plan leg; with a system compiler (the other legs gate on
+  // the same cc probe) add the native-JIT and compiled-C backends and the
+  // 4 parallel-native legs: 7; with OpenMP, 4 parallel-C legs: 11.
+  EXPECT_EQ(report.backends_compared,
+            1 + (opts.run_compiled_c ? 6 : 0) + (openmp ? 4 : 0));
   EXPECT_EQ(report.native_backend_ran, opts.run_compiled_c) << GetParam();
 }
 

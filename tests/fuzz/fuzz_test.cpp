@@ -38,7 +38,6 @@ TEST(FuzzOracle, OptTierLegAgreesUnderUlpBudget) {
   // comparator, alongside the bitwise serial-native leg: the comparator
   // fork must hold both contracts in one oracle run.
   OracleOptions opts;
-  opts.run_parallel = false;
   opts.run_plan = false;
   opts.run_compiled_c = false;
   opts.run_native = true;
@@ -67,9 +66,8 @@ TEST(FuzzOracle, InjectedCBugIsCaughtAndShrunk) {
   // Interpreter backends are untouched, so any program whose observable
   // output passes through SIN must diverge.
   OracleOptions opts;
-  opts.run_parallel = false;  // serial vs broken-C is the fast signal
-  opts.run_native = false;    // the bug is injected into the C leg only;
-                              // skip one kernel build per shrink candidate
+  opts.run_native = false;  // the bug is injected into the C leg only;
+                            // skip one kernel build per shrink candidate
   opts.c_source_transform = [](const std::string& src) {
     std::string out = src;
     std::size_t pos = 0;

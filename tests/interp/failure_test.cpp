@@ -90,8 +90,10 @@ TEST(InterpFailure, UnknownGlobalInCallArg) {
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
 
-TEST(InterpFailure, ErrorsInsideParallelRegionPropagate) {
-  // An out-of-range access inside a parallel step must surface as Status.
+TEST(InterpFailure, ErrorsInsideScatterStepPropagate) {
+  // An out-of-range access inside a parallelizable step (an atomic
+  // scatter, which every in-process engine runs serially) must surface as
+  // Status.
   ProgramBuilder pb("m");
   auto n = pb.global("n", DataType::kInt, {}, {.init = {std::int64_t{64}}});
   auto index = pb.global("index", DataType::kInt, {E(n)});
@@ -101,10 +103,7 @@ TEST(InterpFailure, ErrorsInsideParallelRegionPropagate) {
   auto s = fb.step("s");
   s.foreach_("i", 0, E(n) - 1);
   s.assign(out(index(idx("i"))), out(index(idx("i"))) + w(idx("i")));
-  InterpOptions opts;
-  opts.parallel = true;
-  opts.num_threads = 4;
-  Machine m(pb.build().value(), opts);
+  Machine m(pb.build().value());
   std::vector<double> bad_index(64, 9999.0);  // all out of range
   ASSERT_TRUE(m.set_array("index", bad_index).is_ok());
   const auto r = m.call("scatter");

@@ -255,14 +255,12 @@ TEST(PlanVsTreeWalk, StatsAndTraceIdentical) {
   EXPECT_EQ(tw.stats().steps_executed, pl.stats().steps_executed);
   EXPECT_EQ(tw.stats().loop_iterations, pl.stats().loop_iterations);
   EXPECT_EQ(tw.stats().local_allocations, pl.stats().local_allocations);
-  EXPECT_EQ(tw.stats().parallel_regions, pl.stats().parallel_regions);
   EXPECT_EQ(tw.stats().function_calls, pl.stats().function_calls);
   ASSERT_EQ(tw.trace().size(), pl.trace().size());
   for (std::size_t i = 0; i < tw.trace().size(); ++i) {
     EXPECT_EQ(tw.trace()[i].function, pl.trace()[i].function);
     EXPECT_EQ(tw.trace()[i].step, pl.trace()[i].step);
     EXPECT_EQ(tw.trace()[i].iterations, pl.trace()[i].iterations);
-    EXPECT_EQ(tw.trace()[i].parallel, pl.trace()[i].parallel);
   }
 }
 
@@ -277,43 +275,27 @@ Program collapse_band_program() {
   return pb.build().value();
 }
 
-TEST(PlanVsTreeWalk, ParallelCollapseBandBitIdentical) {
-  // The parallel plan VM against the serial tree-walk reference.
+TEST(PlanVsTreeWalk, SerialEnginesIgnoreParallel) {
+  // Neither interpreter engine has a parallel path: a machine built with
+  // `parallel` set runs serially, bit for bit like a serial tree-walk,
+  // with the same stats.
   const Program p = collapse_band_program();
-  InterpOptions pl_opts = with_engine(ExecEngine::kPlan);
-  pl_opts.parallel = true;
-  pl_opts.num_threads = 3;
-  pl_opts.policy = DirectivePolicy::kV0;
-  Machine tw(p, with_engine(ExecEngine::kTreeWalk));
-  Machine pl(p, pl_opts);
-  ASSERT_TRUE(tw.call("f").is_ok());
-  ASSERT_TRUE(pl.call("f").is_ok());
-  EXPECT_GE(pl.stats().parallel_regions, 1u);
-  const auto va = tw.array("a").value();
-  const auto vb = pl.array("a").value();
-  ASSERT_EQ(va.size(), vb.size());
-  for (std::size_t i = 0; i < va.size(); ++i) {
-    expect_bit_equal(va[i], vb[i], "a[" + std::to_string(i) + "]");
-  }
-}
-
-TEST(PlanVsTreeWalk, TreeWalkIgnoresParallel) {
-  // The tree-walk has no parallel path: a machine built with `parallel`
-  // set runs serially, bit for bit like a serial one.
-  const Program p = collapse_band_program();
-  InterpOptions par_opts = with_engine(ExecEngine::kTreeWalk);
-  par_opts.parallel = true;
-  par_opts.num_threads = 3;
   Machine serial(p, with_engine(ExecEngine::kTreeWalk));
-  Machine par(p, par_opts);
   ASSERT_TRUE(serial.call("f").is_ok());
-  ASSERT_TRUE(par.call("f").is_ok());
-  EXPECT_EQ(par.stats().parallel_regions, 0u);
-  const auto va = serial.array("a").value();
-  const auto vb = par.array("a").value();
-  ASSERT_EQ(va.size(), vb.size());
-  for (std::size_t i = 0; i < va.size(); ++i) {
-    expect_bit_equal(va[i], vb[i], "a[" + std::to_string(i) + "]");
+  for (const ExecEngine engine : {ExecEngine::kTreeWalk, ExecEngine::kPlan}) {
+    InterpOptions par_opts = with_engine(engine);
+    par_opts.parallel = true;
+    par_opts.num_threads = 3;
+    Machine par(p, par_opts);
+    ASSERT_TRUE(par.call("f").is_ok());
+    EXPECT_EQ(par.stats().steps_executed, serial.stats().steps_executed);
+    EXPECT_EQ(par.stats().loop_iterations, serial.stats().loop_iterations);
+    const auto va = serial.array("a").value();
+    const auto vb = par.array("a").value();
+    ASSERT_EQ(va.size(), vb.size());
+    for (std::size_t i = 0; i < va.size(); ++i) {
+      expect_bit_equal(va[i], vb[i], "a[" + std::to_string(i) + "]");
+    }
   }
 }
 
@@ -350,7 +332,6 @@ void expect_stats_equal(const InterpStats& a, const InterpStats& b,
   EXPECT_EQ(a.steps_executed, b.steps_executed) << what;
   EXPECT_EQ(a.loop_iterations, b.loop_iterations) << what;
   EXPECT_EQ(a.local_allocations, b.local_allocations) << what;
-  EXPECT_EQ(a.parallel_regions, b.parallel_regions) << what;
   EXPECT_EQ(a.function_calls, b.function_calls) << what;
 }
 
@@ -394,8 +375,7 @@ Program local_instances_program() {
   return pb.build().value();
 }
 
-/// A parallel step whose private local is sized by a parameter: each
-/// rank's copy takes its extent from the calling frame.
+/// A parallelizable step whose private local is sized by a parameter.
 Program private_local_program() {
   ProgramBuilder pb("m");
   auto a = pb.global("a", DataType::kDouble, {E(64)});
@@ -453,30 +433,20 @@ TEST(PlanVsTreeWalk, LocalInstancesIdentical) {
   expect_arrays_bit_equal(tw, pl, "out", "after failure");
   expect_stats_equal(tw.stats(), pl.stats(), "after failure");
 
-  // Parallel step with a symbolic-extent private local, at 1 and 4 ranks.
+  // A step with a symbolic-extent private local, rebuilt per call.
   const Program q = private_local_program();
   const ProgramAnalysis qa = analyze_program(q);
   const StepVerdict& v = qa.verdict(q.find_function("g")->id, 0);
   ASSERT_EQ(v.private_grids.size(), 1u);
   EXPECT_EQ(q.grid(v.private_grids[0]).name, "t");
-  Machine ref(q, with_engine(ExecEngine::kTreeWalk));
-  for (const double m : {2.0, 7.0}) ASSERT_TRUE(ref.call("g", {m}).is_ok());
-  std::vector<InterpStats> par_stats;
-  for (const int threads : {1, 4}) {
-    const std::string what = std::to_string(threads) + " thread(s)";
-    InterpOptions opts = with_engine(ExecEngine::kPlan);
-    opts.parallel = true;
-    opts.num_threads = threads;
-    Machine pl(q, opts);
-    for (const double m : {2.0, 7.0}) ASSERT_TRUE(pl.call("g", {m}).is_ok());
-    expect_arrays_bit_equal(ref, pl, "a", what);
-    EXPECT_EQ(pl.stats().parallel_regions, 2u) << what;
-    InterpStats serial_view = pl.stats();
-    serial_view.parallel_regions = 0;
-    expect_stats_equal(ref.stats(), serial_view, what);
-    par_stats.push_back(pl.stats());
+  Machine q_tw(q, with_engine(ExecEngine::kTreeWalk));
+  Machine q_pl(q, with_engine(ExecEngine::kPlan));
+  for (const double m : {2.0, 7.0}) {
+    ASSERT_TRUE(q_tw.call("g", {m}).is_ok());
+    ASSERT_TRUE(q_pl.call("g", {m}).is_ok());
   }
-  expect_stats_equal(par_stats[0], par_stats[1], "1 vs 4 threads");
+  expect_arrays_bit_equal(q_tw, q_pl, "a", "private local");
+  expect_stats_equal(q_tw.stats(), q_pl.stats(), "private local");
 }
 
 }  // namespace

@@ -27,19 +27,6 @@ TEST(Trace, RecordsStepWithIterations) {
   EXPECT_EQ(e.function, "saxpy");
   EXPECT_EQ(e.step, "Step1");
   EXPECT_EQ(e.iterations, 8u);
-  EXPECT_FALSE(e.parallel);
-}
-
-TEST(Trace, ParallelFlagSet) {
-  InterpOptions opts;
-  opts.trace = true;
-  opts.parallel = true;
-  opts.num_threads = 4;
-  Machine m(testing::saxpy_program(), opts);
-  ASSERT_TRUE(m.call("saxpy").is_ok());
-  ASSERT_EQ(m.trace().size(), 1u);
-  EXPECT_TRUE(m.trace()[0].parallel);
-  EXPECT_EQ(m.trace()[0].iterations, 8u);
 }
 
 TEST(Trace, SarbDriverTraceFollowsCallOrder) {

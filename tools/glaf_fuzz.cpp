@@ -1,7 +1,8 @@
 // glaf-fuzz — property-based fuzzer driving the multi-backend
 // differential oracle. Generates random valid GLAF programs, runs each
-// through the serial interpreters, the parallel plan engine under every
-// directive policy, and the compiled C back-end, and reports any
+// through the serial interpreters, the native JIT kernel and the
+// compiled C back-end (with --parallel, also the parallel kernels and
+// the OpenMP C builds under every directive policy), and reports any
 // divergence. Failing cases are greedily shrunk and written as repro
 // files that replay byte-identically from the recorded seed.
 //
@@ -15,14 +16,16 @@
 //   glaf-fuzz --dump-seed N            print the generated program and exit
 //   glaf-fuzz --no-cc                  skip the compiled-C backend
 //   glaf-fuzz --no-native              skip the in-process native JIT backend
-//   glaf-fuzz --no-parallel            skip the parallel plan-engine backends
-//   glaf-fuzz --engine=E               plan (default) runs the plan legs beside
-//                                      the native and C backends; native runs
-//                                      only the in-process JIT leg (no plan
-//                                      legs, no subprocess C)
-//   glaf-fuzz --parallel               add the parallel-native + deterministic
-//                                      parallel-plan legs, held to bitwise
-//                                      equality under every selected policy
+//   glaf-fuzz --engine=E               plan (default) runs the serial plan leg
+//                                      beside the native and C backends;
+//                                      native runs only the in-process JIT
+//                                      legs (no plan leg, no subprocess C)
+//   glaf-fuzz --parallel               add, under every selected policy, the
+//                                      parallel-native leg (bitwise) and the
+//                                      OpenMP C leg at --threads (within the
+//                                      tolerance; needs the C backend, and
+//                                      skipped with a note when cc -fopenmp
+//                                      does not link)
 //   glaf-fuzz --policies=all|v0,v2,..  directive policies for those legs
 //                                      (default all of v0..v3)
 //   glaf-fuzz --emit=opt               add the opt-tier native leg (typed
@@ -80,7 +83,7 @@ void usage(const char* argv0) {
                "usage: %s [--seeds A:B] [--time-budget SECONDS] [--shrink]\n"
                "          [--repro-dir DIR] [--replay FILE] [--dump-seed N]\n"
                "          [--threads N] [--rtol X] [--atol X] [--no-cc]\n"
-               "          [--no-native] [--no-parallel] [--parallel]\n"
+               "          [--no-native] [--parallel]\n"
                "          [--policies=all|v0,v1,...] [--engine=plan|native]\n"
                "          [--emit=interp|opt] [--max-ulp N]\n"
                "          [--opt-rtol X] [--opt-atol X]\n",
@@ -135,8 +138,6 @@ bool parse_args(int argc, char** argv, CliOptions* opts) {
       opts->oracle.run_compiled_c = false;
     } else if (arg == "--no-native") {
       opts->oracle.run_native = false;
-    } else if (arg == "--no-parallel") {
-      opts->oracle.run_parallel = false;
     } else if (arg == "--parallel") {
       opts->oracle.run_native_parallel = true;
     } else if (arg.rfind("--policies", 0) == 0) {
@@ -191,7 +192,6 @@ bool parse_args(int argc, char** argv, CliOptions* opts) {
         // The fast in-process oracle: serial tree-walk reference vs the
         // JIT kernel, no plan legs and no subprocess C round-trip.
         opts->oracle.run_plan = false;
-        opts->oracle.run_parallel = false;
         opts->oracle.run_native = true;
         opts->oracle.run_compiled_c = false;
       } else {
@@ -366,6 +366,13 @@ int main(int argc, char** argv) {
     opts.oracle.run_native = false;
     opts.oracle.run_native_parallel = false;
     opts.oracle.run_native_opt = false;
+  }
+  if (opts.oracle.run_native_parallel && opts.oracle.run_compiled_c &&
+      !openmp_available(opts.oracle.cc)) {
+    std::fprintf(stderr,
+                 "note: '%s -fopenmp' does not link, skipping the OpenMP C"
+                 " backends\n",
+                 opts.oracle.cc.c_str());
   }
 
   const auto start = std::chrono::steady_clock::now();

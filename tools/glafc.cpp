@@ -23,10 +23,12 @@
 //          (plan is the default: compiled flat plans on the bytecode VM;
 //          treewalk is the serial reference AST interpreter; native
 //          JIT-compiles the program to a shared object and runs it
-//          in-process, falling back to plans when it cannot), --parallel
-//          enables the auto-parallelized path under --policy (plan and
-//          native only), --threads=N sizes it; parallel steps are
-//          partitioned statically, like OpenMP's default schedule.
+//          in-process, falling back to serial plans when it cannot),
+//          --parallel threads the kernel's bit-exact parallel steps under
+//          --policy (native only: the plan VM and the tree-walk are
+//          serial engines), --threads=N sizes it; parallel steps are
+//          partitioned statically, like OpenMP's default schedule. The
+//          OpenMP clauses themselves are run through --emit=c.
 //          --strict-engine turns any native-engine fallback — whole-engine
 //          unavailability or per-call plan routing — into a non-zero exit
 //          instead of a warning. --json prints a machine-readable run
@@ -121,10 +123,9 @@ int run_program(const CliArgs& args, Program program) {
   if (!policy.is_ok()) return fail(policy.status().message());
   iopts.policy = policy.value();
   iopts.parallel = args.get_bool("parallel", false);
-  if (iopts.parallel && iopts.engine == ExecEngine::kTreeWalk) {
-    return fail(
-        "--parallel requires --engine=plan or --engine=native (treewalk is"
-        " the serial reference)");
+  if (iopts.parallel && iopts.engine != ExecEngine::kNative) {
+    return fail("--parallel requires --engine=native (" + engine +
+                " is a serial engine)");
   }
   iopts.num_threads = static_cast<int>(args.get_int("threads", 4));
   iopts.save_temporaries = args.get_bool("save-temporaries", false);
@@ -206,11 +207,10 @@ int run_program(const CliArgs& args, Program program) {
   }
   std::fprintf(stderr,
                "glafc: ran %s (engine=%s): result %.17g, %llu steps, "
-               "%llu iterations, %llu parallel regions\n",
+               "%llu iterations\n",
                entry.c_str(), engine.c_str(), result.value(),
                static_cast<unsigned long long>(st.steps_executed),
-               static_cast<unsigned long long>(st.loop_iterations),
-               static_cast<unsigned long long>(st.parallel_regions));
+               static_cast<unsigned long long>(st.loop_iterations));
   if (iopts.engine == ExecEngine::kNative && m.native_report().available) {
     const NativeReport& nr = m.native_report();
     std::fprintf(stderr,
