@@ -89,10 +89,12 @@ int main(int argc, char** argv) {
   const NativeReport& report = parallel_machine.native_report();
   if (report.available) {
     std::printf("parallel: %llu native calls, %llu parallel regions"
-                " dispatched, %llu kept serial by the gate (%d threads)\n",
+                " dispatched, %llu kept serial by the gate, %llu timed by"
+                " its probes (%d threads)\n",
                 static_cast<unsigned long long>(report.native_calls),
                 static_cast<unsigned long long>(report.parallel_regions),
                 static_cast<unsigned long long>(report.gated_serial_regions),
+                static_cast<unsigned long long>(report.gate_probes),
                 report.num_threads);
   } else {
     std::printf("parallel: native kernel unavailable (%s), ran serial"
