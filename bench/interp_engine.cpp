@@ -153,6 +153,7 @@ KernelResult measure_kernel(const Program& program, const std::string& suite,
                             const std::string& entry, int threads,
                             double min_seconds,
                             const std::function<void(Machine&)>& prepare,
+                            NativeReport* native_report,
                             NativeReport* opt_report) {
   KernelResult r;
   r.suite = suite;
@@ -198,6 +199,7 @@ KernelResult measure_kernel(const Program& program, const std::string& suite,
     r.regions_fused = rep.regions_fused;
     r.gated_regions = rep.gated_serial_regions;
   }
+  if (machines[kNative]) *native_report = machines[kNative]->native_report();
   if (machines[kOpt]) *opt_report = machines[kOpt]->native_report();
   return r;
 }
@@ -283,9 +285,11 @@ int main(int argc, char** argv) {
   const double check_gate = args.get_double("check-gate", 0.0);
 
   std::vector<KernelResult> results;
-  // Provenance of the opt-tier kernels (compiler identity and the exact
-  // flag set), recorded into the JSON so the checked-in numbers say what
-  // produced them. Filled by the last successful opt measurement.
+  // Provenance of the serial native and opt-tier kernels (compiler
+  // identity and the exact flag sets), recorded into the JSON so the
+  // checked-in numbers say what produced them. Filled by the last
+  // successful measurement of each.
+  NativeReport native_report;
   NativeReport opt_report;
 
   // --- SARB: the six Table 1 subroutines, inputs from a synthetic
@@ -303,7 +307,7 @@ int main(int argc, char** argv) {
     const Function* fn = sarb.find_function(name);
     if (fn == nullptr || !fn->params.empty()) continue;
     results.push_back(measure_kernel(sarb, "sarb", name, threads, min_seconds,
-                                     load_sarb, &opt_report));
+                                     load_sarb, &native_report, &opt_report));
   }
 
   // --- FUN3D kernels: deterministic synthetic mesh inputs.
@@ -327,7 +331,7 @@ int main(int argc, char** argv) {
   for (const std::string& name : {std::string("edge_scatter"),
                                   std::string("smooth_q")}) {
     results.push_back(measure_kernel(f3d, "fun3d", name, threads, min_seconds,
-                                     load_f3d, &opt_report));
+                                     load_f3d, &native_report, &opt_report));
   }
 
   // --- the runtime's empty fork/join, at 2 ranks and at --threads.
@@ -421,6 +425,8 @@ int main(int argc, char** argv) {
       << " --out BENCH_interp.json\",\n"
       << "  \"compiler\": \"" << opt_report.compiler << "\",\n"
       << "  \"compiler_version\": \"" << opt_report.compiler_version
+      << "\",\n"
+      << "  \"native_compile_flags\": \"" << native_report.compile_flags
       << "\",\n"
       << "  \"opt_compile_flags\": \"" << opt_report.compile_flags << "\",\n"
       << "  \"opt_host_key\": \"" << opt_report.host_key << "\",\n"

@@ -1,6 +1,7 @@
 #include "codegen/c.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
 
@@ -86,6 +87,12 @@ class CGen {
     return opt_.numeric_model == NumericModel::kInterp;
   }
 
+  /// Whether expression arithmetic follows the interpreter (untruncated
+  /// INTEGER powers, fmod, trunc(a/b)): always in the interp tier, and in
+  /// the typed models inside a subscript or loop bound that index_text
+  /// rounds. Storage spellings still follow interp_math().
+  bool interp_arith() const { return interp_math() || index_arith_; }
+
   /// The optimized numeric model (the fast JIT tier): typed storage like
   /// kTyped, plus restrict-qualified pointers. Compared under ulp
   /// budgets, not bitwise.
@@ -107,7 +114,6 @@ class CGen {
   }
 
   GeneratedCode run() {
-    emit_preamble();
     emit_file_scope();
     GeneratedCode out;
     for (const Function& fn : p_.functions) emit_prototype(fn);
@@ -126,7 +132,13 @@ class CGen {
       w_.blank();
     }
     out.regions = regions_;
-    out.source = w_.str();
+    out.checks_stride = uses_fault_;
+    // The preamble goes first but is written last: it defines the index
+    // and stride helpers only when the code uses them.
+    CodeWriter body = std::move(w_);
+    w_ = CodeWriter("");
+    emit_preamble();
+    out.source = w_.str() + body.str();
     return out;
   }
 
@@ -173,6 +185,28 @@ class CGen {
     w_.raw("static double glaf_dim(double a, double b) "
            "{ return a > b ? a - b : 0.0; }");
     w_.raw("static long glaf_nint(double a) { return (long)nearbyint(a); }");
+    if (uses_ix_) {
+      // The plan VM's index rounding (llround, which returns the
+      // truncation for NaN and values out of range), spelled out so that
+      // it stays inline under -fno-builtin. An integral value, the common
+      // case, takes the predicted branch: its address then waits on one
+      // conversion only. The fractional case stays out of line, which
+      // keeps every inlined subscript small (about 8% less cc time).
+      w_.raw("__attribute__((noinline, cold)) "
+             "static long glaf_ix_round(double v, long t) "
+             "{ double r = v - (double)t; return r > -1.0 && r < 1.0 "
+             "? t + (r >= 0.5) - (r <= -0.5) : t; }");
+      w_.raw("static long glaf_ix(double v) { long t = (long)v; return "
+             "__builtin_expect(!__builtin_islessgreater((double)t, v), 1) "
+             "? t : glaf_ix_round(v, t); }");
+    }
+    if (uses_fault_) {
+      // The plan VM fails a loop whose stride is zero: the kernel runs
+      // no trip of it and its caller reports the fault.
+      w_.raw("static int glaf_fault = 0;");
+      w_.raw("static void glaf_zero_stride(void) "
+             "{ __atomic_store_n(&glaf_fault, 1, __ATOMIC_RELAXED); }");
+    }
     w_.blank();
     if (opt_.host_parallel) {
       for (const std::string& text : split_lines(kHostParallelRuntime)) {
@@ -299,9 +333,9 @@ class CGen {
   /// A SAVE'd local of a subprogram that runs inside a parallel region
   /// is per thread (§4.2.1 pairs the SAVE attribute with thread-private
   /// declarations): a shared static would race between the calls.
-  void emit_threadprivate_save(const Grid& g) {
+  void emit_threadprivate_save(const std::string& names) {
     if (in_region_callee()) {
-      w_.raw(cat("#pragma omp threadprivate(", g.name, ")"));
+      w_.raw(cat("#pragma omp threadprivate(", names, ")"));
     }
   }
 
@@ -369,10 +403,46 @@ class CGen {
     });
   }
 
+  /// Whether `g` is an array of the function being emitted whose extents
+  /// are known only at run time: they are captured into longs when it is
+  /// allocated (locals) or entered (parameters), as the plan VM's
+  /// instances keep the extents they were built with.
+  bool captures_extents(const Grid& g) const {
+    return !g.dims.empty() && !g.is_struct() && current_fn_ != nullptr &&
+           is_local_or_param(*current_fn_, g.id) && !has_constant_extents(g);
+  }
+
+  static std::string extent_var(const Grid& g, std::size_t d) {
+    return cat("glaf_e", d, "_", g.name);
+  }
+
+  /// Extent of dimension `d` as the address rule sees it: the folded
+  /// constant, the captured long, or (a lazily allocated file-scope
+  /// array of the typed back-end) the extent expression itself.
+  std::string extent_text(const Grid& g, std::size_t d) const {
+    if (const auto c = fold_extent(g.dims[d].extent)) return cat(*c);
+    if (captures_extents(g)) return extent_var(g, d);
+    return index_text(*g.dims[d].extent);
+  }
+
+  /// `glaf_e<d>_<g> = <extent>` for every extent of `g` that does not
+  /// fold, in dimension order.
+  std::vector<std::string> extent_inits(const Grid& g) const {
+    std::vector<std::string> inits;
+    for (std::size_t d = 0; d < g.dims.size(); ++d) {
+      if (fold_extent(g.dims[d].extent)) continue;
+      inits.push_back(cat(extent_var(g, d), " = ",
+                          index_text(*g.dims[d].extent)));
+    }
+    return inits;
+  }
+
   std::string elem_count_expr(const Grid& g) const {
     std::vector<std::string> parts;
     parts.reserve(g.dims.size());
-    for (const Dim& d : g.dims) parts.push_back(cat("(", expr(*d.extent), ")"));
+    for (std::size_t d = 0; d < g.dims.size(); ++d) {
+      parts.push_back(cat("(", extent_text(g, d), ")"));
+    }
     return parts.empty() ? "1" : join(parts, " * ");
   }
 
@@ -410,7 +480,7 @@ class CGen {
                               : cat(" = ", c_literal(g.init_data[0]));
       w_.line(cat(storage, save && !file_scope ? "static " : "",
                   ctype(g.elem_type), " ", g.name, init, ";"));
-      if (save && !file_scope) emit_threadprivate_save(g);
+      if (save && !file_scope) emit_threadprivate_save(g.name);
       return;
     }
     if (has_constant_extents(g)) {
@@ -426,12 +496,10 @@ class CGen {
       w_.line(cat(storage, save && !file_scope ? "static " : "",
                   ctype(g.elem_type), " ", g.name, flat_array_suffix(g),
                   init, ";"));
-      if (save && !file_scope) emit_threadprivate_save(g);
+      if (save && !file_scope) emit_threadprivate_save(g.name);
       return;
     }
     // Symbolic extents.
-    const std::string bytes =
-        cat(elem_count_expr(g), " * sizeof(", ctype(g.elem_type), ")");
     if (file_scope) {
       // Lazily-allocated file-scope array: pointer definition here, a
       // guarded malloc at the top of each function that touches it.
@@ -440,30 +508,182 @@ class CGen {
       lazy_globals_.insert(g.id);
       return;
     }
+    const std::string alloc = cat(g.name, " = (", ctype(g.elem_type),
+                                  "*)calloc(", elem_count_expr(g), ", sizeof(",
+                                  ctype(g.elem_type), "));");
+    const std::vector<std::string> inits = extent_inits(g);
     if (save) {
-      // No-reallocation pattern.
+      // No-reallocation pattern; the extents are those of the first
+      // allocation.
+      std::vector<std::string> vars;
+      for (std::size_t d = 0; d < g.dims.size(); ++d) {
+        if (!fold_extent(g.dims[d].extent)) vars.push_back(extent_var(g, d));
+      }
+      w_.line(cat("static long ", join(vars, ", "), ";"));
       w_.line(cat("static ", ptr_decl(ctype(g.elem_type)), g.name, " = 0;"));
-      emit_threadprivate_save(g);
-      w_.line(cat("if (!", g.name, ") ", g.name, " = (", ctype(g.elem_type),
-                  "*)calloc(", elem_count_expr(g), ", sizeof(",
-                  ctype(g.elem_type), "));"));
+      vars.push_back(g.name);
+      emit_threadprivate_save(join(vars, ", "));
+      w_.line(cat("if (!", g.name, ") { ", join(inits, "; "), "; ", alloc,
+                  " }"));
     } else {
       // calloc, not malloc: the interpreter's instances start zeroed.
-      w_.line(cat(ptr_decl(ctype(g.elem_type)), g.name, " = (",
-                  ctype(g.elem_type), "*)calloc(", elem_count_expr(g),
-                  ", sizeof(", ctype(g.elem_type), "));"));
+      w_.line(cat("const long ", join(inits, ", "), ";"));
+      w_.line(cat(ptr_decl(ctype(g.elem_type)), alloc));
       frees_.push_back(g.name);
     }
   }
 
   // ---- expressions ---------------------------------------------------------
 
-  /// Row-major flattened index: (((s0)*e1 + s1)*e2 + s2)...
+  /// An affine combination of loop indices and integer literals: exact
+  /// in long arithmetic, and unchanged while the loops inside it run.
+  static bool affine_index(const Expr& e) {
+    switch (e.kind) {
+      case Expr::Kind::kIndex:
+        return true;
+      case Expr::Kind::kLiteral:
+        return std::holds_alternative<std::int64_t>(e.literal);
+      case Expr::Kind::kBinary:
+        return (e.bop == BinOp::kAdd || e.bop == BinOp::kSub ||
+                e.bop == BinOp::kMul) &&
+               affine_index(*e.args[0]) && affine_index(*e.args[1]);
+      case Expr::Kind::kUnary:
+        return e.uop == UnOp::kNeg && affine_index(*e.args[0]);
+      default:
+        return false;
+    }
+  }
+
+  /// Whether `e` contains an INTEGER power, the one INTEGER operator
+  /// whose value can be fractional (m**(-1)).
+  bool has_int_pow(const Expr& e) const {
+    if (e.kind == Expr::Kind::kBinary && e.bop == BinOp::kPow &&
+        infer_type(p_, e) == DataType::kInt) {
+      return true;
+    }
+    return std::any_of(e.args.begin(), e.args.end(),
+                       [this](const ExprPtr& a) { return has_int_pow(*a); });
+  }
+
+  /// A subscript or loop bound as a long, by the plan VM's rule
+  /// (vm.cpp to_index): the value rounded half away from zero. Affine
+  /// index expressions, and typed INTEGER expressions without a power,
+  /// are already exact longs and skip the conversion.
+  std::string index_text(const Expr& e) const {
+    const bool exact =
+        affine_index(e) || (!interp_math() &&
+                            infer_type(p_, e) == DataType::kInt &&
+                            !has_int_pow(e));
+    const bool saved = index_arith_;
+    index_arith_ = !exact;
+    const std::string text = expr(e);
+    index_arith_ = saved;
+    if (exact) return text;
+    uses_ix_ = true;
+    return cat("glaf_ix(", text, ")");
+  }
+
+  /// The stride of `loop` when it folds to a constant (1 when absent),
+  /// rounded like any loop bound. `globals` folds never-written globals
+  /// too: OpenMP's canonical loop form needs the stride's sign.
+  std::optional<std::int64_t> stride_value(const LoopSpec& loop,
+                                           bool globals) const {
+    if (!loop.stride) return 1;
+    const auto v = globals ? fold_with_globals(p_, *loop.stride)
+                           : fold_constant(*loop.stride);
+    if (!v) return std::nullopt;
+    return std::llround(value_as_double(*v));
+  }
+
+  static std::string step_text(const std::string& v, std::int64_t st) {
+    if (st == 1) return cat("++", v);
+    if (st == -1) return cat("--", v);
+    return cat(v, " += ", st);
+  }
+
+  /// Opens one DO loop by the plan VM's rule (vm.cpp run_loops) and
+  /// returns the braces it opened. Begin, end and stride are evaluated
+  /// once, at loop entry and in that order, into longs, and the stride's
+  /// sign picks the test. An affine bound cannot change while the loop
+  /// runs and stays in the head; any other is held in a block-local
+  /// long. A stride that is not a nonzero constant is checked: a zero one
+  /// sets glaf_fault and runs no trip.
+  int open_loop(const LoopSpec& loop) {
+    const std::string& v = loop.index_var;
+    std::string begin = index_text(*loop.begin);
+    std::string end = index_text(*loop.end);
+    const std::optional<std::int64_t> st = stride_value(loop, false);
+    const bool checked = !st || *st == 0;
+    std::vector<std::string> inits;
+    if (checked || !affine_index(*loop.end)) {
+      if (!affine_index(*loop.begin)) {
+        inits.push_back(cat("glaf_lo_", v, " = ", begin));
+        begin = cat("glaf_lo_", v);
+      }
+      if (!affine_index(*loop.end)) {
+        inits.push_back(cat("glaf_hi_", v, " = ", end));
+        end = cat("glaf_hi_", v);
+      }
+    }
+    const std::string s = cat("glaf_st_", v);
+    if (checked) inits.push_back(cat(s, " = ", index_text(*loop.stride)));
+    int opened = 1;
+    if (!inits.empty()) {
+      w_.line("{");
+      w_.indent();
+      w_.line(cat("const long ", join(inits, ", "), ";"));
+      ++opened;
+    }
+    if (checked) {
+      uses_fault_ = true;
+      w_.line(cat("if (", s, " == 0) glaf_zero_stride();"));
+      w_.line(cat("for (", v, " = ", begin, "; ", s, " > 0 ? ", v, " <= ",
+                  end, " : ", s, " < 0 && ", v, " >= ", end, "; ", v, " += ",
+                  s, ") {"));
+    } else {
+      w_.line(cat("for (", v, " = ", begin, "; ", v,
+                  *st > 0 ? " <= " : " >= ", end, "; ", step_text(v, *st),
+                  ") {"));
+    }
+    w_.indent();
+    return opened;
+  }
+
+  /// The head of a loop an OpenMP directive covers: the canonical form,
+  /// testing by the sign of its folded stride (emit_step runs the step
+  /// serially unless that is known and nonzero). A bound that reads
+  /// grids is evaluated before the directive into a long `hoisted`
+  /// declares, since inside it a reduction target names the private
+  /// copy; one that reads an outer index (collapsed nests) stays put.
+  std::string omp_loop_line(const LoopSpec& loop,
+                            std::vector<std::string>* hoisted) const {
+    const std::string& v = loop.index_var;
+    const auto bound = [&](const Expr& e, const char* role) {
+      const std::string text = index_text(e);
+      if (affine_index(e) || uses_index(e)) return text;
+      hoisted->push_back(cat("glaf_", role, "_", v, " = ", text));
+      return cat("glaf_", role, "_", v);
+    };
+    const std::string begin = bound(*loop.begin, "lo");
+    const std::string end = bound(*loop.end, "hi");
+    const std::int64_t st = *stride_value(loop, true);
+    return cat("for (", v, " = ", begin, "; ", v, st > 0 ? " <= " : " >= ",
+               end, "; ", step_text(v, st), ") {");
+  }
+
+  static bool uses_index(const Expr& e) {
+    return e.kind == Expr::Kind::kIndex ||
+           std::any_of(e.args.begin(), e.args.end(),
+                       [](const ExprPtr& a) { return uses_index(*a); });
+  }
+
+  /// Row-major offset in long over the allocated extents:
+  /// (((s0) * (e1) + (s1)) * (e2) + (s2))...
   std::string flat_index(const Grid& g, const std::vector<ExprPtr>& subs) const {
-    std::string out = cat("(", expr(*subs[0]), ")");
+    std::string out = cat("(", index_text(*subs[0]), ")");
     for (std::size_t d = 1; d < subs.size(); ++d) {
-      out = cat("(", out, " * (", expr(*g.dims[d].extent), ") + (",
-                expr(*subs[d]), "))");
+      out = cat("(", out, " * (", extent_text(g, d), ") + (",
+                index_text(*subs[d]), "))");
     }
     return out;
   }
@@ -486,12 +706,7 @@ class CGen {
     if (subs.empty()) return field.empty() || opt_.soa_layout
                                  ? base
                                  : cat(base, ".", field);
-    // Interpreter-exact mode holds subscripts in doubles: truncate the
-    // flattened offset once at the access (values are exact integers).
-    const std::string index = interp_math()
-                                  ? cat("(long)", flat_index(g, subs))
-                                  : flat_index(g, subs);
-    std::string out = cat(base, "[", index, "]");
+    std::string out = cat(base, "[", flat_index(g, subs), "]");
     if (!field.empty() && !opt_.soa_layout) out += cat(".", field);
     return out;
   }
@@ -517,20 +732,20 @@ class CGen {
           // tree-walk evaluator only truncates at INTEGER stores). The
           // typed back-end must bring an Int-typed power back to long or
           // it poisons enclosing % operands and subscripts.
-          if (interp_math()) return text;
+          if (interp_arith()) return text;
           return t == DataType::kInt ? cat("(long)", text) : text;
         }
         if (e.bop == BinOp::kMod) {
           const DataType t = promote(infer_type(p_, *e.args[0]),
                                      infer_type(p_, *e.args[1]));
-          if (t == DataType::kInt && !interp_math()) {
+          if (t == DataType::kInt && !interp_arith()) {
             return cat("(", expr(*e.args[0]), " % ", expr(*e.args[1]), ")");
           }
           // fmod truncates toward zero exactly like C's % on integral
           // values, and is the interpreter's MOD for every type.
           return cat("fmod(", expr(*e.args[0]), ", ", expr(*e.args[1]), ")");
         }
-        if (e.bop == BinOp::kDiv && interp_math() &&
+        if (e.bop == BinOp::kDiv && interp_arith() &&
             infer_type(p_, *e.args[0]) == DataType::kInt &&
             infer_type(p_, *e.args[1]) == DataType::kInt) {
           // Integer division truncates; with double storage that must be
@@ -572,10 +787,10 @@ class CGen {
     for (const ExprPtr& a : e.args) args.push_back(expr(*a));
     if (lib != nullptr) {
       if (lib->name == "INT") {
-        return interp_math() ? cat("trunc(", args[0], ")")
-                                : cat("(long)(", args[0], ")");
+        return interp_arith() ? cat("trunc(", args[0], ")")
+                              : cat("(long)(", args[0], ")");
       }
-      if (lib->name == "NINT" && interp_math()) {
+      if (lib->name == "NINT" && interp_arith()) {
         return cat("nearbyint(", args[0], ")");
       }
       std::string out;
@@ -595,8 +810,8 @@ class CGen {
       // exact integers, so the cast loses nothing.
       if (lib->result == LibResult::kSameAsArg &&
           infer_type(p_, e) == DataType::kInt) {
-        out = interp_math() ? cat("trunc(", out, ")")
-                               : cat("(long)(", out, ")");
+        out = interp_arith() ? cat("trunc(", out, ")")
+                             : cat("(long)(", out, ")");
       }
       return out;
     }
@@ -665,13 +880,15 @@ class CGen {
 
   /// True when the step is emitted as a host-dispatched range function:
   /// bit-exact, its directive kept under the active policy, and every
-  /// referenced grid expressible in the flat unit (no structs).
+  /// referenced grid expressible in the flat unit (no structs, and no
+  /// arrays whose extents the calling function captures at run time).
   bool step_ranged(const Step& step, const StepVerdict& v) const {
     if (!opt_.host_parallel) return false;
     if (!v.has_loop || !v.bit_exact) return false;
     if (!keep_directive(opt_.policy, v)) return false;
     for (const GridId id : step_grids(step)) {
-      if (p_.grid(id).is_struct()) return false;
+      const Grid& g = p_.grid(id);
+      if (g.is_struct() || !has_constant_extents(g)) return false;
     }
     return true;
   }
@@ -915,9 +1132,6 @@ class CGen {
 
   void emit_range_loops(const Function& fn, const Step& step,
                         std::size_t depth, int owner, const std::string& bs) {
-    const auto bound = [&](const Expr& e) {
-      return interp_math() ? cat("(long)", expr(e)) : expr(e);
-    };
     int open = 0;
     std::string carry;  ///< flat banding: advance the counters a row
     if (owner >= 0) {
@@ -989,16 +1203,7 @@ class CGen {
       open += 2;
     }
     for (std::size_t d = depth; d < step.loops.size(); ++d) {
-      const LoopSpec& loop = step.loops[d];
-      std::string head =
-          cat("for (", loop.index_var, " = ", bound(*loop.begin), "; ",
-              loop.index_var, " <= ", bound(*loop.end), "; ");
-      head += loop.stride ? cat(loop.index_var, " += ", bound(*loop.stride))
-                          : cat("++", loop.index_var);
-      head += ") {";
-      w_.line(head);
-      w_.indent();
-      ++open;
+      open += open_loop(step.loops[d]);
     }
     emit_body(step.body, fn, nullptr);
     for (int i = open; i > 0; --i) {
@@ -1018,9 +1223,6 @@ class CGen {
     const std::string stem = region_stem(fn, info);
     const std::size_t lo = info.span.first_step;
     const std::size_t hi = lo + info.span.step_count;
-    const auto bound = [&](const Expr& e) {
-      return interp_math() ? cat("(long)", expr(e)) : expr(e);
-    };
     w_.line("{");
     w_.indent();
     w_.line(cat("struct ", stem, "_ctx glaf_c;"));
@@ -1036,15 +1238,25 @@ class CGen {
         const std::string b = cat("glaf_c.glaf_b", bs, "[", d, "]");
         const std::string st = cat("glaf_c.glaf_s", bs, "[", d, "]");
         const std::string t = cat("glaf_c.glaf_t", bs, "[", d, "]");
-        w_.line(cat(b, " = ", bound(*loop.begin), ";"));
-        w_.line(cat(st, " = ",
-                    loop.stride ? bound(*loop.stride) : std::string("1"),
+        // Begin, end, then stride, as the VM evaluates them; a zero
+        // stride sets the fault and runs no trip.
+        const std::optional<std::int64_t> lit = stride_value(loop, false);
+        const bool checked = !lit || *lit == 0;
+        w_.line(cat(b, " = ", index_text(*loop.begin), ";"));
+        w_.line(cat("{ long glaf_end = ", index_text(*loop.end), "; ", st,
+                    " = ", checked ? index_text(*loop.stride) : cat(*lit),
                     ";"));
-        w_.line(cat("{ long glaf_end = ", bound(*loop.end),
-                    "; long glaf_sp = ", st, " > 0 ? glaf_end - ", b, " : ",
-                    b, " - glaf_end; ", t,
-                    " = glaf_sp < 0 ? 0 : glaf_sp / (", st, " < 0 ? -", st,
+        w_.indent();
+        if (checked) {
+          uses_fault_ = true;
+          w_.line(cat("if (", st, " == 0) glaf_zero_stride();"));
+        }
+        w_.line(cat("long glaf_sp = ", st, " > 0 ? glaf_end - ", b, " : ", b,
+                    " - glaf_end; ", t, " = ",
+                    checked ? cat(st, " == 0 || ") : std::string(),
+                    "glaf_sp < 0 ? 0 : glaf_sp / (", st, " < 0 ? -", st,
                     " : ", st, ") + 1; }"));
+        w_.dedent();
       }
     };
     // Only the first step's bands are needed up front (they define the
@@ -1203,6 +1415,12 @@ class CGen {
     if (!vars.empty()) {
       w_.line(cat("long ", join({vars.begin(), vars.end()}, ", "), ";"));
     }
+    for (const GridId id : fn.params) {
+      const Grid& g = p_.grid(id);
+      if (captures_extents(g)) {
+        w_.line(cat("const long ", join(extent_inits(g), ", "), ";"));
+      }
+    }
     for (const GridId id : fn.locals) {
       emit_definition(p_.grid(id), /*file_scope=*/false);
     }
@@ -1250,38 +1468,69 @@ class CGen {
     if (opt_.emit_comments && !step.comment.empty()) {
       w_.line(cat("/* ", step.comment, " */"));
     }
-    const bool omp = opt_.enable_openmp && keep_directive(opt_.policy, verdict);
-    if (omp) emit_omp_pragma(step, verdict);
-    for (const LoopSpec& loop : step.loops) {
-      // Interpreter-exact mode: bound expressions are doubles (integral in
-      // value); cast once at the loop head so the counter stays a long.
-      const auto bound = [&](const Expr& e) {
-        return interp_math() ? cat("(long)", expr(e)) : expr(e);
-      };
-      std::string head =
-          cat("for (", loop.index_var, " = ", bound(*loop.begin), "; ",
-              loop.index_var, " <= ", bound(*loop.end), "; ");
-      head += loop.stride ? cat(loop.index_var, " += ", bound(*loop.stride))
-                          : cat("++", loop.index_var);
-      head += ") {";
-      w_.line(head);
-      w_.indent();
+    // The loops the directive covers need strides of a known, nonzero
+    // value for OpenMP's canonical loop form, and its clauses cannot name
+    // a COMMON or TYPE member (a struct member in C); without either the
+    // step runs serially.
+    const std::size_t covered =
+        std::min<std::size_t>(omp_collapse(verdict), step.loops.size());
+    bool omp = opt_.enable_openmp && keep_directive(opt_.policy, verdict);
+    for (std::size_t d = 0; omp && d < covered; ++d) {
+      const auto st = stride_value(step.loops[d], true);
+      omp = st && *st != 0;
     }
+    const auto member = [&](GridId id) {
+      return c_storage_name(p_.grid(id)) != p_.grid(id).name;
+    };
+    for (const ReductionClause& r : verdict.reductions) {
+      omp = omp && !member(r.grid);
+    }
+    for (const auto* clause : {&verdict.private_grids,
+                               &verdict.firstprivate_grids}) {
+      omp = omp && std::none_of(clause->begin(), clause->end(), member);
+    }
+    int open = 0;
+    std::size_t d = 0;
+    if (omp) {
+      std::vector<std::string> hoisted;
+      std::vector<std::string> lines;
+      for (; d < covered; ++d) {
+        lines.push_back(omp_loop_line(step.loops[d], &hoisted));
+      }
+      if (!hoisted.empty()) {
+        w_.line("{");
+        w_.indent();
+        w_.line(cat("const long ", join(hoisted, ", "), ";"));
+        ++open;
+      }
+      emit_omp_pragma(step, verdict);
+      for (const std::string& line : lines) {
+        w_.line(line);
+        w_.indent();
+        ++open;
+      }
+    }
+    for (; d < step.loops.size(); ++d) open += open_loop(step.loops[d]);
     emit_body(step.body, fn, omp ? &verdict : nullptr);
-    for (std::size_t i = 0; i < step.loops.size(); ++i) {
+    for (; open > 0; --open) {
       w_.dedent();
       w_.line("}");
     }
     w_.blank();
   }
 
+  /// How many loops of a step its OpenMP directive covers.
+  int omp_collapse(const StepVerdict& verdict) const {
+    if (opt_.emit_collapse && verdict.collapse > 1) {
+      return std::min(verdict.collapse, opt_.max_collapse);
+    }
+    return 1;
+  }
+
   void emit_omp_pragma(const Step& step, const StepVerdict& verdict) {
     std::string d = "#pragma omp parallel for";
-    int collapse = 1;
-    if (opt_.emit_collapse && verdict.collapse > 1) {
-      collapse = std::min(verdict.collapse, opt_.max_collapse);
-      if (collapse > 1) d += cat(" collapse(", collapse, ")");
-    }
+    const int collapse = omp_collapse(verdict);
+    if (collapse > 1) d += cat(" collapse(", collapse, ")");
     std::vector<std::string> privates;
     for (std::size_t i = static_cast<std::size_t>(collapse);
          i < step.loops.size(); ++i) {
@@ -1399,6 +1648,12 @@ class CGen {
   std::set<std::string> region_callees_;
   std::set<GridId> region_atomics_;
   const Function* current_fn_ = nullptr;
+  /// Set while index_text emits a typed-model subscript or bound that it
+  /// rounds (interp_arith), and whether the code uses glaf_ix or
+  /// glaf_zero_stride (emit_preamble defines them then).
+  mutable bool index_arith_ = false;
+  mutable bool uses_ix_ = false;
+  bool uses_fault_ = false;
   /// Host-parallel dispatch plan (host_parallel only): every function's
   /// steps grouped into regions, plus the emitted-region metadata
   /// returned through GeneratedCode.

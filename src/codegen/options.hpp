@@ -166,6 +166,9 @@ struct GeneratedCode {
   std::map<std::string, std::string> per_function;
   /// Host-parallel regions, in emission order (host_parallel only).
   std::vector<ParallelRegion> regions;
+  /// Some loop's stride is checked at run time: the unit defines
+  /// `glaf_fault`, which a zero stride sets.
+  bool checks_stride = false;
 };
 
 }  // namespace glaf

@@ -728,6 +728,11 @@ class Generator {
   void make_loop_step(FunctionBuilder& fb, int index, Scope& sc) {
     StepBuilder st = fb.step(cat("loop", index));
     const int depth = irange(1, opts_.max_loop_depth);
+    std::vector<const AccInfo*> int_accs;
+    for (const AccInfo& acc : accs_) {
+      if (acc.kind == AccKind::kSumInt) int_accs.push_back(&acc);
+    }
+    const AccInfo* bound_acc = nullptr;
     for (int d = 0; d < depth; ++d) {
       std::int64_t bound = 0;
       ExprPtr extent;
@@ -743,14 +748,30 @@ class Generator {
         extent = liti(bound).node();
       }
       const std::string var = cat("i", d);
-      if (depth == 1 && chance(10)) {
-        st.foreach_(var, liti(0), E(extent) - liti(1), liti(2));
+      E last = E(extent) - liti(1);
+      // Sometimes the outer loop's last index reads an INTEGER
+      // accumulator the body updates: every backend must read the bound
+      // once, at loop entry (also where the accumulator is a reduction).
+      if (d == 0 && bound_acc == nullptr && !int_accs.empty() && chance(10)) {
+        bound_acc = pick(int_accs);
+        last = call("MOD", {call("ABS", {E(bound_acc->handle)}), liti(bound)});
+      }
+      const int roll = irange(0, 99);
+      if (depth == 1 && roll < 10) {
+        st.foreach_(var, liti(0), std::move(last), liti(2));
+      } else if (roll < 20) {
+        // The same indices downwards, by a negative literal stride.
+        st.foreach_(var, std::move(last), liti(0), liti(chance(50) ? -1 : -2));
       } else {
-        st.foreach_(var, liti(0), E(extent) - liti(1));
+        st.foreach_(var, liti(0), std::move(last));
       }
       sc.indices.emplace_back(var, bound);
     }
     sc.allow_reductions = opts_.use_reductions;
+    if (bound_acc != nullptr) {
+      st.assign(bound_acc->handle,
+                E(bound_acc->handle) + call("MOD", {gen_int(2, sc), liti(97)}));
+    }
     const int nstmts = irange(1, opts_.max_stmts_per_step);
     for (int k = 0; k < nstmts; ++k) gen_stmt(st, sc, 1);
   }

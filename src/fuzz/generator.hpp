@@ -8,8 +8,10 @@
 //     initial data, driven by scalar size parameters;
 //   - the §3 integration attributes: module-scope variables, variables
 //     from imported FORTRAN modules, and COMMON-block variables;
-//   - loop nests (with occasional non-unit strides), conditionals,
-//     reduction statements (sum / min / max), early returns;
+//   - loop nests (with occasional non-unit and negative strides, and
+//     outer bounds that read an INTEGER accumulator the body updates),
+//     conditionals, reduction statements (sum / min / max), early
+//     returns;
 //   - SUBROUTINE definitions with array parameters plus CALL sites
 //     (§3.4) and value-returning functions used inside expressions;
 //   - library functions (ABS, MIN/MAX, SIN, SQRT, EXP, TANH, MOD and
@@ -21,7 +23,8 @@
 // and reduction contributions clamped — the only values that may differ
 // between serial and parallel execution are reduction accumulators,
 // whose merge order is not defined (they reassociate within a few ULP).
-// Accumulator grids are therefore never read back by generated code.
+// Accumulator grids are therefore never read back by generated code,
+// except that an INTEGER sum (exact in any order) may bound a loop.
 
 #include <cstdint>
 

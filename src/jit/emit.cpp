@@ -25,7 +25,7 @@ std::string slot_decl(const Grid& g, const AbiSlot& slot, NumericModel model) {
 std::string wrapper_text(const Program& p, const std::vector<AbiSlot>& slots,
                          const std::vector<AbiFunction>& functions,
                          bool parallel, NumericModel model,
-                         const EffectsMap& effects) {
+                         const EffectsMap& effects, bool checks_stride) {
   std::vector<std::string> out;
   out.push_back("");
   out.push_back("/* ---- native-engine ABI wrapper ---- */");
@@ -177,6 +177,10 @@ std::string wrapper_text(const Program& p, const std::vector<AbiSlot>& slots,
     }
     out.push_back(cat("  glaf_nat_copy_out(glaf_nat_a, glaf_nat_write_",
                       fn.symbol, ");"));
+    // A zero loop stride (glaf_zero_stride) fails the call, as in the VM.
+    if (checks_stride) {
+      out.push_back("  if (glaf_fault) { glaf_fault = 0; return -1; }");
+    }
     out.push_back("  return 0;");
     out.push_back("}");
   }
@@ -283,7 +287,8 @@ StatusOr<KernelUnit> emit_kernel_unit(const Program& program,
   unit.regions = code.regions;
   unit.source = cat(code.source,
                     wrapper_text(*prog, unit.slots, unit.functions,
-                                 unit.parallel, options.model, anal->effects));
+                                 unit.parallel, options.model, anal->effects,
+                                 code.checks_stride));
   return unit;
 }
 

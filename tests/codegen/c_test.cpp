@@ -26,7 +26,9 @@ TEST(CGen, PreambleAndHelpers) {
 TEST(CGen, VoidFunctionAndLoop) {
   const std::string src = gen(testing::saxpy_program());
   EXPECT_TRUE(contains(src, "void saxpy(void) {"));
-  EXPECT_TRUE(contains(src, "for (i = 0; i <= (n - 1); ++i) {"));
+  // The bound reads a grid, so it is evaluated once, before the loop.
+  EXPECT_TRUE(contains(src, "const long glaf_hi_i = (n - 1);"));
+  EXPECT_TRUE(contains(src, "for (i = 0; i <= glaf_hi_i; ++i) {"));
 }
 
 TEST(CGen, OmpPragma) {
@@ -120,8 +122,10 @@ TEST(CGen, SaveTemporariesUsesStaticGuard) {
   s.foreach_("i", 0, E(n) - 1);
   s.assign(t(idx("i")), 0.0);
   const std::string src = gen(pb.build().value(), opts);
+  EXPECT_TRUE(contains(src, "static long glaf_e0_t;"));
   EXPECT_TRUE(contains(src, "static double* t = 0;"));
-  EXPECT_TRUE(contains(src, "if (!t) t ="));
+  // The extent is captured with the first allocation.
+  EXPECT_TRUE(contains(src, "if (!t) { glaf_e0_t = n; t ="));
   EXPECT_FALSE(contains(src, "free(t);"));
 }
 

@@ -15,11 +15,14 @@
 
 #include <bit>
 #include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <limits>
 #include <string>
 #include <vector>
@@ -256,6 +259,63 @@ TEST(NativeVsPlan, WholeArrayStateBitIdentical) {
   for (std::size_t i = 0; i < y_pl.size(); ++i) {
     expect_bit_equal(y_pl[i], y_nat[i], cat("y[", i, "]"));
   }
+}
+
+TEST(NativeVsPlan, ZeroStrideFailsInsteadOfLooping) {
+  // The plan VM fails a loop whose stride evaluates to zero. A kernel
+  // that tested `i <= end` with the stride added each trip looped
+  // forever; every tier must now fail the call with the VM's message. The
+  // calls run on a watchdog thread so that a hang fails the test in
+  // bounded time instead of stalling the suite.
+  if (!have_cc()) GTEST_SKIP() << "no system compiler";
+  ProgramBuilder pb("m");
+  auto st = pb.global("st", DataType::kInt);
+  auto acc = pb.global("acc", DataType::kDouble);
+  auto b = pb.global("b", DataType::kDouble, {liti(10)});
+  pb.function("count").step("s").foreach_("i", liti(1), liti(5), E(st))
+      .assign(acc(), E(acc) + 1.0);
+  // A banded step (parallel units compute its trip count at the call
+  // site) and an inner loop of a nest.
+  pb.function("fill").step("s").foreach_("j", liti(0), liti(9), E(st))
+      .assign(b(idx("j")), idx("j") * 2.0);
+  pb.function("nest").step("s").foreach_("i", liti(0), liti(9))
+      .foreach_("j", liti(0), liti(3), E(st))
+      .assign(b(idx("i")), E(b(idx("i"))) + 1.0);
+  const Program p = pb.build().value();
+
+  InterpOptions parallel = native_opts();
+  parallel.parallel = true;
+  parallel.num_threads = 2;
+  parallel.gate_always_dispatch = true;
+  InterpOptions opt = native_opts();
+  opt.native_model = NumericModel::kOpt;
+  std::vector<std::string> failures;
+  auto run = std::async(std::launch::async, [&] {
+    for (const InterpOptions& o : {plan_opts(), native_opts(), parallel, opt}) {
+      Machine m(p, o);
+      for (const char* fn : {"count", "fill", "nest"}) {
+        const StatusOr<double> r = m.call(fn);
+        if (r.is_ok() || r.status().message() != "zero loop stride") {
+          failures.push_back(cat(fn, " on engine ", static_cast<int>(o.engine),
+                                 " parallel=", o.parallel, ": ",
+                                 r.is_ok() ? "ok" : r.status().message()));
+        }
+      }
+      // The kernel, not the plan fallback, must have failed the calls.
+      if (o.engine == ExecEngine::kNative &&
+          (!m.native_report().available ||
+           m.native_report().fallback_calls != 0)) {
+        failures.push_back(cat("kernel not used: ",
+                               m.native_report().fallback_reason));
+      }
+    }
+  });
+  if (run.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+    std::fprintf(stderr, "zero-stride call still running after 60 s\n");
+    std::abort();
+  }
+  run.get();
+  EXPECT_TRUE(failures.empty()) << join(failures, "\n");
 }
 
 // ---- example kernels --------------------------------------------------------
@@ -559,11 +619,12 @@ TEST(NativeEmit, Fun3dEdgeScatterWritesThroughRestrictPointers) {
     ASSERT_NE(begin, std::string::npos);
     const std::string body =
         src.substr(begin, src.find("\n}\n", begin) - begin);
-    EXPECT_NE(body.find("jac[(long)(edge_a[(long)(e)])] = "),
-              std::string::npos)
+    // A subscript read from a grid is rounded like the VM's (glaf_ix);
+    // a loop index is already a long.
+    EXPECT_NE(body.find("jac[(glaf_ix(edge_a[(e)]))] = "), std::string::npos)
         << body;
-    EXPECT_NE(body.find("q[(long)(edge_b[(long)(e)])]"), std::string::npos);
-    EXPECT_NE(body.find("w[(long)(e)]"), std::string::npos);
+    EXPECT_NE(body.find("q[(glaf_ix(edge_b[(e)]))]"), std::string::npos);
+    EXPECT_NE(body.find("w[(e)]"), std::string::npos);
   }
 }
 
