@@ -146,8 +146,7 @@ bool fusable(const Step& sa, const StepVerdict& va, const StepSummary& a,
 PartitionSig partition_signature(const Step& step, const StepVerdict& v) {
   PartitionSig sig;
   if (!v.has_loop || step.loops.empty()) return sig;
-  const std::size_t depth = std::min<std::size_t>(
-      static_cast<std::size_t>(std::max(v.collapse, 1)), step.loops.size());
+  const std::size_t depth = parallel_band(step, v);
   if (v.exact_partition_dim >= 0) {
     if (static_cast<std::size_t>(v.exact_partition_dim) >= depth) return sig;
     sig.loop_index = static_cast<std::size_t>(v.exact_partition_dim);

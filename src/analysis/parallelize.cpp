@@ -196,8 +196,7 @@ bool all_writes_atomic(const Program& p, const std::vector<Stmt>& body,
 /// bands. Returns -1 when no such dimension exists.
 int find_ownership_dim(const Step& step, const StepVerdict& v,
                        const Buckets& buckets) {
-  const std::size_t band = std::min<std::size_t>(
-      static_cast<std::size_t>(std::max(v.collapse, 1)), step.loops.size());
+  const std::size_t band = parallel_band(step, v);
   for (std::size_t p = 0; p < band; ++p) {
     const std::string& var = step.loops[p].index_var;
     bool covers_all = true;
@@ -287,6 +286,11 @@ bool referenced_outside_step(const Function& fn, const Step& current,
 }
 
 }  // namespace
+
+std::size_t parallel_band(const Step& step, const StepVerdict& v) {
+  return std::min<std::size_t>(
+      static_cast<std::size_t>(std::max(v.collapse, 1)), step.loops.size());
+}
 
 StepVerdict analyze_step(const Program& program, const Function& fn,
                          const Step& step, const EffectsMap& effects,

@@ -71,6 +71,10 @@ struct StepVerdict {
   std::vector<std::string> notes;  ///< human-readable reasoning trail
 };
 
+/// Loops in a step's perfectly nested parallel band: its analyzed
+/// collapse depth, clamped to [1, number of loops].
+std::size_t parallel_band(const Step& step, const StepVerdict& v);
+
 /// Analyze one step of `fn` with optional manual tweaks.
 StepVerdict analyze_step(const Program& program, const Function& fn,
                          const Step& step, const EffectsMap& effects,

@@ -80,7 +80,10 @@ class CGen {
  public:
   CGen(const Program& p, const ProgramAnalysis& analysis,
        const CodegenOptions& options)
-      : p_(p), analysis_(analysis), opt_(options), w_("") {}
+      : p_(p), analysis_(analysis), opt_(options), w_(""),
+        directives_(options.enable_openmp
+                        ? plan_directives(p, analysis, options)
+                        : DirectivePlan{}) {}
 
   /// The interpreter-exact numeric model (the bit-identical JIT tier).
   bool interp_math() const {
@@ -116,14 +119,13 @@ class CGen {
   GeneratedCode run() {
     emit_file_scope();
     GeneratedCode out;
-    for (const Function& fn : p_.functions) emit_prototype(fn);
+    for (const Function& fn : p_.functions) w_.raw(cat(signature(fn), ";"));
     w_.blank();
     if (opt_.host_parallel) {
       effects_ = compute_effects(p_);
       plan_regions();
       emit_range_units();
     }
-    if (opt_.enable_openmp) find_region_callees();
     for (const Function& fn : p_.functions) {
       const std::size_t mark = w_.mark();
       current_fn_ = &fn;
@@ -283,85 +285,24 @@ class CGen {
         emit_definition(g, /*file_scope=*/true);
       }
     }
-    if (opt_.enable_openmp) {
-      std::vector<std::string> names;
-      for (const GridId id : p_.global_grids) {
-        if (threadprivate(id)) names.push_back(p_.grid(id).name);
+    std::vector<std::string> names;
+    for (const GridId id : p_.global_grids) {
+      if (directives_.threadprivate_globals.count(id)) {
+        names.push_back(p_.grid(id).name);
       }
-      if (!names.empty()) {
-        w_.raw(cat("#pragma omp threadprivate(", join(names, ", "), ")"));
-      }
+    }
+    if (!names.empty()) {
+      w_.raw(cat("#pragma omp threadprivate(", join(names, ", "), ")"));
     }
     w_.blank();
   }
 
-  /// Subprograms a kept directive's loop calls, at any depth, run on
-  /// every thread of the region; the grids that loop updates atomically
-  /// are updated atomically in them too (OpenMP emission only).
-  void find_region_callees() {
-    std::vector<std::string> pending;
-    const auto calls_of = [&](const Step& step) {
-      const std::vector<std::string> callees =
-          collect_step_accesses(p_, step, analysis_.effects).callees;
-      for (const std::string& callee : callees) {
-        if (region_callees_.insert(callee).second) {
-          pending.push_back(callee);
-        }
-      }
-      return !callees.empty();
-    };
-    for (const Function& fn : p_.functions) {
-      const auto it = analysis_.verdicts.find(fn.id);
-      if (it == analysis_.verdicts.end()) continue;
-      for (std::size_t s = 0; s < fn.steps.size() && s < it->second.size();
-           ++s) {
-        const StepVerdict& v = it->second[s];
-        if (keep_directive(opt_.policy, v) && calls_of(fn.steps[s])) {
-          region_atomics_.insert(v.atomic_grids.begin(),
-                                 v.atomic_grids.end());
-        }
-      }
-    }
-    while (!pending.empty()) {
-      const Function* fn = p_.find_function(pending.back());
-      pending.pop_back();
-      if (fn == nullptr) continue;
-      for (const Step& step : fn->steps) calls_of(step);
-    }
-  }
-
-  /// A SAVE'd local of a subprogram that runs inside a parallel region
-  /// is per thread (§4.2.1 pairs the SAVE attribute with thread-private
-  /// declarations): a shared static would race between the calls.
-  void emit_threadprivate_save(const std::string& names) {
-    if (in_region_callee()) {
+  /// The THREADPRIVATE declaration of `names`, the storage of a region
+  /// callee's SAVE'd local `g` (DirectivePlan::threadprivate_saves).
+  void emit_threadprivate_save(const Grid& g, const std::string& names) {
+    if (directives_.threadprivate_saves.count(g.id) != 0) {
       w_.raw(cat("#pragma omp threadprivate(", names, ")"));
     }
-  }
-
-  bool in_region_callee() const {
-    return current_fn_ != nullptr && region_callees_.count(current_fn_->name);
-  }
-
-  /// Whether `id` is an owned global that a kept directive privatizes
-  /// (the §4.2.1 tweaks make module-scope intermediates private). The
-  /// loop's callees name such a grid too, and a PRIVATE clause does not
-  /// reach them, so every thread gets its own copy through THREADPRIVATE
-  /// instead, and emit_omp_pragma leaves it out of the clause.
-  bool threadprivate(GridId id) const {
-    if (p_.grid(id).external != ExternalKind::kNone ||
-        std::find(p_.global_grids.begin(), p_.global_grids.end(), id) ==
-            p_.global_grids.end()) {
-      return false;
-    }
-    for (const auto& [fn, verdicts] : analysis_.verdicts) {
-      for (const StepVerdict& v : verdicts) {
-        if (keep_directive(opt_.policy, v) && id_in(v.private_grids, id)) {
-          return true;
-        }
-      }
-    }
-    return false;
   }
 
   /// Whether `g` is a global array the caller binds (binds_global_array).
@@ -377,30 +318,17 @@ class CGen {
     return cat(ctype(g.elem_type), " ", g.name, flat_array_suffix(g));
   }
 
-  /// Fold an extent, resolving never-written global size parameters.
-  std::optional<std::int64_t> fold_extent(const ExprPtr& extent) const {
-    const auto v = fold_with_globals(p_, *extent);
-    if (!v) return std::nullopt;
-    return static_cast<std::int64_t>(value_as_double(*v));
-  }
-
   /// "[4*4]" for constant extents, "" for scalars. Symbolic global extents
   /// fall back to pointers.
   std::string flat_array_suffix(const Grid& g) const {
     if (g.dims.empty()) return "";
     std::int64_t total = 1;
     for (const Dim& d : g.dims) {
-      const auto c = fold_extent(d.extent);
+      const auto c = fold_extent(p_, *d.extent);
       if (!c) return "";  // handled by pointer path
       total *= *c;
     }
     return cat("[", total, "]");
-  }
-
-  bool has_constant_extents(const Grid& g) const {
-    return std::all_of(g.dims.begin(), g.dims.end(), [this](const Dim& d) {
-      return fold_extent(d.extent).has_value();
-    });
   }
 
   /// Whether `g` is an array of the function being emitted whose extents
@@ -409,7 +337,8 @@ class CGen {
   /// instances keep the extents they were built with.
   bool captures_extents(const Grid& g) const {
     return !g.dims.empty() && !g.is_struct() && current_fn_ != nullptr &&
-           is_local_or_param(*current_fn_, g.id) && !has_constant_extents(g);
+           is_local_or_param(*current_fn_, g.id) &&
+           !has_constant_extents(p_, g);
   }
 
   static std::string extent_var(const Grid& g, std::size_t d) {
@@ -420,7 +349,7 @@ class CGen {
   /// constant, the captured long, or (a lazily allocated file-scope
   /// array of the typed back-end) the extent expression itself.
   std::string extent_text(const Grid& g, std::size_t d) const {
-    if (const auto c = fold_extent(g.dims[d].extent)) return cat(*c);
+    if (const auto c = fold_extent(p_, *g.dims[d].extent)) return cat(*c);
     if (captures_extents(g)) return extent_var(g, d);
     return index_text(*g.dims[d].extent);
   }
@@ -430,7 +359,7 @@ class CGen {
   std::vector<std::string> extent_inits(const Grid& g) const {
     std::vector<std::string> inits;
     for (std::size_t d = 0; d < g.dims.size(); ++d) {
-      if (fold_extent(g.dims[d].extent)) continue;
+      if (fold_extent(p_, *g.dims[d].extent)) continue;
       inits.push_back(cat(extent_var(g, d), " = ",
                           index_text(*g.dims[d].extent)));
     }
@@ -449,6 +378,14 @@ class CGen {
   std::string elem_type_of(const Grid& g) const {
     return ctype(g.is_struct() && !opt_.soa_layout ? DataType::kVoid
                                                     : g.elem_type);
+  }
+
+  /// " = {1, 2}" from an array's initial data, else `otherwise`.
+  static std::string init_list(const Grid& g, const char* otherwise) {
+    if (g.init_data.empty()) return otherwise;
+    std::vector<std::string> vals;
+    for (const Value& v : g.init_data) vals.push_back(c_literal(v));
+    return cat(" = {", join(vals, ", "), "}");
   }
 
   /// Emit a grid definition (file scope or local). Arrays with constant
@@ -480,23 +417,14 @@ class CGen {
                               : cat(" = ", c_literal(g.init_data[0]));
       w_.line(cat(storage, save && !file_scope ? "static " : "",
                   ctype(g.elem_type), " ", g.name, init, ";"));
-      if (save && !file_scope) emit_threadprivate_save(g.name);
+      emit_threadprivate_save(g, g.name);
       return;
     }
-    if (has_constant_extents(g)) {
-      std::string init;
-      if (!g.init_data.empty()) {
-        std::vector<std::string> vals;
-        vals.reserve(g.init_data.size());
-        for (const Value& v : g.init_data) vals.push_back(c_literal(v));
-        init = cat(" = {", join(vals, ", "), "}");
-      } else if (needs_zero) {
-        init = " = {0}";
-      }
+    if (has_constant_extents(p_, g)) {
       w_.line(cat(storage, save && !file_scope ? "static " : "",
                   ctype(g.elem_type), " ", g.name, flat_array_suffix(g),
-                  init, ";"));
-      if (save && !file_scope) emit_threadprivate_save(g.name);
+                  init_list(g, needs_zero ? " = {0}" : ""), ";"));
+      emit_threadprivate_save(g, g.name);
       return;
     }
     // Symbolic extents.
@@ -517,12 +445,14 @@ class CGen {
       // allocation.
       std::vector<std::string> vars;
       for (std::size_t d = 0; d < g.dims.size(); ++d) {
-        if (!fold_extent(g.dims[d].extent)) vars.push_back(extent_var(g, d));
+        if (!fold_extent(p_, *g.dims[d].extent)) {
+          vars.push_back(extent_var(g, d));
+        }
       }
       w_.line(cat("static long ", join(vars, ", "), ";"));
       w_.line(cat("static ", ptr_decl(ctype(g.elem_type)), g.name, " = 0;"));
       vars.push_back(g.name);
-      emit_threadprivate_save(join(vars, ", "));
+      emit_threadprivate_save(g, join(vars, ", "));
       w_.line(cat("if (!", g.name, ") { ", join(inits, "; "), "; ", alloc,
                   " }"));
     } else {
@@ -855,11 +785,6 @@ class CGen {
     return ids;
   }
 
-  std::size_t band_depth(const Step& step, const StepVerdict& v) const {
-    return std::min<std::size_t>(
-        static_cast<std::size_t>(std::max(v.collapse, 1)), step.loops.size());
-  }
-
   bool is_local_or_param(const Function& fn, GridId id) const {
     return std::find(fn.locals.begin(), fn.locals.end(), id) !=
                fn.locals.end() ||
@@ -888,7 +813,7 @@ class CGen {
     if (!keep_directive(opt_.policy, v)) return false;
     for (const GridId id : step_grids(step)) {
       const Grid& g = p_.grid(id);
-      if (g.is_struct() || !has_constant_extents(g)) return false;
+      if (g.is_struct() || !has_constant_extents(p_, g)) return false;
     }
     return true;
   }
@@ -924,16 +849,9 @@ class CGen {
       w_.line(cat(ctype(g.elem_type), " ", g.name, " = ", init, ";"));
       return;
     }
-    if (has_constant_extents(g)) {
-      std::string init = " = {0}";
-      if (!g.init_data.empty()) {
-        std::vector<std::string> vals;
-        vals.reserve(g.init_data.size());
-        for (const Value& v : g.init_data) vals.push_back(c_literal(v));
-        init = cat(" = {", join(vals, ", "), "}");
-      }
+    if (has_constant_extents(p_, g)) {
       w_.line(cat(ctype(g.elem_type), " ", g.name, flat_array_suffix(g),
-                  init, ";"));
+                  init_list(g, " = {0}"), ";"));
       return;
     }
     w_.line(cat(ctype(g.elem_type), "* ", g.name, " = (", ctype(g.elem_type),
@@ -944,7 +862,7 @@ class CGen {
 
   /// Firstprivate array: a per-rank copy of the shared storage.
   void emit_firstprivate_copy(const Grid& g, std::vector<std::string>* frees) {
-    if (has_constant_extents(g)) {
+    if (has_constant_extents(p_, g)) {
       w_.line(cat(ctype(g.elem_type), " ", g.name, flat_array_suffix(g),
                   ";"));
       w_.line(cat("memcpy(", g.name, ", glaf_c->", g.name, ", sizeof(",
@@ -1035,7 +953,7 @@ class CGen {
       const Step& step = fn.steps[s];
       const StepVerdict& v = verdicts[s];
       const std::string bs = band_suffix(s);
-      const std::size_t depth = band_depth(step, v);
+      const std::size_t depth = parallel_band(step, v);
       w_.raw(cat("  long glaf_b", bs, "[", depth, "]; long glaf_s", bs, "[",
                  depth, "]; long glaf_t", bs, "[", depth,
                  "];  /* band begin/stride/trips */"));
@@ -1073,7 +991,7 @@ class CGen {
   /// reduction scratch, then the banded loops over [glaf_lo, glaf_hi).
   void emit_step_block(const Function& fn, const Step& step,
                        const StepVerdict& v, const std::string& bs) {
-    const std::size_t depth = band_depth(step, v);
+    const std::size_t depth = parallel_band(step, v);
     const int owner = v.exact_partition_dim;
     const std::vector<GridId> carried = carried_grids(fn, step, v);
     {
@@ -1232,7 +1150,7 @@ class CGen {
     const auto emit_bands = [&](std::size_t s) {
       const Step& step = fn.steps[s];
       const std::string bs = band_suffix(s);
-      const std::size_t depth = band_depth(step, verdicts[s]);
+      const std::size_t depth = parallel_band(step, verdicts[s]);
       for (std::size_t d = 0; d < depth; ++d) {
         const LoopSpec& loop = step.loops[d];
         const std::string b = cat("glaf_c.glaf_b", bs, "[", d, "]");
@@ -1271,7 +1189,7 @@ class CGen {
       const StepVerdict& v = verdicts[lo];
       const std::string bs = band_suffix(lo);
       const int owner = v.exact_partition_dim;
-      const std::size_t depth = band_depth(first, v);
+      const std::size_t depth = parallel_band(first, v);
       if (owner >= 0) {
         w_.line(cat("glaf_n = glaf_c.glaf_t", bs, "[", owner, "];"));
       } else {
@@ -1367,7 +1285,7 @@ class CGen {
     // knows them, takes them out of NativeEngine::gated_regions.
     w_.line("if (glaf_pfor && glaf_n > 0) ++glaf_gated;");
     for (std::size_t s = lo; s < hi; ++s) {
-      emit_step(fn, fn.steps[s], verdicts[s]);
+      emit_step(fn, fn.steps[s], directives_.step(fn.id, s));
     }
     w_.dedent();
     w_.line("}");
@@ -1388,12 +1306,13 @@ class CGen {
     return cat(ptr_decl(ctype(g.elem_type)), g.name);
   }
 
-  void emit_prototype(const Function& fn) {
+  /// "double f(double* a, long n)": the function's C declarator.
+  std::string signature(const Function& fn) const {
     std::vector<std::string> params;
     params.reserve(fn.params.size());
     for (const GridId id : fn.params) params.push_back(param_decl(p_.grid(id)));
-    w_.raw(cat(ctype(fn.return_type), " ", fn.name, "(",
-               params.empty() ? "void" : join(params, ", "), ");"));
+    return cat(ctype(fn.return_type), " ", fn.name, "(",
+               params.empty() ? "void" : join(params, ", "), ")");
   }
 
   void emit_function(const Function& fn) {
@@ -1401,11 +1320,7 @@ class CGen {
     if (opt_.emit_comments && !fn.comment.empty()) {
       w_.raw(cat("/* ", fn.comment, " */"));
     }
-    std::vector<std::string> params;
-    params.reserve(fn.params.size());
-    for (const GridId id : fn.params) params.push_back(param_decl(p_.grid(id)));
-    w_.raw(cat(ctype(fn.return_type), " ", fn.name, "(",
-               params.empty() ? "void" : join(params, ", "), ") {"));
+    w_.raw(cat(signature(fn), " {"));
     w_.indent();
 
     std::set<std::string> vars;
@@ -1433,28 +1348,22 @@ class CGen {
     }
     w_.blank();
 
-    static const StepVerdict kNoVerdict;
-    const auto& verdicts = analysis_.verdicts.count(fn.id) != 0
-                               ? analysis_.verdicts.at(fn.id)
-                               : std::vector<StepVerdict>{};
     const auto pit = plan_.find(fn.id);
     if (pit != plan_.end()) {
       // Host-parallel body: walk the region plan — ranged regions become
       // one gated dispatch each, serial regions emit their plain loops.
       for (const RegionInfo& info : pit->second) {
         if (info.ranged) {
-          emit_region_call(fn, info, verdicts);
+          emit_region_call(fn, info, analysis_.verdicts.at(fn.id));
           w_.blank();
         } else {
           const std::size_t s = info.span.first_step;
-          emit_step(fn, fn.steps[s],
-                    s < verdicts.size() ? verdicts[s] : kNoVerdict);
+          emit_step(fn, fn.steps[s], directives_.step(fn.id, s));
         }
       }
     } else {
       for (std::size_t s = 0; s < fn.steps.size(); ++s) {
-        emit_step(fn, fn.steps[s],
-                  s < verdicts.size() ? verdicts[s] : kNoVerdict);
+        emit_step(fn, fn.steps[s], directives_.step(fn.id, s));
       }
     }
 
@@ -1464,37 +1373,18 @@ class CGen {
   }
 
   void emit_step(const Function& fn, const Step& step,
-                 const StepVerdict& verdict) {
+                 const StepDirective* dir) {
     if (opt_.emit_comments && !step.comment.empty()) {
       w_.line(cat("/* ", step.comment, " */"));
     }
-    // The loops the directive covers need strides of a known, nonzero
-    // value for OpenMP's canonical loop form, and its clauses cannot name
-    // a COMMON or TYPE member (a struct member in C); without either the
-    // step runs serially.
-    const std::size_t covered =
-        std::min<std::size_t>(omp_collapse(verdict), step.loops.size());
-    bool omp = opt_.enable_openmp && keep_directive(opt_.policy, verdict);
-    for (std::size_t d = 0; omp && d < covered; ++d) {
-      const auto st = stride_value(step.loops[d], true);
-      omp = st && *st != 0;
-    }
-    const auto member = [&](GridId id) {
-      return c_storage_name(p_.grid(id)) != p_.grid(id).name;
-    };
-    for (const ReductionClause& r : verdict.reductions) {
-      omp = omp && !member(r.grid);
-    }
-    for (const auto* clause : {&verdict.private_grids,
-                               &verdict.firstprivate_grids}) {
-      omp = omp && std::none_of(clause->begin(), clause->end(), member);
-    }
+    const StepDirective* omp =
+        dir != nullptr && spellable(step, *dir) ? dir : nullptr;
     int open = 0;
     std::size_t d = 0;
-    if (omp) {
+    if (omp != nullptr) {
       std::vector<std::string> hoisted;
       std::vector<std::string> lines;
-      for (; d < covered; ++d) {
+      for (; d < static_cast<std::size_t>(omp->collapse); ++d) {
         lines.push_back(omp_loop_line(step.loops[d], &hoisted));
       }
       if (!hoisted.empty()) {
@@ -1503,7 +1393,8 @@ class CGen {
         w_.line(cat("const long ", join(hoisted, ", "), ";"));
         ++open;
       }
-      emit_omp_pragma(step, verdict);
+      w_.raw(cat("#pragma omp parallel for",
+                 clause_text(p_, *omp, opt_, to_lower)));
       for (const std::string& line : lines) {
         w_.line(line);
         w_.indent();
@@ -1511,7 +1402,7 @@ class CGen {
       }
     }
     for (; d < step.loops.size(); ++d) open += open_loop(step.loops[d]);
-    emit_body(step.body, fn, omp ? &verdict : nullptr);
+    emit_body(step.body, fn, omp);
     for (; open > 0; --open) {
       w_.dedent();
       w_.line("}");
@@ -1519,62 +1410,32 @@ class CGen {
     w_.blank();
   }
 
-  /// How many loops of a step its OpenMP directive covers.
-  int omp_collapse(const StepVerdict& verdict) const {
-    if (opt_.emit_collapse && verdict.collapse > 1) {
-      return std::min(verdict.collapse, opt_.max_collapse);
+  /// Whether C can spell a planned directive: the loops it covers need
+  /// strides of a known, nonzero value for OpenMP's canonical loop form,
+  /// and its clauses cannot name a COMMON or TYPE member (a struct member
+  /// in C). Otherwise the step runs serially.
+  bool spellable(const Step& step, const StepDirective& dir) const {
+    for (std::size_t d = 0; d < static_cast<std::size_t>(dir.collapse); ++d) {
+      const auto st = stride_value(step.loops[d], true);
+      if (!st || *st == 0) return false;
     }
-    return 1;
-  }
-
-  void emit_omp_pragma(const Step& step, const StepVerdict& verdict) {
-    std::string d = "#pragma omp parallel for";
-    const int collapse = omp_collapse(verdict);
-    if (collapse > 1) d += cat(" collapse(", collapse, ")");
-    std::vector<std::string> privates;
-    for (std::size_t i = static_cast<std::size_t>(collapse);
-         i < step.loops.size(); ++i) {
-      privates.push_back(step.loops[i].index_var);
-    }
-    for (const GridId g : verdict.private_grids) {
-      if (!threadprivate(g)) privates.push_back(p_.grid(g).name);
-    }
-    if (!privates.empty()) d += cat(" private(", join(privates, ", "), ")");
-    if (!verdict.firstprivate_grids.empty()) {
-      std::vector<std::string> names;
-      for (const GridId g : verdict.firstprivate_grids) {
-        names.push_back(p_.grid(g).name);
-      }
-      d += cat(" firstprivate(", join(names, ", "), ")");
-    }
-    for (const ReductionClause& r : verdict.reductions) {
-      d += cat(" reduction(", omp_spelling(r.op), ":", p_.grid(r.grid).name,
-               ")");
-    }
-    if (opt_.schedule != OmpSchedule::kDefault) {
-      d += cat(" schedule(",
-               opt_.schedule == OmpSchedule::kDynamic ? "dynamic" : "static");
-      if (opt_.schedule_chunk > 0) d += cat(", ", opt_.schedule_chunk);
-      d += ")";
-    }
-    w_.raw(d);
+    std::vector<GridId> named = dir.privates;
+    named.insert(named.end(), dir.firstprivates.begin(),
+                 dir.firstprivates.end());
+    for (const ReductionClause& r : dir.reductions) named.push_back(r.grid);
+    return std::none_of(named.begin(), named.end(), [&](GridId id) {
+      return c_storage_name(p_.grid(id)) != p_.grid(id).name;
+    });
   }
 
   void emit_body(const std::vector<Stmt>& body, const Function& fn,
-                 const StepVerdict* omp) {
+                 const StepDirective* omp) {
     for (const Stmt& s : body) emit_stmt(s, fn, omp);
   }
 
-  void emit_stmt(const Stmt& s, const Function& fn, const StepVerdict* omp) {
+  void emit_stmt(const Stmt& s, const Function& fn, const StepDirective* omp) {
     switch (s.kind) {
       case Stmt::Kind::kAssign: {
-        const bool atomic = omp != nullptr && id_in(omp->atomic_grids,
-                                                    s.lhs.grid);
-        // A subprogram's store to a grid its caller's loop updates
-        // atomically (an orphaned ATOMIC) is atomic as well: an update of
-        // the element, or else a plain atomic write.
-        const bool orphaned =
-            !atomic && in_region_callee() && region_atomics_.count(s.lhs.grid);
         std::string rhs = expr(*s.rhs);
         // Interpreter-exact mode: INTEGER stores truncate explicitly (the
         // typed back-end gets the same effect from the long lvalue).
@@ -1582,21 +1443,15 @@ class CGen {
             p_.grid(s.lhs.grid).field_type(s.lhs.field) == DataType::kInt) {
           rhs = cat("trunc(", rhs, ")");
         }
-        const std::string lhs =
-            access_text(s.lhs.grid, s.lhs.field, s.lhs.subscripts);
-        if (atomic) w_.raw("#pragma omp atomic");
-        if (orphaned) {
-          w_.raw(rhs.find(lhs) != std::string::npos
-                     ? "#pragma omp atomic"
-                     : "#pragma omp atomic write");
+        if (const char* atomic = directives_.atomic(omp, s)) {
+          w_.raw(cat("#pragma omp ", atomic));
         }
-        w_.line(cat(lhs, " = ", rhs, ";"));
+        w_.line(cat(access_text(s.lhs.grid, s.lhs.field, s.lhs.subscripts),
+                    " = ", rhs, ";"));
         break;
       }
       case Stmt::Kind::kIf: {
-        const bool critical = omp != nullptr && omp->needs_critical &&
-                              s.kind == Stmt::Kind::kIf &&
-                              if_contains_return(s);
+        const bool critical = omp != nullptr && omp->criticals.count(&s) != 0;
         if (critical) w_.raw("#pragma omp critical");
         if (critical) w_.line("{");
         for (std::size_t i = 0; i < s.arms.size(); ++i) {
@@ -1629,25 +1484,15 @@ class CGen {
     }
   }
 
-  static bool if_contains_return(const Stmt& s) {
-    for (const IfArm& arm : s.arms) {
-      if (contains_return(arm.body)) return true;
-    }
-    return contains_return(s.else_body);
-  }
-
   const Program& p_;
   const ProgramAnalysis& analysis_;
   const CodegenOptions& opt_;
   CodeWriter w_;
+  /// The OpenMP directives (empty unless enable_openmp).
+  const DirectivePlan directives_;
   std::vector<std::string> frees_;
   std::set<GridId> lazy_globals_;
-  /// Functions called from the loop of a kept directive (OpenMP only),
-  /// the grids those loops update atomically, and the function being
-  /// emitted.
-  std::set<std::string> region_callees_;
-  std::set<GridId> region_atomics_;
-  const Function* current_fn_ = nullptr;
+  const Function* current_fn_ = nullptr;  ///< the function being emitted
   /// Set while index_text emits a typed-model subscript or bound that it
   /// rounds (interp_arith), and whether the code uses glaf_ix or
   /// glaf_zero_stride (emit_preamble defines them then).

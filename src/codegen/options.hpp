@@ -113,10 +113,9 @@ struct CodegenOptions {
   bool enable_openmp = true;
   DirectivePolicy policy = DirectivePolicy::kV0;
 
-  /// Emit COLLAPSE(n) on perfectly-nested parallel loops, up to this depth
-  /// (GLAF generates COLLAPSE(2), paper §4.1.2).
+  /// Emit COLLAPSE(n) on perfectly-nested parallel loops, up to
+  /// kMaxCollapse (GLAF generates COLLAPSE(2), paper §4.1.2).
   bool emit_collapse = true;
-  int max_collapse = 2;
 
   /// Structure-of-arrays layout for struct grids (code-optimization
   /// back-end's data-layout option); false = array-of-structures.

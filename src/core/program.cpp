@@ -197,6 +197,19 @@ std::optional<Value> fold_with_globals(const Program& program, const Expr& e) {
   return fold_with(program, e, written_grids(program));
 }
 
+std::optional<std::int64_t> fold_extent(const Program& program,
+                                        const Expr& extent) {
+  const auto v = fold_with_globals(program, extent);
+  if (!v) return std::nullopt;
+  return static_cast<std::int64_t>(value_as_double(*v));
+}
+
+bool has_constant_extents(const Program& program, const Grid& g) {
+  return std::all_of(g.dims.begin(), g.dims.end(), [&](const Dim& d) {
+    return fold_extent(program, *d.extent).has_value();
+  });
+}
+
 std::string stmt_to_string(const Program& program, const Stmt& stmt) {
   std::vector<std::string> lines;
   stmt_to_lines(program, stmt, 0, lines);

@@ -84,6 +84,14 @@ class Program {
 /// External grids are never folded (their values live in the legacy code).
 std::optional<Value> fold_with_globals(const Program& program, const Expr& e);
 
+/// An array extent folded (fold_with_globals) to an element count, or
+/// nullopt when it stays symbolic.
+std::optional<std::int64_t> fold_extent(const Program& program,
+                                        const Expr& extent);
+
+/// Whether every extent of `g` folds.
+bool has_constant_extents(const Program& program, const Grid& g);
+
 /// The set of grids assigned anywhere in the program (directly; callees
 /// covered because all functions are scanned).
 std::set<GridId> written_grids(const Program& program);

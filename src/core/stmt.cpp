@@ -53,4 +53,12 @@ bool contains_return(const std::vector<Stmt>& body) {
   return found;
 }
 
+bool if_contains_return(const Stmt& s) {
+  if (s.kind != Stmt::Kind::kIf) return false;
+  for (const IfArm& arm : s.arms) {
+    if (contains_return(arm.body)) return true;
+  }
+  return contains_return(s.else_body);
+}
+
 }  // namespace glaf

@@ -73,4 +73,7 @@ void visit_stmts(const std::vector<Stmt>& body,
 /// True if any statement in the body (recursively) is a kReturn.
 bool contains_return(const std::vector<Stmt>& body);
 
+/// True if `s` is an IF one of whose arms (recursively) RETURNs.
+bool if_contains_return(const Stmt& s);
+
 }  // namespace glaf

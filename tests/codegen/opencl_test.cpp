@@ -67,5 +67,24 @@ TEST(OpenCl, TwoDimensionalNdrangeForCollapsedNest) {
   EXPECT_TRUE(contains(code.host, "size_t gws[2]"));
 }
 
+TEST(OpenCl, AtMostThreeWorkDimensions) {
+  // OpenCL allows three NDRange dimensions: the fourth loop of a fully
+  // parallel nest stays sequential inside the work-item.
+  ProgramBuilder pb("m");
+  auto a = pb.global("a", DataType::kDouble, {4, 4, 4, 4});
+  auto s = pb.function("f").step("s");
+  s.foreach_("i", 0, 3).foreach_("j", 0, 3).foreach_("k", 0, 3).foreach_(
+      "l", 0, 3);
+  s.assign(a(idx("i"), idx("j"), idx("k"), idx("l")), 1.0);
+  const Program p = pb.build().value();
+  ASSERT_EQ(analyze_program(p).verdict(p.functions[0].id, 0).collapse, 4);
+  const OpenClCode code = gen(p);
+  EXPECT_TRUE(contains(code.kernels, "get_global_id(2)"));
+  EXPECT_FALSE(contains(code.kernels, "get_global_id(3)"));
+  EXPECT_TRUE(contains(code.kernels, "for (long l = 0; l <= 3; ++l) {"));
+  EXPECT_TRUE(contains(code.host, "size_t gws[3]"));
+  EXPECT_TRUE(contains(code.host, "clEnqueueNDRangeKernel(q, k, 3,"));
+}
+
 }  // namespace
 }  // namespace glaf

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/builder.hpp"
+#include "support/strings.hpp"
+
 namespace glaf {
 namespace {
 
@@ -64,6 +67,62 @@ TEST(Policy, NonParallelizableNeverKept) {
 TEST(Policy, StraightLineNeverKept) {
   EXPECT_FALSE(keep_directive(DirectivePolicy::kV0,
                               verdict_of(LoopClass::kStraightLine)));
+}
+
+TEST(DirectivePlan, CollapsesTwoLoopsAndPrivatizesTheRest) {
+  ProgramBuilder pb("m");
+  auto a = pb.global("a", DataType::kDouble, {4, 4, 4});
+  auto s = pb.function("f").step("s");
+  s.foreach_("i", 0, 3).foreach_("j", 0, 3).foreach_("k", 0, 3);
+  s.assign(a(idx("i"), idx("j"), idx("k")), 1.0);
+  const Program p = pb.build().value();
+  const ProgramAnalysis pa = analyze_program(p);
+  CodegenOptions opts;
+  const DirectivePlan plan = plan_directives(p, pa, opts);
+  const StepDirective* d = plan.step(p.functions[0].id, 0);
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->band, 3u);
+  EXPECT_EQ(d->collapse, kMaxCollapse);
+  EXPECT_EQ(d->private_indices, std::vector<std::string>{"k"});
+  EXPECT_EQ(plan.step(p.functions[0].id, 1), nullptr);
+  // Both spellings of one plan.
+  EXPECT_EQ(clause_text(p, *d, opts, to_lower), " collapse(2) private(k)");
+  EXPECT_EQ(clause_text(p, *d, opts, to_upper), " COLLAPSE(2) PRIVATE(k)");
+
+  opts.emit_collapse = false;
+  const DirectivePlan flat = plan_directives(p, pa, opts);
+  d = flat.step(p.functions[0].id, 0);
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->collapse, 1);
+  EXPECT_EQ(d->private_indices, (std::vector<std::string>{"j", "k"}));
+}
+
+TEST(DirectivePlan, RegionCalleeGetsOrphanedAtomicAndThreadprivateSave) {
+  ProgramBuilder pb("m");
+  auto acc = pb.global("acc", DataType::kDouble, {2});
+  auto bump = pb.function("bump");
+  auto k = bump.param("k", DataType::kInt);
+  auto t = bump.local("t", DataType::kDouble);
+  auto body = bump.step("s");
+  body.assign(t(), E(k));
+  body.assign(acc(liti(0)), acc(liti(0)) + E(t));
+  body.assign(acc(liti(1)), E(t));
+  auto loop = pb.function("f").step("loop");
+  loop.foreach_("i", 0, 63);
+  loop.call_sub("bump", {idx("i")});
+  const Program p = pb.build().value();
+  TweaksByFunction tweaks;
+  tweaks["f"].force_atomic.insert(p.find_grid("acc")->id);
+  CodegenOptions opts;
+  opts.save_temporaries = true;
+  const DirectivePlan plan =
+      plan_directives(p, analyze_program(p, tweaks), opts);
+  EXPECT_EQ(plan.region_callees, std::set<std::string>{"bump"});
+  EXPECT_EQ(plan.threadprivate_saves, std::set<GridId>{t.id()});
+  const std::vector<Stmt>& stores = p.find_function("bump")->steps[0].body;
+  EXPECT_EQ(plan.atomic(nullptr, stores[0]), nullptr);
+  EXPECT_STREQ(plan.atomic(nullptr, stores[1]), "atomic");
+  EXPECT_STREQ(plan.atomic(nullptr, stores[2]), "atomic write");
 }
 
 TEST(Policy, Names) {

@@ -135,6 +135,40 @@ TEST(GlafFull, SaveTempsAllocateOncePerThread) {
   EXPECT_EQ(m.stats().local_allocations, first);
 }
 
+TEST(GlafFull, FortranWithTweaksDeclaresThreadprivateAndOrphanedAtomics) {
+  // The §4.2.1 tweaks work only together: the callees name the
+  // privatized module variables, so they are THREADPRIVATE rather than
+  // PRIVATE, edge_loop's SAVE'd temporaries are per thread, and a
+  // callee's store to a grid the loop updates atomically is atomic too.
+  // The FORTRAN is not compiled here (no FORTRAN compiler in CI).
+  const Mesh mesh = make_mesh(kCells, kSeed);
+  const Program p = build_fun3d_full_program(mesh);
+  const GeneratedCode code =
+      generate_fortran(p, analyze_program(p, full_tweaks(p)));
+  const std::string& f = code.source;
+  const std::size_t module_tp =
+      f.find("\n!$OMP THREADPRIVATE(cell_avg, dq, contrib, wgt_total)\n");
+  ASSERT_NE(module_tp, std::string::npos) << f;
+  EXPECT_LT(module_tp, f.find("\nCONTAINS\n"));
+  EXPECT_NE(f.find("SAVE :: temps(0:49, 0:4)\n!$OMP THREADPRIVATE(temps)\n"),
+            std::string::npos);
+  EXPECT_NE(f.find("!$OMP ATOMIC WRITE\n  wgt_total = 0.0d0\n"),
+            std::string::npos);
+  // OpenMP forbids a threadprivate variable in PRIVATE: edgejp's
+  // directives name none of the four.
+  const std::string& edgejp = code.per_function.at("edgejp");
+  int directives = 0;
+  for (std::size_t at = edgejp.find("!$OMP PARALLEL DO");
+       at != std::string::npos; at = edgejp.find("!$OMP PARALLEL DO", at + 1)) {
+    const std::string line = edgejp.substr(at, edgejp.find('\n', at) - at);
+    ++directives;
+    for (const char* name : {"cell_avg", "dq", "contrib", "wgt_total"}) {
+      EXPECT_EQ(line.find(name), std::string::npos) << line;
+    }
+  }
+  EXPECT_EQ(directives, 2);
+}
+
 TEST(GlafFull, FortranShowsDecompositionStructure) {
   const Mesh mesh = make_mesh(kCells, kSeed);
   const Program p = build_fun3d_full_program(mesh);
